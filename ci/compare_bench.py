@@ -10,8 +10,11 @@ Fails (exit 1) when, for any row present in both baseline and current:
   * journal durability costs regress: journaled ingest throughput falls
     below 75% of its baseline, the in-file overhead of `fsync=never`
     journaling exceeds the ingest-overhead ceiling (journaled ingest
-    under 30% of the unjournaled row of the SAME run), or crash
-    recovery time grows beyond the recovery-time ceiling (2x baseline), or
+    under 30% of the unjournaled row of the SAME run), `fsync=always`
+    sessions/s falls under half of the `fsync=never` row of the SAME
+    run (group commit: one fsync per drained batch, not per bid), or
+    crash recovery time grows beyond the recovery-time ceiling (2x
+    baseline), or
   * the telemetry plane gets expensive: the in-run telemetry-on/off
     ingest ratio reported by BENCH_telemetry.json falls below 95% —
     flight ring, epoch traces, and a live scrape endpoint together may
@@ -57,6 +60,11 @@ LATENCY_GRACE_S = 0.050  # absolute slack below which p99 growth is noise
 # In-file and generous on purpose: it catches a hot-path disaster (a
 # sync or copy snuck into every append), not scheduler jitter.
 JOURNAL_OVERHEAD_FLOOR = 0.30
+# Group-commit floor: with one fsync per drained batch, a market that
+# syncs before every acknowledgement must sustain at least half the
+# sessions/s of the same run's fsync=never row (it was 0.31x with an
+# fsync per bid). In-run, so the host's disk and load hit both rows.
+JOURNAL_ALWAYS_FLOOR = 0.5
 # The recovery-time ceiling reuses LATENCY_CEIL/LATENCY_GRACE_S: crash
 # recovery may not take more than 2x baseline (plus the noise grace).
 # Telemetry overhead ceiling: with the full plane on (flight recorder,
@@ -250,6 +258,18 @@ def compare_journal(base, cur, failures, lines):
                 f"(ceiling: no less than {JOURNAL_OVERHEAD_FLOOR:.0%})"
             )
         lines.append(f"  {name} [overhead] fsync=never/unjournaled ingest: {ratio:.2f}x {verdict}")
+    synced = cur_rows.get(("fsync=always",))
+    if buffered and synced and buffered["sessions_per_sec"] > 0:
+        ratio = synced["sessions_per_sec"] / buffered["sessions_per_sec"]
+        verdict = "ok"
+        if ratio < JOURNAL_ALWAYS_FLOOR:
+            verdict = "REGRESSION"
+            failures.append(
+                f"{name} [group commit]: fsync=always sustains {ratio:.0%} of the fsync=never "
+                f"sessions/s (floor {JOURNAL_ALWAYS_FLOOR:.0%}; "
+                f"{synced.get('fsyncs_per_bid', float('nan')):.3f} fsyncs per bid)"
+            )
+        lines.append(f"  {name} [group commit] fsync=always/never sessions/s: {ratio:.2f}x {verdict}")
     brec, crec = base.get("recovery"), cur.get("recovery")
     if brec and crec:
         check_latency(

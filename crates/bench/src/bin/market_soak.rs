@@ -275,7 +275,17 @@ fn journal_sweep(
         ("fsync=always", Some(FsyncPolicy::Always)),
     ];
     let mut table = Table::new(
-        &["mode", "bids", "ingest bids/s", "sess/s", "p99", "journal bytes", "fsyncs", "fsync p̄"],
+        &[
+            "mode",
+            "bids",
+            "ingest bids/s",
+            "sess/s",
+            "p99",
+            "journal bytes",
+            "fsyncs",
+            "fsyncs/bid",
+            "fsync p̄",
+        ],
         csv,
     );
     let mut json_rows = JsonArray::new();
@@ -288,6 +298,9 @@ fn journal_sweep(
             soak(mode, Some(1_000_000.0), bids, epoch_bids, n_users, m, 4_242, journal, mechanism);
         let ingest = r.bids as f64 / r.feed.as_secs_f64();
         let s = &r.stats;
+        // Group commit in one number: fsyncs (bids and seals alike) per
+        // accepted bid — 1 + 1/epoch_bids without batching.
+        let fsyncs_per_bid = s.journal_fsyncs as f64 / s.bids_accepted.max(1) as f64;
         table.row(vec![
             mode.to_string(),
             r.bids.to_string(),
@@ -296,6 +309,7 @@ fn journal_sweep(
             fmt_secs(s.epoch_latency_p99.as_secs_f64()),
             s.journal_bytes.to_string(),
             s.journal_fsyncs.to_string(),
+            format!("{fsyncs_per_bid:.3}"),
             fmt_secs(s.journal_fsync_mean.as_secs_f64()),
         ]);
         let mut row = JsonObject::new();
@@ -306,6 +320,7 @@ fn journal_sweep(
             .num("epoch_latency_p99_s", s.epoch_latency_p99.as_secs_f64())
             .int("journal_bytes", s.journal_bytes)
             .int("journal_fsyncs", s.journal_fsyncs)
+            .num("fsyncs_per_bid", fsyncs_per_bid)
             .num("fsync_mean_s", s.journal_fsync_mean.as_secs_f64())
             .num("fsync_max_s", s.journal_fsync_max.as_secs_f64());
         json_rows.push(row.finish());

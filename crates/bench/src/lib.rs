@@ -147,26 +147,39 @@ pub struct CommonArgs {
     pub quick: bool,
 }
 
+/// Find `name` in `args` and parse the token after it as a `usize`:
+/// `Ok(None)` when the flag is absent, `Err` naming the flag and the
+/// offending value when it is present but unusable — a typo must never
+/// silently become the default.
+fn parse_flag(args: &[String], name: &str) -> Result<Option<usize>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else { return Ok(None) };
+    let value = args.get(i + 1).ok_or_else(|| format!("{name} needs a value"))?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|e| format!("{name}: cannot parse {value:?} as a non-negative integer ({e})"))
+}
+
 /// Scan `std::env::args` for `name` and parse the following token as a
-/// `usize` (`None` if absent or unparsable) — the bench binaries' shared
-/// ad-hoc numeric flag parser.
+/// `usize` (`None` if absent) — the bench binaries' shared ad-hoc
+/// numeric flag parser. A missing or unparsable value is fatal: the
+/// process prints the flag and the value and exits with status 2.
 pub fn flag_value(name: &str) -> Option<usize> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).and_then(|v| v.parse().ok())
+    parse_flag(&args, name).unwrap_or_else(|why| {
+        eprintln!("error: {why}");
+        std::process::exit(2);
+    })
 }
 
 impl CommonArgs {
     /// Parse from `std::env::args`, with the given default round count.
+    /// Exits like [`flag_value`] on an unusable `--rounds` value.
     pub fn parse(default_rounds: usize) -> CommonArgs {
         let args: Vec<String> = std::env::args().collect();
         let csv = args.iter().any(|a| a == "--csv");
         let quick = args.iter().any(|a| a == "--quick");
-        let rounds = args
-            .iter()
-            .position(|a| a == "--rounds")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default_rounds);
+        let rounds = flag_value("--rounds").unwrap_or(default_rounds);
         CommonArgs { csv, rounds, quick }
     }
 }
@@ -185,6 +198,19 @@ mod tests {
         assert!((s.mean_s - 0.020).abs() < 1e-9);
         assert!((s.min_s - 0.010).abs() < 1e-9);
         assert!((s.max_s - 0.030).abs() < 1e-9);
+    }
+
+    #[test]
+    fn unusable_flag_values_are_errors_naming_flag_and_value() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_flag(&args(&["bin", "--quick"]), "--rounds"), Ok(None));
+        assert_eq!(parse_flag(&args(&["bin", "--rounds", "7"]), "--rounds"), Ok(Some(7)));
+        for bad in ["abc", "-3", "1.5", ""] {
+            let why = parse_flag(&args(&["bin", "--rounds", bad]), "--rounds").unwrap_err();
+            assert!(why.contains("--rounds") && why.contains(&format!("{bad:?}")), "{why}");
+        }
+        let why = parse_flag(&args(&["bin", "--rounds"]), "--rounds").unwrap_err();
+        assert!(why.contains("--rounds needs a value"), "{why}");
     }
 
     #[test]

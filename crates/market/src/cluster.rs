@@ -592,13 +592,15 @@ impl Coordinator {
             let bids = generate_epoch_bids(config.n_users, config.m, seed);
             let accepted = bids.valid_user_bids().count() as u64;
             if let Some(journal) = &journal {
-                // Write-ahead: bids hit the disk before the epoch counts.
+                // Write-ahead: bids hit the disk — one commit for the
+                // whole epoch — before the epoch counts.
                 for (user, bid) in bids.valid_user_bids() {
-                    journal.append_accepted(epoch, user, *bid)?;
+                    journal.stage_accepted(epoch, user, *bid)?;
                 }
                 for (slot, ask) in bids.asks().iter().enumerate() {
-                    journal.append_ask(epoch, slot as u64, *ask)?;
+                    journal.stage_ask(epoch, slot as u64, *ask)?;
                 }
+                journal.commit()?;
             }
 
             let (outcome, reason) = self.clear_epoch(epoch, session, seed, &bids);
@@ -765,32 +767,35 @@ fn serve_connection(
     if peer >= config.m {
         return;
     }
-    let incarnation = {
-        let mut tracker = shared.tracker.lock().expect("tracker lock");
-        tracker.begin_reconnect(peer);
-        tracker.join(peer, Instant::now())
-    };
+    let Ok(mut writer) = stream.try_clone() else { return };
     shared.mesh_addrs.lock().expect("mesh_addrs lock")[peer] = Some(mesh_addr);
-    let ack = ControlMsg::JoinAck {
-        incarnation,
-        m: config.m as u32,
-        k: config.k as u32,
-        n_users: config.n_users as u32,
-        deadline_ms: config.session_deadline.as_millis() as u64,
-        mesh_budget_ms: config.mesh_budget.as_millis() as u64,
+    // The Up transition and the writer registration are one critical
+    // section: the moment the tracker counts this peer, a broadcast
+    // (work order, shutdown) must be able to reach it. The broadcasters
+    // take the writers lock, so holding it across the JoinAck also keeps
+    // the ack the first frame the provider reads. Lock order is
+    // tracker → writers, as in the disconnect path below.
+    let (incarnation, acked) = {
+        let mut tracker = shared.tracker.lock().expect("tracker lock");
+        let mut writers = shared.writers.lock().expect("writers lock");
+        tracker.begin_reconnect(peer);
+        let incarnation = tracker.join(peer, Instant::now());
+        drop(tracker);
+        let ack = ControlMsg::JoinAck {
+            incarnation,
+            m: config.m as u32,
+            k: config.k as u32,
+            n_users: config.n_users as u32,
+            deadline_ms: config.session_deadline.as_millis() as u64,
+            mesh_budget_ms: config.mesh_budget.as_millis() as u64,
+        };
+        let acked = write_frame(&mut writer, &ack).is_ok();
+        writers[peer] = acked.then_some(writer);
+        (incarnation, acked)
     };
-    if write_frame(&mut stream, &ack).is_err() {
+    if !acked {
         shared.tracker.lock().expect("tracker lock").disconnect(peer);
         return;
-    }
-    match stream.try_clone() {
-        Ok(writer) => {
-            shared.writers.lock().expect("writers lock")[peer] = Some(writer);
-        }
-        Err(_) => {
-            shared.tracker.lock().expect("tracker lock").disconnect(peer);
-            return;
-        }
     }
     let _ = events.send(Event::Joined);
     let _ = stream.set_read_timeout(None);
@@ -1180,6 +1185,34 @@ mod tests {
             let provider_report = provider.join().expect("provider thread").expect("provider run");
             assert_eq!(provider_report.rejoins, 0);
             assert_eq!(provider_report.epochs, 3);
+        }
+    }
+
+    /// A zero-epoch run broadcasts `Shutdown` the instant the last
+    /// provider counts as Up. Every provider must hear it: the Up
+    /// transition may not become visible before the provider's control
+    /// writer is registered. (Repeated, because the window was narrow.)
+    #[test]
+    fn shutdown_broadcast_at_the_last_join_reaches_every_provider() {
+        for round in 0..40 {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let mut config = ClusterConfig::new(3, 1, 6);
+            config.epochs = 0;
+            config.join_timeout = Duration::from_secs(10);
+            let coordinator = Coordinator::new(listener, config).expect("coordinator");
+            let addr = coordinator.local_addr().to_string();
+            let (done_tx, done_rx) = mpsc::channel();
+            for id in 0..3 {
+                let (addr, done_tx) = (addr.clone(), done_tx.clone());
+                thread::spawn(move || {
+                    let _ = done_tx.send(run_provider(ProviderConfig::new(id, addr)).is_ok());
+                });
+            }
+            coordinator.run(|_| {}).expect("run");
+            for _ in 0..3 {
+                let returned = done_rx.recv_timeout(Duration::from_secs(10));
+                assert_eq!(returned, Ok(true), "round {round}: a provider never heard Shutdown");
+            }
         }
     }
 }

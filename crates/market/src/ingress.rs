@@ -76,6 +76,9 @@ pub(crate) enum Pop {
     Item(Queued),
     /// Nothing arrived within the timeout.
     Timeout,
+    /// Nothing is queued right now ([`IngressQueue::try_pop`] only): the
+    /// scheduler's cue to commit what it has staged before it blocks.
+    Empty,
     /// The queue is closed **and drained**: no submission will ever
     /// arrive again. (Close with items still queued keeps yielding
     /// them first — drain-then-shutdown.)
@@ -192,6 +195,19 @@ impl IngressQueue {
         }
     }
 
+    /// Pop one submission without waiting.
+    pub(crate) fn try_pop(&self) -> Pop {
+        let mut inner = self.inner.lock().expect("ingress lock");
+        match inner.buf.pop_front() {
+            Some(item) => {
+                self.not_full.notify_one();
+                Pop::Item(item)
+            }
+            None if inner.closed => Pop::Closed,
+            None => Pop::Empty,
+        }
+    }
+
     /// Stop accepting submissions. Already-queued items remain poppable;
     /// blocked pushers and the popper are woken.
     pub(crate) fn close(&self) {
@@ -259,6 +275,7 @@ mod tests {
         }
         assert_eq!(item(q.pop_timeout(Duration::from_millis(10))), bid(1));
         assert_eq!(q.pop_timeout(Duration::from_millis(1)), Pop::Timeout);
+        assert_eq!(q.try_pop(), Pop::Empty);
         assert_eq!(q.enqueued_count(), 2);
     }
 
@@ -297,7 +314,8 @@ mod tests {
         q.close();
         assert_eq!(q.push(bid(2)), Err(SubmitError::Closed));
         assert_eq!(item(q.pop()), bid(0));
-        assert_eq!(item(q.pop()), bid(1));
+        assert_eq!(item(q.try_pop()), bid(1));
+        assert_eq!(q.try_pop(), Pop::Closed);
         assert_eq!(q.pop(), Pop::Closed);
         assert_eq!(q.pop_timeout(Duration::from_millis(1)), Pop::Closed);
     }

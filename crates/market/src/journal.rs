@@ -18,13 +18,18 @@
 //! the CRC plus the length prefix let recovery find the **longest valid
 //! prefix** and drop the torn tail, never a phantom record.
 //!
-//! # Write-ahead discipline
+//! # Write-ahead discipline and group commit
 //!
-//! The scheduler appends an [`JournalRecord::Accepted`] record — and
-//! makes it durable per the [`FsyncPolicy`] — *before* the acceptance
-//! becomes observable anywhere (stats counters, epoch-close triggers).
-//! A journal write failure is therefore fail-stop by design: a durable
-//! market must not acknowledge what it cannot journal.
+//! Appending is two steps. **Stage** frames a record and writes it to
+//! the file under the append lock; **commit** makes everything staged
+//! so far durable per the [`FsyncPolicy`] with one `fdatasync`, issued
+//! outside that lock. The scheduler stages each
+//! [`JournalRecord::Accepted`] as it folds the bid and commits the batch
+//! *before* any of it becomes observable (stats counters, epoch-close
+//! triggers); a clearer commits its seal before publishing the outcome.
+//! Counted, closed or published ⇒ durable. A journal write failure is
+//! fail-stop by design: a durable market must not acknowledge what it
+//! cannot journal.
 //!
 //! # Settlement chain
 //!
@@ -40,18 +45,19 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
 use dauctioneer_crypto::{Digest, SettlementChain};
-use dauctioneer_net::{wire_decode, wire_encode_into};
+use dauctioneer_net::{wire_decode, MAX_WIRE_FRAME};
+use dauctioneer_telemetry::Histogram;
 use dauctioneer_types::{
     BidVector, Decode, Encode, JournalRecord, Outcome, ProviderAsk, SealRecord, SessionId, UserBid,
-    UserId,
+    UserId, Writer,
 };
 
-/// When an appended record is pushed through the page cache to the disk.
+/// When staged records are pushed through the page cache to the disk —
+/// what [`Journal::commit`] does.
 ///
 /// The policy is the journal's one durability/throughput trade-off knob:
 /// `Always` loses nothing on power failure, `EveryN` bounds the loss to
@@ -60,9 +66,13 @@ use dauctioneer_types::{
 /// cache survives the process — but a machine crash may).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fdatasync` after every record: nothing acknowledged is ever lost.
+    /// Durable before acknowledged: a commit returns only once an
+    /// `fdatasync` covers everything staged before it — one sync per
+    /// record for a lone appender, one per *batch* under load. Nothing
+    /// acknowledged is ever lost.
     Always,
-    /// `fdatasync` after every `n` records.
+    /// A commit syncs once `n` or more records are staged but not yet
+    /// durable.
     EveryN(u32),
     /// Never sync explicitly; the OS flushes on its own schedule.
     Never,
@@ -441,26 +451,44 @@ pub struct RecoveredLog {
 
 /// The append half of the journal: one file, one settlement chain, one
 /// fsync policy, shared by the scheduler (accepted bids, asks) and the
-/// per-shard clearers (seals) behind a mutex — the lock order *is* the
-/// chain order.
+/// per-shard clearers (seals). Staging serializes on the append lock —
+/// the lock order *is* the file and chain order — while the fsync of a
+/// commit runs outside it, so records keep being staged while a sync is
+/// in flight.
 #[derive(Debug)]
 pub struct Journal {
+    file: File,
     inner: Mutex<JournalInner>,
+    /// Records staged so far. Stored (`Release`) under the append lock
+    /// once the record's `write_all` has returned; a committer loads it
+    /// (`Acquire`) *before* its fsync, so every record up to the value
+    /// it read is in the page cache that fsync flushes.
+    appended: AtomicU64,
+    commit: Mutex<CommitState>,
+    synced: Condvar,
+    policy: FsyncPolicy,
     path: PathBuf,
     bytes_written: AtomicU64,
     fsyncs: AtomicU64,
     fsync_nanos: AtomicU64,
     fsync_nanos_max: AtomicU64,
+    commit_records: Histogram,
 }
 
 #[derive(Debug)]
 struct JournalInner {
-    file: File,
     /// Warm scratch for frame assembly; one `write_all` per record.
-    buf: BytesMut,
+    buf: Writer,
     chain: SettlementChain,
-    policy: FsyncPolicy,
-    since_sync: u32,
+}
+
+#[derive(Debug)]
+struct CommitState {
+    /// Records `[1, durable]` are covered by a completed fsync.
+    durable: u64,
+    /// One thread is inside `fdatasync`; later committers wait for it
+    /// and sync again only if it did not cover them.
+    syncing: bool,
 }
 
 impl Journal {
@@ -611,18 +639,18 @@ impl Journal {
 
     fn from_parts(path: &Path, file: File, chain: SettlementChain, policy: FsyncPolicy) -> Journal {
         Journal {
-            inner: Mutex::new(JournalInner {
-                file,
-                buf: BytesMut::with_capacity(4096),
-                chain,
-                policy,
-                since_sync: 0,
-            }),
+            file,
+            inner: Mutex::new(JournalInner { buf: Writer::with_capacity(4096), chain }),
+            appended: AtomicU64::new(0),
+            commit: Mutex::new(CommitState { durable: 0, syncing: false }),
+            synced: Condvar::new(),
+            policy,
             path: path.to_path_buf(),
             bytes_written: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
             fsync_nanos: AtomicU64::new(0),
             fsync_nanos_max: AtomicU64::new(0),
+            commit_records: Histogram::new(),
         }
     }
 
@@ -631,42 +659,93 @@ impl Journal {
         &self.path
     }
 
-    /// Journal an accepted bid — the write-ahead half of the ack.
+    /// Stage an accepted bid: written, not yet durable — nothing may
+    /// observe the acceptance until a later [`Journal::commit`] returns.
+    /// Returns the record's sequence number (1-based, in file order,
+    /// counted from this process's first append).
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] if the append or sync fails; the caller must
-    /// treat that as fail-stop, not as a recoverable verdict.
+    /// [`JournalError::Io`] if the write fails; the caller must treat
+    /// that as fail-stop, not as a recoverable verdict.
+    pub fn stage_accepted(
+        &self,
+        epoch: u64,
+        user: UserId,
+        bid: UserBid,
+    ) -> Result<u64, JournalError> {
+        self.stage(&JournalRecord::Accepted { epoch, user, bid })
+    }
+
+    /// Stage a streamed ask applied to the open epoch.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] as for [`Journal::stage_accepted`].
+    pub fn stage_ask(&self, epoch: u64, slot: u64, ask: ProviderAsk) -> Result<u64, JournalError> {
+        self.stage(&JournalRecord::AskSet { epoch, slot, ask })
+    }
+
+    /// Stage an accepted bid and commit it — the write-ahead half of the
+    /// ack for a caller with nothing to batch (one fsync under `Always`).
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] as for [`Journal::stage_accepted`].
     pub fn append_accepted(
         &self,
         epoch: u64,
         user: UserId,
         bid: UserBid,
     ) -> Result<(), JournalError> {
-        self.append(&JournalRecord::Accepted { epoch, user, bid })
+        self.stage_accepted(epoch, user, bid)?;
+        self.commit()
     }
 
-    /// Journal a streamed ask applied to the open epoch.
+    /// Stage a streamed ask and commit it.
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] as for [`Journal::append_accepted`].
+    /// [`JournalError::Io`] as for [`Journal::stage_accepted`].
     pub fn append_ask(&self, epoch: u64, slot: u64, ask: ProviderAsk) -> Result<(), JournalError> {
-        self.append(&JournalRecord::AskSet { epoch, slot, ask })
+        self.stage_ask(epoch, slot, ask)?;
+        self.commit()
     }
 
-    /// Seal a cleared epoch onto the settlement chain and journal the
-    /// seal. The chain digest is computed under the journal lock, so
-    /// concurrent clearers serialize and the chain order is the append
-    /// order. `mechanism` is the name of the allocation program that
-    /// cleared the epoch — signed content, so a journal cannot silently
-    /// change mechanism mid-history. Returns the seal as written.
+    /// [`Journal::stage_seal`], then [`Journal::commit`].
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] as for [`Journal::append_accepted`].
+    /// [`JournalError::Io`] as for [`Journal::stage_accepted`].
     #[allow(clippy::too_many_arguments)] // the seal's content fields, in seal order
     pub fn append_seal(
+        &self,
+        epoch: u64,
+        session: SessionId,
+        seed: u64,
+        accepted: u64,
+        bids: BidVector,
+        mechanism: &str,
+        outcome: Outcome,
+    ) -> Result<SealRecord, JournalError> {
+        let seal = self.stage_seal(epoch, session, seed, accepted, bids, mechanism, outcome)?;
+        self.commit()?;
+        Ok(seal)
+    }
+
+    /// Seal a cleared epoch onto the settlement chain and stage the
+    /// seal. The chain digest is computed under the append lock, so
+    /// concurrent clearers serialize and the chain order is the file
+    /// order. `mechanism` is the name of the allocation program that
+    /// cleared the epoch — signed content, so a journal cannot silently
+    /// change mechanism mid-history. The outcome may be published only
+    /// after a [`Journal::commit`] that follows returns.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] as for [`Journal::stage_accepted`].
+    #[allow(clippy::too_many_arguments)] // the seal's content fields, in seal order
+    pub fn stage_seal(
         &self,
         epoch: u64,
         session: SessionId,
@@ -691,20 +770,45 @@ impl Journal {
         };
         seal.digest = *inner.chain.extend(&seal.content_bytes()).as_bytes();
         let record = JournalRecord::Sealed(seal.clone());
-        self.write_locked(&mut inner, &record)?;
+        self.stage_locked(&mut inner, &record)?;
         Ok(seal)
     }
 
-    /// Force an fsync regardless of policy (drain-then-shutdown's last
-    /// act: nothing acknowledged may sit only in the page cache when the
-    /// process exits on purpose).
+    /// Make everything staged so far durable per the policy. Under
+    /// `Always` this returns once an `fdatasync` covers every record
+    /// staged before the call — this thread's, or one another committer
+    /// already had in flight.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] if the sync fails (fail-stop for the caller).
+    pub fn commit(&self) -> Result<(), JournalError> {
+        match self.policy {
+            FsyncPolicy::Always => self.make_durable(1),
+            FsyncPolicy::EveryN(n) => self.make_durable(u64::from(n)),
+            FsyncPolicy::Never => Ok(()),
+        }
+    }
+
+    /// Sync whatever is staged but not yet durable, regardless of policy
+    /// (drain-then-shutdown's last act: nothing acknowledged may sit
+    /// only in the page cache when the process exits on purpose).
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] if the sync fails.
     pub fn sync(&self) -> Result<(), JournalError> {
-        let mut inner = self.inner.lock().expect("journal lock");
-        self.sync_locked(&mut inner)
+        self.make_durable(1)
+    }
+
+    /// Records (by sequence number) covered by a completed fsync.
+    pub fn records_durable(&self) -> u64 {
+        self.commit.lock().expect("journal commit lock").durable
+    }
+
+    /// Records covered per fsync, live (the clone shares the cells).
+    pub fn commit_records_histogram(&self) -> Histogram {
+        self.commit_records.clone()
     }
 
     /// Total bytes appended (including a recovered valid prefix).
@@ -736,52 +840,72 @@ impl Journal {
         self.inner.lock().expect("journal lock").chain.tip()
     }
 
-    fn append(&self, record: &JournalRecord) -> Result<(), JournalError> {
+    fn stage(&self, record: &JournalRecord) -> Result<u64, JournalError> {
         let mut inner = self.inner.lock().expect("journal lock");
-        self.write_locked(&mut inner, record)
+        self.stage_locked(&mut inner, record)
     }
 
-    fn write_locked(
+    /// Frame `record` in the warm scratch — reserved length header,
+    /// record bytes, CRC over them in place — and append it with one
+    /// `write_all`. No sync: durability is [`Journal::commit`]'s job.
+    fn stage_locked(
         &self,
         inner: &mut JournalInner,
         record: &JournalRecord,
-    ) -> Result<(), JournalError> {
-        let body = record.encode_to_bytes();
-        let mut payload = Vec::with_capacity(body.len() + 4);
-        payload.extend_from_slice(&body);
-        payload.extend_from_slice(&crc32(&body).to_le_bytes());
-        let JournalInner { file, buf, .. } = &mut *inner;
+    ) -> Result<u64, JournalError> {
+        let buf = &mut inner.buf;
         buf.clear();
-        wire_encode_into(&payload, buf);
-        file.write_all(buf).map_err(|source| JournalError::Io {
+        buf.put_u32(0);
+        record.encode(buf);
+        let crc = crc32(&buf.as_slice()[4..]);
+        buf.put_u32(crc);
+        let framed = buf.len() - 4;
+        assert!(framed <= MAX_WIRE_FRAME, "journal record too large: {framed} bytes");
+        buf.patch_u32(0, framed as u32);
+        (&self.file).write_all(buf.as_slice()).map_err(|source| JournalError::Io {
             op: "append",
             path: self.path.clone(),
             source,
         })?;
-        self.bytes_written.fetch_add(inner.buf.len() as u64, Ordering::Relaxed);
-        let due = match inner.policy {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::Never => false,
-            FsyncPolicy::EveryN(n) => {
-                inner.since_sync += 1;
-                inner.since_sync >= n
-            }
-        };
-        if due {
-            self.sync_locked(inner)?;
-        }
-        Ok(())
+        self.bytes_written.fetch_add(buf.len() as u64, Ordering::Relaxed);
+        let seq = self.appended.load(Ordering::Relaxed) + 1;
+        self.appended.store(seq, Ordering::Release);
+        Ok(seq)
     }
 
-    fn sync_locked(&self, inner: &mut JournalInner) -> Result<(), JournalError> {
+    /// Return once fewer than `min_lag` of the records staged before the
+    /// call are not yet durable, syncing if no fsync already in flight
+    /// gets there first. At most one thread is inside `fdatasync` at a
+    /// time, and never under the append lock.
+    fn make_durable(&self, min_lag: u64) -> Result<(), JournalError> {
+        let target = self.appended.load(Ordering::Acquire);
+        let mut state = self.commit.lock().expect("journal commit lock");
+        loop {
+            if target.saturating_sub(state.durable) < min_lag {
+                return Ok(());
+            }
+            if !state.syncing {
+                break;
+            }
+            state = self.synced.wait(state).expect("journal commit lock");
+        }
+        state.syncing = true;
+        drop(state);
+        // Read before the sync: everything up to `covered` is written.
+        let covered = self.appended.load(Ordering::Acquire);
         let started = Instant::now();
-        inner.file.sync_data().map_err(|source| JournalError::Io {
+        let result = self.file.sync_data();
+        let nanos = started.elapsed().as_nanos() as u64;
+        let mut state = self.commit.lock().expect("journal commit lock");
+        state.syncing = false;
+        self.synced.notify_all();
+        result.map_err(|source| JournalError::Io {
             op: "sync",
             path: self.path.clone(),
             source,
         })?;
-        let nanos = started.elapsed().as_nanos() as u64;
-        inner.since_sync = 0;
+        self.commit_records.observe(covered - state.durable);
+        state.durable = covered;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         self.fsync_nanos.fetch_add(nanos, Ordering::Relaxed);
         self.fsync_nanos_max.fetch_max(nanos, Ordering::Relaxed);
@@ -951,7 +1075,7 @@ mod tests {
         let path2 = temp_path("tamper-rewritten");
         let rewritten = Journal::create(&path2, FsyncPolicy::Never).unwrap();
         for record in &records {
-            rewritten.append(record).unwrap();
+            rewritten.stage(record).unwrap();
         }
         drop(rewritten);
 

@@ -248,6 +248,12 @@ impl MarketWatch {
         self.stats.close_latency_us.clone()
     }
 
+    /// Records covered per journal fsync — the group-commit batch size —
+    /// as a live histogram (empty for a market without a journal).
+    pub fn journal_commit_histogram(&self) -> Histogram {
+        self.journal.as_ref().map_or_else(Histogram::new, |j| j.commit_records_histogram())
+    }
+
     /// Dump the crash flight recorder as JSON (the `dauction
     /// flight-dump` input format).
     pub fn flight_dump_json(&self) -> String {
@@ -751,6 +757,9 @@ fn run_scheduler(
             }
         }
         let mut accepted = 0usize;
+        // Folded and journal-staged, not yet committed: none of it counts
+        // — in the stats or towards closing the epoch — before `settle`.
+        let mut staged = Staged::default();
         // The staleness window starts at the first **accepted** bid
         // (asks and rejected bids keep the epoch unopened), as the
         // [`EpochPolicy`] contract states.
@@ -765,17 +774,31 @@ fn run_scheduler(
         // queue closes (drain-then-shutdown flushes the rest). With
         // nothing accepted yet the scheduler just blocks on the queue.
         loop {
-            let due = match config.epoch {
+            let due = |accepted: usize| match config.epoch {
                 EpochPolicy::ByCount(n) => accepted >= n,
                 EpochPolicy::ByTime(d) => opened.is_some_and(|o| o.elapsed() >= d),
                 EpochPolicy::Hybrid { count, max_wait } => {
                     accepted >= count || opened.is_some_and(|o| o.elapsed() >= max_wait)
                 }
             };
-            if due {
+            // Group commit: a batch ends when it would close the epoch
+            // (commit first, then close), when it has drained one ingress
+            // queue's worth, or — `Pop::Empty` below — when the queue runs
+            // dry. No timer: a lone bid is committed the instant nothing
+            // else is waiting; under load the batch is whatever arrived
+            // during the previous fsync. Without a journal nothing waits.
+            if staged.pending() > 0
+                && (journal.is_none()
+                    || due(accepted + staged.bids)
+                    || staged.pending() >= config.ingress_capacity)
+            {
+                staged.settle(journal.as_deref(), &stats, &telemetry, &mut accepted);
+            }
+            if due(accepted) {
                 break; // `due` implies at least one accepted bid
             }
             let pop = match (config.epoch, opened) {
+                _ if staged.pending() > 0 => queue.try_pop(),
                 // Count-only closure depends solely on arrivals, and no
                 // window is running before the first accepted bid: block.
                 (EpochPolicy::ByCount(_), _) | (_, None) => queue.pop(),
@@ -796,20 +819,20 @@ fn run_scheduler(
                         &telemetry,
                         epoch_index,
                         &mut collector,
+                        &mut staged,
                         queued.submission,
                     );
-                    if was_accepted {
-                        accepted += 1;
-                        if opened.is_none() {
-                            let now = Instant::now();
-                            opened = Some(now);
-                            origin = Some(pushed_at);
-                            ingress_wait = now.saturating_duration_since(pushed_at);
-                        }
+                    if was_accepted && opened.is_none() {
+                        let now = Instant::now();
+                        opened = Some(now);
+                        origin = Some(pushed_at);
+                        ingress_wait = now.saturating_duration_since(pushed_at);
                     }
                 }
+                Pop::Empty => staged.settle(journal.as_deref(), &stats, &telemetry, &mut accepted),
                 Pop::Timeout => {} // re-check `due`
                 Pop::Closed => {
+                    staged.settle(journal.as_deref(), &stats, &telemetry, &mut accepted);
                     draining = true;
                     break;
                 }
@@ -827,11 +850,19 @@ fn run_scheduler(
             let trace = (config.telemetry.trace_capacity > 0).then(|| {
                 let mut trace = EpochTrace::new(epoch_index, session.0, seed);
                 trace.span("ingress", Duration::ZERO, ingress_wait);
-                trace.span(
+                let collect = trace.span(
                     "collect",
                     opened_at.saturating_duration_since(origin),
                     closed_at.saturating_duration_since(opened_at),
                 );
+                if let Some(first) = staged.first_commit {
+                    trace.span_under(
+                        collect,
+                        "journal_commit",
+                        first.saturating_duration_since(origin),
+                        staged.commit_time,
+                    );
+                }
                 trace
             });
             let job = ClearJob {
@@ -910,16 +941,60 @@ fn fresh_collector(config: &MarketConfig) -> BidCollector {
     collector
 }
 
-/// Fold one submission into the epoch's collector, updating the verdict
-/// counters. Returns `true` iff a bid was accepted (the unit the epoch
-/// policies count).
+/// Accepted bids and applied asks the scheduler has folded (and, with a
+/// journal, staged) since the last commit.
+#[derive(Default)]
+struct Staged {
+    bids: usize,
+    asks: usize,
+    /// When the epoch's first journal commit began and how long all of
+    /// them took — the `journal_commit` span under `collect`.
+    first_commit: Option<Instant>,
+    commit_time: Duration,
+}
+
+impl Staged {
+    fn pending(&self) -> usize {
+        self.bids + self.asks
+    }
+
+    /// The commit half of the write-ahead discipline: make everything
+    /// staged durable per the fsync policy, and only then let it count —
+    /// in the verdict counters and towards closing the epoch. A failed
+    /// commit is fail-stop like a failed append.
+    fn settle(
+        &mut self,
+        journal: Option<&Journal>,
+        stats: &StatsShared,
+        telemetry: &Telemetry,
+        accepted: &mut usize,
+    ) {
+        if let Some(journal) = journal.filter(|_| self.pending() > 0) {
+            let started = Instant::now();
+            if let Err(err) = journal.commit() {
+                journal_fail_stop(telemetry, stats, "commit", &err);
+            }
+            self.first_commit.get_or_insert(started);
+            self.commit_time += started.elapsed();
+        }
+        stats.bids_accepted.fetch_add(self.bids as u64, Ordering::Relaxed);
+        stats.asks_set.fetch_add(self.asks as u64, Ordering::Relaxed);
+        *accepted += self.bids;
+        (self.bids, self.asks) = (0, 0);
+    }
+}
+
+/// Fold one submission into the epoch's collector. Returns `true` iff a
+/// bid was accepted (the unit the epoch policies count).
 ///
-/// This is where the write-ahead discipline lives: an accepted bid is
-/// journaled — and made durable per the fsync policy — *before* its
-/// verdict is counted or can trigger an epoch close. A journal append
-/// failure is fail-stop by design ([`journal_fail_stop`]): a durable
-/// market must not acknowledge what it cannot journal — but it does
-/// leave a flight dump behind on the way down.
+/// Rejections are counted here. An accepted bid or applied ask is only
+/// *staged* — in the journal (written, not yet durable) and in `staged`
+/// — and is counted, and allowed to close the epoch, by the
+/// [`Staged::settle`] that commits it. A journal append failure is
+/// fail-stop by design ([`journal_fail_stop`]): a durable market must
+/// not acknowledge what it cannot journal — but it does leave a flight
+/// dump behind on the way down.
+#[allow(clippy::too_many_arguments)] // one call site; the args are the scheduler's state
 fn apply(
     config: &MarketConfig,
     stats: &StatsShared,
@@ -927,21 +1002,21 @@ fn apply(
     telemetry: &Telemetry,
     epoch: u64,
     collector: &mut BidCollector,
+    staged: &mut Staged,
     submission: Submission,
 ) -> bool {
-    use std::sync::atomic::Ordering;
     match submission {
         Submission::Bid { user, bid } => {
-            let verdict = collector.submit(user, bid);
-            if verdict.is_accepted() {
-                if let Some(journal) = journal {
-                    if let Err(err) = journal.append_accepted(epoch, user, bid) {
-                        journal_fail_stop(telemetry, stats, "accepted bid", &err);
+            let counter = match collector.submit(user, bid) {
+                dauctioneer_core::SubmissionOutcome::Accepted => {
+                    if let Some(journal) = journal {
+                        if let Err(err) = journal.stage_accepted(epoch, user, bid) {
+                            journal_fail_stop(telemetry, stats, "accepted bid", &err);
+                        }
                     }
+                    staged.bids += 1;
+                    return true;
                 }
-            }
-            let counter = match verdict {
-                dauctioneer_core::SubmissionOutcome::Accepted => &stats.bids_accepted,
                 dauctioneer_core::SubmissionOutcome::RejectedInvalid => {
                     &stats.bids_rejected_invalid
                 }
@@ -952,7 +1027,7 @@ fn apply(
                 | dauctioneer_core::SubmissionOutcome::RejectedLate => &stats.bids_rejected_unknown,
             };
             counter.fetch_add(1, Ordering::Relaxed);
-            verdict.is_accepted()
+            false
         }
         Submission::Ask { slot, ask } => {
             if slot >= config.n_asks {
@@ -960,12 +1035,12 @@ fn apply(
                 return false;
             }
             if let Some(journal) = journal {
-                if let Err(err) = journal.append_ask(epoch, slot as u64, ask) {
+                if let Err(err) = journal.stage_ask(epoch, slot as u64, ask) {
                     journal_fail_stop(telemetry, stats, "ask", &err);
                 }
             }
             collector.set_ask(slot, ask);
-            stats.asks_set.fetch_add(1, Ordering::Relaxed);
+            staged.asks += 1;
             false
         }
     }
@@ -1024,13 +1099,15 @@ fn clear_epoch(
     let drive_duration = drive_started.elapsed();
     let reason = classify_abort(config, &outcomes, &outcome);
     let latency = job.closed_at.elapsed();
-    // The seal is appended before the epoch is counted or published —
-    // the same write-ahead ordering the accepted bids get. Concurrent
-    // clearers serialize on the journal lock; the chain order is the
-    // append order.
+    // The seal is staged and committed before the epoch is counted or
+    // published — the same write-ahead ordering the accepted bids get.
+    // Concurrent clearers serialize on the journal's append lock; the
+    // chain order is the file order. The commit's fsync also covers
+    // whatever the scheduler staged meanwhile.
     let seal_started = Instant::now();
+    let mut commit_started = seal_started;
     if let Some(journal) = journal {
-        if let Err(err) = journal.append_seal(
+        let staged = journal.stage_seal(
             job.epoch,
             job.session,
             job.seed,
@@ -1038,7 +1115,9 @@ fn clear_epoch(
             job.bids.clone(),
             mechanism,
             outcome.clone(),
-        ) {
+        );
+        commit_started = Instant::now();
+        if let Err(err) = staged.and_then(|_| journal.commit()) {
             journal_fail_stop(telemetry, stats, "epoch seal", &err);
         }
     }
@@ -1080,7 +1159,16 @@ fn clear_epoch(
                 decided.unwrap_or(drive_duration),
             );
         }
-        trace.span("seal", dispatch_start + drive_duration, seal_duration);
+        let seal = trace.span("seal", dispatch_start + drive_duration, seal_duration);
+        if journal.is_some() {
+            let staging = commit_started.saturating_duration_since(seal_started);
+            trace.span_under(
+                seal,
+                "journal_commit",
+                dispatch_start + drive_duration + staging,
+                seal_duration.saturating_sub(staging),
+            );
+        }
         trace.finish(job.origin.elapsed(), reason);
         telemetry.traces.push(trace);
     }

@@ -9,7 +9,7 @@
 //! metrics dependency on its hot path.
 
 use dauctioneer_net::LivenessMetrics;
-use dauctioneer_telemetry::{Family, MetricKind, Registry, Sample};
+use dauctioneer_telemetry::{Family, Histogram, MetricKind, Registry, Sample};
 
 use crate::service::MarketWatch;
 use crate::stats::MarketStats;
@@ -44,14 +44,26 @@ use crate::stats::MarketStats;
 pub fn register_market_metrics(registry: &Registry, watch: MarketWatch) {
     let stats_watch = watch.clone();
     registry.register_collector(move || market_families(&stats_watch.stats()));
-    let latency_watch = watch.clone();
+    let histogram_watch = watch.clone();
     registry.register_collector(move || {
-        vec![Family {
-            name: "market_epoch_close_latency_us".into(),
-            help: "Epoch close to unanimous outcome latency in microseconds (log2 buckets).".into(),
+        let family = |name: &str, help: &str, histogram: Histogram| Family {
+            name: name.into(),
+            help: help.into(),
             kind: MetricKind::Histogram,
-            samples: latency_watch.close_latency_histogram().to_samples(&[]),
-        }]
+            samples: histogram.to_samples(&[]),
+        };
+        vec![
+            family(
+                "market_epoch_close_latency_us",
+                "Epoch close to unanimous outcome latency in microseconds (log2 buckets).",
+                histogram_watch.close_latency_histogram(),
+            ),
+            family(
+                "market_journal_commit_records",
+                "Journal records made durable per fsync: the group-commit batch (log2 buckets).",
+                histogram_watch.journal_commit_histogram(),
+            ),
+        ]
     });
     let net_watch = watch.clone();
     registry.register_collector(move || net_families(&net_watch));

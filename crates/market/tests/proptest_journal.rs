@@ -10,7 +10,11 @@
 //! * corrupting a byte anywhere never disturbs the records before it;
 //! * flipping a bit inside a sealed record (with its CRC re-fixed, so
 //!   only the chain can see it) makes `verify_log` name exactly the
-//!   first divergent seal.
+//!   first divergent seal;
+//! * under group commit — two threads staging and committing in any
+//!   interleaving — the file is the staged order in the reference
+//!   framing, and a crash at any byte keeps a prefix of that order that
+//!   includes every record whose commit had returned.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -105,7 +109,8 @@ fn arb_record() -> impl Strategy<Value = JournalRecord> {
     ]
 }
 
-/// Frame one record exactly as `Journal::write_locked` does:
+/// The reference framing, built the slow way (copy, copy, copy) — what
+/// the journal's in-place writer must reproduce byte for byte:
 /// `[len][record bytes][crc32(record bytes)]`.
 fn frame_record(record: &JournalRecord) -> Vec<u8> {
     let body = record.encode_to_bytes();
@@ -125,6 +130,21 @@ fn build_stream(records: &[JournalRecord]) -> (Vec<u8>, Vec<usize>) {
     (stream, ends)
 }
 
+/// One step of a journal writer thread.
+#[derive(Debug, Clone)]
+enum Op {
+    /// Stage an accepted bid of this user.
+    Stage(u32),
+    Commit,
+}
+
+fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec(
+        prop_oneof![any::<u32>().prop_map(Op::Stage), Just(Op::Commit)],
+        0..12,
+    )
+}
+
 static UNIQUE: AtomicU64 = AtomicU64::new(0);
 
 fn temp_path(name: &str) -> std::path::PathBuf {
@@ -138,7 +158,112 @@ fn temp_path(name: &str) -> std::path::PathBuf {
     p
 }
 
+/// The in-place writer on a fixed fixture — one record of each kind,
+/// sealed through the real chain: the file equals the reference framing
+/// of what it scans to, and the offline verifier certifies it.
+#[test]
+fn journal_file_is_the_reference_framing_on_a_fixed_fixture() {
+    let path = temp_path("fixture");
+    let journal = Journal::create(&path, FsyncPolicy::EveryN(2)).unwrap();
+    let bid = UserBid::new(Money::from_micro(1_250_000), Bw::from_micro(500_000));
+    let ask = ProviderAsk::new(Money::from_micro(200_000), Bw::from_micro(2_000_000));
+    journal.append_accepted(0, UserId(7), bid).unwrap();
+    journal.append_ask(0, 1, ask).unwrap();
+    let seal = journal
+        .append_seal(
+            0,
+            SessionId(100),
+            7919,
+            1,
+            BidVector::builder(8, 2).user_bid(7, bid).provider_ask(1, ask).build(),
+            "double-auction",
+            Outcome::Abort,
+        )
+        .unwrap();
+    drop(journal);
+
+    let expected = vec![
+        JournalRecord::Accepted { epoch: 0, user: UserId(7), bid },
+        JournalRecord::AskSet { epoch: 0, slot: 1, ask },
+        JournalRecord::Sealed(seal),
+    ];
+    let file = std::fs::read(&path).unwrap();
+    assert_eq!(scan(&file).records, expected);
+    assert_eq!(file, build_stream(&expected).0, "file bytes differ from the reference framing");
+    // The first frame as the copy-three-times writer this one replaced
+    // put it on disk: length, tag, epoch, user, valuation, demand, CRC.
+    let pinned = "2100000001000000000000000007000000d01213000000000020a10700000000005c222bee";
+    let first: String = file[..pinned.len() / 2].iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(first, pinned);
+    assert_eq!(verify_log(&path).unwrap().seals, 1);
+    std::fs::remove_file(&path).unwrap();
+}
+
 proptest! {
+    /// Group commit under concurrency: two threads stage and commit in
+    /// whatever order the OS interleaves them. The file is exactly the
+    /// staged (sequence-number) order in the reference framing; a crash
+    /// that tears it at any byte leaves a prefix of that order; and
+    /// because a returned commit means an fsync covered the record, any
+    /// tear a crash can cause — at or past the last committed byte —
+    /// still holds every record whose commit returned.
+    #[test]
+    fn concurrent_stage_commit_keeps_order_and_every_committed_record(
+        a in arb_ops(),
+        b in arb_ops(),
+    ) {
+        let path = temp_path("group");
+        let journal = Journal::create(&path, FsyncPolicy::Always).unwrap();
+        let bid = UserBid::new(Money::from_micro(1), Bw::from_micro(1));
+        // Each writer: its staged (seq, record) pairs and the highest
+        // sequence number a returned commit of its own covers.
+        let run = |epoch: u64, ops: &[Op]| {
+            let mut staged = Vec::new();
+            let mut committed = 0u64;
+            for op in ops {
+                match op {
+                    Op::Stage(user) => {
+                        let seq = journal.stage_accepted(epoch, UserId(*user), bid).unwrap();
+                        let record = JournalRecord::Accepted { epoch, user: UserId(*user), bid };
+                        staged.push((seq, record));
+                    }
+                    Op::Commit => {
+                        journal.commit().unwrap();
+                        committed = staged.last().map_or(0, |(seq, _)| *seq);
+                        assert!(journal.records_durable() >= committed);
+                    }
+                }
+            }
+            (staged, committed)
+        };
+        let ((mut staged, committed_a), (staged_b, committed_b)) = std::thread::scope(|s| {
+            let writer_a = s.spawn(|| run(0, &a));
+            let writer_b = s.spawn(|| run(1, &b));
+            (writer_a.join().unwrap(), writer_b.join().unwrap())
+        });
+        drop(journal);
+
+        staged.extend(staged_b);
+        staged.sort_by_key(|(seq, _)| *seq);
+        let seqs: Vec<u64> = staged.iter().map(|(seq, _)| *seq).collect();
+        prop_assert_eq!(seqs, (1..=staged.len() as u64).collect::<Vec<_>>());
+        let records: Vec<JournalRecord> = staged.into_iter().map(|(_, r)| r).collect();
+        let (stream, ends) = build_stream(&records);
+        let file = std::fs::read(&path).unwrap();
+        prop_assert_eq!(&file, &stream, "file order is not the staged order");
+
+        let committed = committed_a.max(committed_b) as usize;
+        let durable_bytes = if committed == 0 { 0 } else { ends[committed - 1] };
+        for cut in 0..=file.len() {
+            let recovered = scan(&file[..cut]).records;
+            prop_assert_eq!(&recovered[..], &records[..recovered.len()]);
+            if cut >= durable_bytes {
+                prop_assert!(recovered.len() >= committed, "cut {} lost a committed record", cut);
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn record_streams_roundtrip(records in proptest::collection::vec(arb_record(), 0..12)) {
         let (stream, _) = build_stream(&records);

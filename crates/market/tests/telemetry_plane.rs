@@ -163,6 +163,7 @@ fn registry_exports_every_market_family() {
         "# TYPE market_epoch_close_latency_seconds summary",
         "# TYPE market_epoch_close_latency_us histogram",
         "# TYPE market_journal_bytes_total counter",
+        "# TYPE market_journal_commit_records histogram",
         "# TYPE chaos_faults_injected_total counter",
         "# TYPE net_messages_total counter",
         "# TYPE net_io_threads gauge",

@@ -123,6 +123,29 @@ impl Writer {
         bytes
     }
 
+    /// The bytes written so far, without consuming the writer.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Drop the contents, keeping the allocation: the other half of the
+    /// scratch-buffer path for callers that write [`Writer::as_slice`]
+    /// out themselves.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
+    /// Overwrite the four bytes at `offset` with a little-endian `u32` —
+    /// back-filling a length header that was reserved before its payload
+    /// was encoded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset + 4` exceeds [`Writer::len`].
+    pub fn patch_u32(&mut self, offset: usize, v: u32) {
+        self.buf[offset..offset + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
     /// Append a single byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.put_u8(v);

@@ -98,69 +98,13 @@ fn combinatorial_recovery_re_clears_byte_identically() {
     println!("crash harness seed: {seed} (export CRASH_SEED={seed} to reproduce)");
     let mut rng = Rng(seed | 1);
     let spec = "combinatorial,budget=20000";
-    let path = temp_journal("combinatorial");
     let delay = Duration::from_millis(150 + rng.next() % 350);
+    let load = ["--rate", "1500", "--mechanism", spec];
+    let (path, survivors) = kill_and_recover(bin, "combinatorial", &load, delay);
 
-    let child = Command::new(bin)
-        .args([
-            "serve",
-            "--transport",
-            "tcp",
-            "--rate",
-            "1500",
-            "--seed",
-            "7",
-            "--epochs",
-            "1000000",
-            "--fsync",
-            "always",
-            "--mechanism",
-            spec,
-            "--journal",
-        ])
-        .arg(&path)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn dauction serve --mechanism combinatorial");
-    let mut child = Reaper(child);
-    wait_for_file(&path, Duration::from_secs(10));
-    std::thread::sleep(delay);
-    child.0.kill().expect("SIGKILL the daemon");
-    child.0.wait().expect("reap the daemon");
-    drop(child);
-
-    let durable = accepted_records(&read_scan(&path));
-
-    // Two independent recoveries of the same durable prefix.
-    let twin = temp_journal("combinatorial-twin");
-    std::fs::copy(&path, &twin).expect("copy the torn journal");
-    for journal in [&path, &twin] {
-        let recovery = Command::new(bin)
-            .args(["serve", "--recover", "--epochs", "0", "--seed", "7", "--mechanism", spec])
-            .arg("--journal")
-            .arg(journal)
-            .output()
-            .expect("run recovery");
-        assert!(
-            recovery.status.success(),
-            "recovery of {} failed (delay {delay:?}):\n{}\n{}",
-            journal.display(),
-            String::from_utf8_lossy(&recovery.stdout),
-            String::from_utf8_lossy(&recovery.stderr)
-        );
-    }
-    assert_eq!(
-        std::fs::read(&path).unwrap(),
-        std::fs::read(&twin).unwrap(),
-        "two independent recoveries re-cleared the same epochs differently — the \
-         node-budgeted search must be a pure function of (seed, bids)"
-    );
-
-    if !durable.is_empty() {
+    if survivors > 0 {
         let summary = verify_log(&path).expect("recovered journal verifies");
         assert!(summary.seals >= 1, "recovery sealed the replayed epochs");
-        assert_eq!(summary.accepted, durable.len() as u64, "zero accepted-bid loss");
         assert_eq!(
             summary.mechanism.as_deref(),
             Some("combinatorial-auction"),
@@ -183,7 +127,137 @@ fn combinatorial_recovery_re_clears_byte_identically() {
         );
     }
     std::fs::remove_file(&path).unwrap();
+}
+
+/// One kill point: SIGKILL a journaled `serve --fsync always` daemon
+/// (started with `load` on top of the fixed flags) `delay` after its
+/// journal appears, recover it, and assert the durability contract.
+/// Returns the recovered journal and how many accepted bids it holds.
+fn kill_and_recover(bin: &str, label: &str, load: &[&str], delay: Duration) -> (PathBuf, usize) {
+    let path = temp_journal(label);
+
+    // A real daemon over real sockets, every acknowledgement fsynced.
+    let child = Command::new(bin)
+        .args(["serve", "--transport", "tcp", "--seed", "7", "--epochs", "1000000"])
+        .args(["--fsync", "always"])
+        .args(load)
+        .arg("--journal")
+        .arg(&path)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn dauction serve");
+    let mut child = Reaper(child);
+
+    // Arm the timer only once the journal is live, then SIGKILL —
+    // no drain, no final sync, mid-epoch with high probability.
+    wait_for_file(&path, Duration::from_secs(10));
+    std::thread::sleep(delay);
+    child.0.kill().expect("SIGKILL the daemon");
+    child.0.wait().expect("reap the daemon");
+    drop(child);
+
+    // What the file held at the instant of death: everything counted as
+    // accepted, plus at most one staged-but-uncommitted batch — written,
+    // never acknowledged, and kept by recovery all the same.
+    let pre = read_scan(&path);
+    let durable = accepted_records(&pre);
+
+    // Restart with --recover, twice, over two copies of the same torn
+    // journal: report and exit cleanly, re-clearing byte-identically.
+    let twin = temp_journal(&format!("{label}-twin"));
+    std::fs::copy(&path, &twin).expect("copy the torn journal");
+    for journal in [&path, &twin] {
+        let recovery = Command::new(bin)
+            .args(["serve", "--recover", "--epochs", "0", "--seed", "7"])
+            .args(load)
+            .arg("--journal")
+            .arg(journal)
+            .output()
+            .expect("run recovery");
+        let stdout = String::from_utf8_lossy(&recovery.stdout);
+        assert!(
+            recovery.status.success(),
+            "kill point {label} (delay {delay:?}): recovery failed\n{stdout}\n{}",
+            String::from_utf8_lossy(&recovery.stderr)
+        );
+        assert!(
+            stdout.contains("recovered:"),
+            "kill point {label}: no recovery report in:\n{stdout}"
+        );
+    }
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        std::fs::read(&twin).unwrap(),
+        "kill point {label}: two independent recoveries re-cleared the same epochs differently — \
+         clearing must be a pure function of (seed, bids)"
+    );
     std::fs::remove_file(&twin).unwrap();
+
+    // Zero accepted-bid loss: the durable prefix survived verbatim
+    // (recovery only appends — new seals — and truncates the torn
+    // tail that was never acknowledged).
+    let post = read_scan(&path);
+    assert_eq!(post.dropped_bytes, 0, "kill point {label}: recovery left a torn tail");
+    let survivors = accepted_records(&post);
+    assert_eq!(
+        survivors, durable,
+        "kill point {label} (delay {delay:?}): accepted bids lost or invented"
+    );
+
+    // Chain continuity: the offline walk certifies every seal, and
+    // every durable accepted bid is covered by one (the walk
+    // cross-checks per-epoch counts against the seals).
+    let summary = verify_log(&path)
+        .unwrap_or_else(|e| panic!("kill point {label}: recovered journal rejected: {e}"));
+    assert_eq!(summary.accepted, durable.len() as u64);
+    let sealed_epochs: std::collections::BTreeSet<u64> = post
+        .records
+        .iter()
+        .filter_map(|r| match r {
+            JournalRecord::Sealed(seal) => Some(seal.epoch),
+            _ => None,
+        })
+        .collect();
+    for (epoch, user) in &durable {
+        assert!(
+            sealed_epochs.contains(epoch),
+            "kill point {label}: accepted bid (epoch {epoch}, user {user}) has no seal"
+        );
+    }
+
+    // The CLI agrees with the library.
+    let status = Command::new(bin)
+        .arg("verify-log")
+        .arg(&path)
+        .stdout(Stdio::null())
+        .status()
+        .expect("run verify-log");
+    assert!(status.success(), "kill point {label}: verify-log rejected a recovered journal");
+    (path, durable.len())
+}
+
+/// The same contract at a saturating arrival rate: the ingress queue
+/// never runs dry, so the scheduler commits whole batches (one fsync
+/// per 64-bid epoch, or per drained queue) and the clearers' seal
+/// commits overlap them — the SIGKILL lands inside a multi-record batch
+/// with staged-but-uncommitted records in the file.
+#[test]
+fn kill_dash_nine_inside_a_group_commit_batch_loses_nothing() {
+    let bin = env!("CARGO_BIN_EXE_dauction");
+    let seed = crash_seed();
+    println!("crash harness seed: {seed} (export CRASH_SEED={seed} to reproduce)");
+    let mut rng = Rng(seed | 1);
+    let load = ["--rate", "1000000", "--n", "256", "--epoch-bids", "64"];
+    let mut total_survivors = 0usize;
+    for point in 0..KILL_POINTS {
+        let delay = Duration::from_millis(20 + rng.next() % 350);
+        let (path, survivors) = kill_and_recover(bin, &format!("s{point}"), &load, delay);
+        total_survivors += survivors;
+        std::fs::remove_file(&path).unwrap();
+    }
+    assert!(total_survivors > 0, "no kill point landed after the first accepted bid");
+    println!("{KILL_POINTS} saturating kill points, {total_survivors} accepted bids, zero lost");
 }
 
 #[test]
@@ -196,103 +270,10 @@ fn kill_dash_nine_loses_no_accepted_bid() {
     let mut total_survivors = 0usize;
     let mut last_journal: Option<PathBuf> = None;
     for point in 0..KILL_POINTS {
-        let path = temp_journal(&format!("p{point}"));
         let delay = Duration::from_millis(20 + rng.next() % 350);
-
-        // A real daemon over real sockets, fsyncing every accepted bid.
-        let child = Command::new(bin)
-            .args([
-                "serve",
-                "--transport",
-                "tcp",
-                "--rate",
-                "1500",
-                "--seed",
-                "7",
-                "--epochs",
-                "1000000",
-                "--fsync",
-                "always",
-                "--journal",
-            ])
-            .arg(&path)
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn dauction serve");
-        let mut child = Reaper(child);
-
-        // Arm the timer only once the journal is live, then SIGKILL —
-        // no drain, no final sync, mid-epoch with high probability.
-        wait_for_file(&path, Duration::from_secs(10));
-        std::thread::sleep(delay);
-        child.0.kill().expect("SIGKILL the daemon");
-        child.0.wait().expect("reap the daemon");
-        drop(child);
-
-        // What was durable at the instant of death.
-        let pre = read_scan(&path);
-        let durable = accepted_records(&pre);
-
-        // Restart with --recover: report and exit cleanly.
-        let recovery = Command::new(bin)
-            .args(["serve", "--recover", "--epochs", "0", "--seed", "7", "--journal"])
-            .arg(&path)
-            .output()
-            .expect("run recovery");
-        let stdout = String::from_utf8_lossy(&recovery.stdout);
-        assert!(
-            recovery.status.success(),
-            "kill point {point} (delay {delay:?}): recovery failed\n{stdout}\n{}",
-            String::from_utf8_lossy(&recovery.stderr)
-        );
-        assert!(
-            stdout.contains("recovered:"),
-            "kill point {point}: no recovery report in:\n{stdout}"
-        );
-
-        // Zero accepted-bid loss: the durable prefix survived verbatim
-        // (recovery only appends — new seals — and truncates the torn
-        // tail that was never acknowledged).
-        let post = read_scan(&path);
-        assert_eq!(post.dropped_bytes, 0, "kill point {point}: recovery left a torn tail");
-        let survivors = accepted_records(&post);
-        assert_eq!(
-            survivors, durable,
-            "kill point {point} (delay {delay:?}): accepted bids lost or invented"
-        );
-
-        // Chain continuity: the offline walk certifies every seal, and
-        // every durable accepted bid is covered by one (the walk
-        // cross-checks per-epoch counts against the seals).
-        let summary = verify_log(&path)
-            .unwrap_or_else(|e| panic!("kill point {point}: recovered journal rejected: {e}"));
-        assert_eq!(summary.accepted, durable.len() as u64);
-        let sealed_epochs: std::collections::BTreeSet<u64> = post
-            .records
-            .iter()
-            .filter_map(|r| match r {
-                JournalRecord::Sealed(seal) => Some(seal.epoch),
-                _ => None,
-            })
-            .collect();
-        for (epoch, user) in &durable {
-            assert!(
-                sealed_epochs.contains(epoch),
-                "kill point {point}: accepted bid (epoch {epoch}, user {user}) has no seal"
-            );
-        }
-
-        // The CLI agrees with the library.
-        let status = Command::new(bin)
-            .arg("verify-log")
-            .arg(&path)
-            .stdout(Stdio::null())
-            .status()
-            .expect("run verify-log");
-        assert!(status.success(), "kill point {point}: verify-log rejected a recovered journal");
-
-        total_survivors += durable.len();
+        let (path, survivors) =
+            kill_and_recover(bin, &format!("p{point}"), &["--rate", "1500"], delay);
+        total_survivors += survivors;
         if point + 1 == KILL_POINTS {
             last_journal = Some(path);
         } else {
