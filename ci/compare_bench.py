@@ -28,10 +28,11 @@ Fails (exit 1) when, for any row present in both baseline and current:
     bids) is visible in the summary, or
   * the deployment loses its outage bounds: BENCH_ha.json (written by
     the process-kill harness) reports the outage-window epoch-close
-    p99 and the kill-to-rejoin-to-clear time; either growing beyond 2x
-    baseline means epochs touching a dead peer stopped resolving by
-    detection, or the reconnect path (backoff reset, re-handshake,
-    epoch-boundary rejoin) got stuck.
+    p99, the kill-to-rejoin-to-clear time and the steady-state epoch
+    close median; any growing beyond 2x baseline means epochs touching a
+    dead peer stopped resolving by detection, the reconnect path (backoff
+    reset, re-handshake, epoch-boundary rejoin) got stuck, or clean
+    epochs stopped reusing the provider mesh.
 
 Rows only present on one side are reported but never fail the gate, so
 adding a sweep point does not require touching the baseline in the same
@@ -356,6 +357,20 @@ def compare_ha(base, cur, failures, lines):
             lines,
             metric="reconnect time",
         )
+        # Steady state: the median close of the cleared epochs. The
+        # providers keep one mesh across clean epochs, so this is the
+        # protocol plus one control round trip; a relapse to per-epoch
+        # connection churn (or worse, to deadline-bound closes) shows here.
+        if "steady_epoch_p50_s" in brow and "steady_epoch_p50_s" in crow:
+            check_latency(
+                name,
+                label,
+                brow["steady_epoch_p50_s"],
+                crow["steady_epoch_p50_s"],
+                failures,
+                lines,
+                metric="steady-state epoch p50",
+            )
         if crow.get("outage_epochs", 0) < 1:
             failures.append(
                 f"{name} [{label}]: the kill produced no peer_down-aborted epoch"

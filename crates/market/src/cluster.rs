@@ -11,22 +11,58 @@
 //!
 //! ```text
 //!                 control plane (this module)
-//!          ┌──────────── coordinator ───────────┐
-//!          │ Join/JoinAck · Ping · WorkOrder ·  │
-//!          │ OutcomeReport · Shutdown           │
-//!      ┌───┴───┐        ┌───────┐           ┌───┴───┐
-//!      │ prov 0│━━━━━━━━│ prov 1│━━━━━━━━━━━│ prov 2│
-//!      └───────┘        └───────┘           └───────┘
-//!            provider mesh (MuxEndpoint, per epoch)
+//!          ┌───────────── coordinator ────────────┐
+//!          │ Join/JoinAck · Ping · WorkOrder ·    │
+//!          │ ResetMesh · OutcomeReport · Shutdown │
+//!      ┌───┴───┐         ┌───────┐            ┌───┴───┐
+//!      │ prov 0│━━━━━━━━━│ prov 1│━━━━━━━━━━━━│ prov 2│
+//!      └───────┘         └───────┘            └───────┘
+//!       provider mesh (MuxEndpoint, kept across clean epochs)
 //! ```
 //!
 //! The coordinator is **not** part of the provider mesh — it owns the
 //! market loop (epoch identity, bid generation, the journal, the
 //! settlement chain) and one control TCP connection per provider. The
-//! providers run the paper's protocol among themselves over a fresh
-//! [`MuxEndpoint`] mesh per epoch, brought up with the incarnation
-//! hello so frames from a killed provider's previous life are rejected
-//! at admission.
+//! providers run the paper's protocol among themselves over a
+//! [`MuxEndpoint`] mesh, brought up with the incarnation hello so
+//! frames from a killed provider's previous life are rejected at
+//! admission.
+//!
+//! ## Mesh lifetime
+//!
+//! The mesh is dialled once and **kept across epochs**: every clean
+//! epoch drives a new [`SessionEngine`] over the same connections, and
+//! the engine's session-tag filter drops stragglers of epoch *e* that
+//! surface during *e+1*. What a per-epoch bring-up gave for free, and a
+//! kept mesh does not, is a **barrier**: nobody could send an *e+1*
+//! frame before everybody had left *e*. An engine drops frames of a
+//! session it is not running, so a provider still inside *e* would lose
+//! its peers' first *e+1* frames, time out, finish late again, and
+//! drag the cluster from ⊥ to ⊥. Hence the reuse rule:
+//!
+//! * **The mesh is reused only after a unanimous non-⊥ epoch under an
+//!   unchanged roster.** A non-⊥ fold means all `m` providers reported,
+//!   so all have left the previous session — the barrier is implied.
+//!   Only the coordinator sees the fold: after any other epoch, or when
+//!   the roster differs from the last one it dispatched, it sends
+//!   [`ControlMsg::ResetMesh`] ahead of the next work order. Providers
+//!   drop their mesh on receipt and dial a fresh one — incarnation
+//!   hello, `min_incarnations` floor, mesh budget — which is the
+//!   barrier again. Steady state sends nothing extra.
+//! * **Providers also drop the mesh on their own evidence**: the work
+//!   order's roster differs from the one the mesh was built under, they
+//!   rejoined the coordinator, or their own last outcome was ⊥ — which
+//!   covers a failed bring-up and a closed peer connection (next
+//!   point). A stale mesh never yields an outcome even if the
+//!   `ResetMesh` died with a control link.
+//! * Nobody closes a connection between clean epochs, so a closed one
+//!   always means a death or a discard: a session whose mesh has lost a
+//!   peer — before it started or while it runs — resolves ⊥ when that
+//!   is observed, not at the session deadline, and not after a bring-up
+//!   nobody would answer.
+//!
+//! A killed provider can only come back through a rejoin, which changes
+//! the roster, which forces a rebuild under the new incarnation floor.
 //!
 //! ## Liveness and rejoin
 //!
@@ -39,7 +75,8 @@
 //! redials the coordinator under a jittered-exponential [`Backoff`]
 //! with a bounded budget, is handed a fresh incarnation number in its
 //! [`ControlMsg::JoinAck`], and rejoins at the next epoch boundary:
-//! the next [`ControlMsg::WorkOrder`] simply includes it again.
+//! the next [`ControlMsg::WorkOrder`] names its new life, and every
+//! provider rebuilds the mesh around it.
 //!
 //! Every epoch — cleared or aborted — is sealed onto the journal's
 //! hash-chained settlement log, so `dauction verify-log` certifies the
@@ -53,9 +90,11 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use dauctioneer_core::{drive, unanimous, DoubleAuctionProgram, FrameworkConfig, SessionEngine};
 use dauctioneer_net::{
     Backoff, LivenessConfig, LivenessMetrics, LivenessTracker, MeshOptions, MuxEndpoint, PeerState,
+    RecvError, Transport,
 };
 use dauctioneer_telemetry::AbortReason;
 use dauctioneer_types::{
@@ -125,7 +164,7 @@ pub enum ControlMsg {
         n_users: u32,
         /// Per-session drive deadline, milliseconds.
         deadline_ms: u64,
-        /// Per-epoch mesh bring-up budget, milliseconds.
+        /// Budget of one mesh bring-up, milliseconds.
         mesh_budget_ms: u64,
     },
     /// Provider → coordinator heartbeat; feeds the failure detector.
@@ -157,6 +196,31 @@ pub enum ControlMsg {
     },
     /// Coordinator → provider: the run is over; exit cleanly.
     Shutdown,
+    /// Coordinator → provider, ahead of a [`ControlMsg::WorkOrder`]:
+    /// drop the mesh you kept, clear the next epoch over a fresh one.
+    /// Sent after every epoch that did not fold to a unanimous non-⊥
+    /// outcome and whenever the roster changed — the cases where some
+    /// provider may still be inside the previous session.
+    ResetMesh,
+}
+
+/// The one encoding of [`ControlMsg::WorkOrder`], over borrowed parts so
+/// the coordinator can frame an epoch's order without owning a copy of
+/// its bid vector.
+fn encode_work_order(
+    w: &mut Writer,
+    epoch: u64,
+    session: u64,
+    seed: u64,
+    bids: &BidVector,
+    peers: &[PeerInfo],
+) {
+    w.put_u8(3);
+    w.put_u64(epoch);
+    w.put_u64(session);
+    w.put_u64(seed);
+    bids.encode(w);
+    peers.encode(w);
 }
 
 impl Encode for ControlMsg {
@@ -178,12 +242,7 @@ impl Encode for ControlMsg {
             }
             ControlMsg::Ping => w.put_u8(2),
             ControlMsg::WorkOrder { epoch, session, seed, bids, peers } => {
-                w.put_u8(3);
-                w.put_u64(*epoch);
-                w.put_u64(*session);
-                w.put_u64(*seed);
-                bids.encode(w);
-                peers.encode(w);
+                encode_work_order(w, *epoch, *session, *seed, bids, peers);
             }
             ControlMsg::OutcomeReport { epoch, id, outcome } => {
                 w.put_u8(4);
@@ -192,6 +251,7 @@ impl Encode for ControlMsg {
                 outcome.encode(w);
             }
             ControlMsg::Shutdown => w.put_u8(5),
+            ControlMsg::ResetMesh => w.put_u8(6),
         }
     }
 }
@@ -222,22 +282,34 @@ impl Decode for ControlMsg {
                 outcome: Outcome::decode(r)?,
             }),
             5 => Ok(ControlMsg::Shutdown),
+            6 => Ok(ControlMsg::ResetMesh),
             tag => Err(CodecError::InvalidTag { what: "ControlMsg", tag }),
         }
     }
 }
 
-/// Write one length-prefixed control frame.
+/// Append one control frame — `[len: u32 LE]` then whatever `encode`
+/// writes — to `w`, so a frame (or several) leaves in one socket write.
+fn push_frame(w: &mut Writer, encode: impl FnOnce(&mut Writer)) -> io::Result<()> {
+    let header = w.len();
+    w.put_u32(0);
+    encode(w);
+    let len = u32::try_from(w.len() - header - 4)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "control frame too large"))?;
+    w.patch_u32(header, len);
+    Ok(())
+}
+
+/// Write one length-prefixed control frame, header and payload in a
+/// single write (one segment on a `TCP_NODELAY` socket).
 ///
 /// # Errors
 ///
 /// Any socket write error (the connection is considered lost).
 pub fn write_frame(stream: &mut TcpStream, msg: &ControlMsg) -> io::Result<()> {
-    let payload = msg.encode_to_bytes();
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "control frame too large"))?;
-    stream.write_all(&len.to_le_bytes())?;
-    stream.write_all(&payload)
+    let mut w = Writer::new();
+    push_frame(&mut w, |w| msg.encode(w))?;
+    stream.write_all(w.as_slice())
 }
 
 /// Read one length-prefixed control frame (blocking, honours the
@@ -338,7 +410,9 @@ pub struct ClusterConfig {
     pub first_session: u64,
     /// Per-session drive deadline handed to providers.
     pub session_deadline: Duration,
-    /// Per-epoch mesh bring-up budget handed to providers.
+    /// Budget of one mesh bring-up, handed to providers (spent on the
+    /// first epoch and on every rebuild, not on epochs that reuse the
+    /// mesh).
     pub mesh_budget: Duration,
     /// How long the coordinator waits for all `m` providers to join
     /// before the first epoch.
@@ -466,6 +540,12 @@ pub struct Coordinator {
     shared: Arc<Shared>,
     events: mpsc::Receiver<Event>,
     threads: Vec<JoinHandle<()>>,
+    /// The roster of the last work order dispatched (empty before the
+    /// first): the mesh the providers may still hold was built under it.
+    last_roster: Vec<PeerInfo>,
+    /// The previous epoch did not fold to a unanimous non-⊥ outcome, so
+    /// some provider may still be inside its session.
+    mesh_stale: bool,
 }
 
 impl Coordinator {
@@ -515,7 +595,15 @@ impl Coordinator {
             }
         });
 
-        Ok(Coordinator { config, addr, shared, events: rx, threads: vec![accept, ticker] })
+        Ok(Coordinator {
+            config,
+            addr,
+            shared,
+            events: rx,
+            threads: vec![accept, ticker],
+            last_roster: Vec::new(),
+            mesh_stale: false,
+        })
     }
 
     /// The control listener's bound address (what providers `--join`).
@@ -604,6 +692,7 @@ impl Coordinator {
             }
 
             let (outcome, reason) = self.clear_epoch(epoch, session, seed, &bids);
+            self.mesh_stale = outcome.is_abort();
             if let Some(journal) = &journal {
                 journal.append_seal(
                     epoch,
@@ -663,13 +752,32 @@ impl Coordinator {
             return (Outcome::Abort, Some(AbortReason::PeerDown));
         }
 
-        let order = ControlMsg::WorkOrder { epoch, session, seed, bids: bids.clone(), peers };
+        // One encoding per epoch, one write per provider. The reuse rule
+        // (module docs): providers may keep their mesh only across a
+        // unanimous non-⊥ epoch under an unchanged roster; otherwise a
+        // ResetMesh rides ahead of the order in the same write.
+        let rebuild = self.mesh_stale || peers != self.last_roster;
+        let mut frames = Writer::new();
+        let framed = (|| {
+            if rebuild {
+                push_frame(&mut frames, |w| ControlMsg::ResetMesh.encode(w))?;
+            }
+            push_frame(&mut frames, |w| encode_work_order(w, epoch, session, seed, bids, &peers))
+        })();
+        if framed.is_err() {
+            // An order no reader would accept either: nothing to send.
+            return (Outcome::Abort, Some(AbortReason::PeerDown));
+        }
+        if rebuild {
+            self.metrics().record_mesh_bringup();
+        }
+        self.last_roster = peers;
         let mut dispatched = vec![false; m];
         {
             let mut writers = self.shared.writers.lock().expect("writers lock");
             for (peer, slot) in writers.iter_mut().enumerate() {
                 if let Some(stream) = slot.as_mut() {
-                    dispatched[peer] = write_frame(stream, &order).is_ok();
+                    dispatched[peer] = stream.write_all(frames.as_slice()).is_ok();
                 }
             }
         }
@@ -874,16 +982,22 @@ pub struct ProviderReport {
     pub aborted: u64,
     /// Control-plane reconnects after the first successful join.
     pub rejoins: u32,
+    /// Mesh bring-ups attempted: 1 on a run of clean epochs, plus one
+    /// per rebuild (roster change, own ⊥, `ResetMesh`).
+    pub mesh_bringups: u64,
 }
 
 /// The provider role: join the coordinator (redialling under backoff),
-/// then clear every [`ControlMsg::WorkOrder`] over a fresh per-epoch
-/// [`MuxEndpoint`] mesh until [`ControlMsg::Shutdown`].
+/// then clear every [`ControlMsg::WorkOrder`] until
+/// [`ControlMsg::Shutdown`] — over one [`MuxEndpoint`] mesh for as long
+/// as the epochs stay clean, over a freshly dialled one after anything
+/// else (the reuse rule of the module docs).
 ///
 /// A severed control connection sends the provider back to the dial
-/// loop: it rejoins under a fresh incarnation and resumes at the next
-/// epoch boundary. Mesh bring-up failures (a dead peer mid-epoch)
-/// resolve to ⊥, never a hang.
+/// loop: it drops its mesh, rejoins under a fresh incarnation and
+/// resumes at the next epoch boundary. Mesh bring-up failures and
+/// connections lost mid-session (a dead peer) resolve to ⊥, never a
+/// hang.
 ///
 /// # Errors
 ///
@@ -967,25 +1081,23 @@ pub fn run_provider(config: ProviderConfig) -> Result<ProviderReport, ClusterErr
             })
         };
 
-        // Serve work orders until shutdown or a dead control link.
+        // Serve work orders until shutdown or a dead control link. The
+        // mesh belongs to this life: a rejoin starts without one.
+        let mut life = Life {
+            me: ProviderId(config.id as u32),
+            listener: &listener,
+            program: &program,
+            incarnation,
+            framework: FrameworkConfig::new(m as usize, k as usize, n_users as usize, m as usize),
+            deadline: Duration::from_millis(deadline_ms),
+            mesh_budget: Duration::from_millis(mesh_budget_ms),
+            mesh: None,
+        };
         let lost_link = loop {
             match read_frame(&mut stream) {
+                Ok(ControlMsg::ResetMesh) => life.mesh = None,
                 Ok(ControlMsg::WorkOrder { epoch, session, seed, bids, peers }) => {
-                    let outcome = clear_one_epoch(
-                        &config,
-                        &listener,
-                        incarnation,
-                        m as usize,
-                        k as usize,
-                        n_users as usize,
-                        session,
-                        seed,
-                        bids,
-                        &peers,
-                        Duration::from_millis(deadline_ms),
-                        Duration::from_millis(mesh_budget_ms),
-                        &program,
-                    );
+                    let outcome = life.clear(session, seed, bids, peers, &mut report);
                     report.epochs += 1;
                     if outcome.is_abort() {
                         report.aborted += 1;
@@ -1005,6 +1117,9 @@ pub fn run_provider(config: ProviderConfig) -> Result<ProviderReport, ClusterErr
                 Err(_) => break true,
             }
         };
+        // Close the mesh now, not after the heartbeat thread's last nap:
+        // the peers learn of a lost life from the closed connections.
+        drop(life);
         hb_stop.store(true, Ordering::Relaxed);
         let _ = heartbeat.join();
         if !lost_link {
@@ -1014,56 +1129,126 @@ pub fn run_provider(config: ProviderConfig) -> Result<ProviderReport, ClusterErr
     }
 }
 
-/// Run one epoch's session: bring up the per-epoch mesh under the
-/// incarnation hello, drive the engine to a decision, ⊥ on any failure.
-#[allow(clippy::too_many_arguments)]
-fn clear_one_epoch(
-    config: &ProviderConfig,
-    listener: &TcpListener,
+/// A provider's mesh and the roster (addresses and incarnations) it was
+/// dialled under.
+struct Mesh {
+    endpoint: MuxEndpoint,
+    roster: Vec<PeerInfo>,
+}
+
+/// One joined life of a provider: its identity and incarnation, the
+/// cluster parameters of its `JoinAck`, and the mesh it keeps between
+/// epochs.
+struct Life<'a> {
+    me: ProviderId,
+    listener: &'a TcpListener,
+    program: &'a Arc<DoubleAuctionProgram>,
     incarnation: u32,
-    m: usize,
-    k: usize,
-    n_users: usize,
-    session: u64,
-    seed: u64,
-    bids: BidVector,
-    peers: &[PeerInfo],
+    /// The session parameters every epoch shares (all but the session id).
+    framework: FrameworkConfig,
     deadline: Duration,
     mesh_budget: Duration,
-    program: &Arc<DoubleAuctionProgram>,
-) -> Outcome {
-    if peers.len() != m {
-        return Outcome::Abort;
+    mesh: Option<Mesh>,
+}
+
+impl Life<'_> {
+    /// Run one epoch's session to a decision, ⊥ on any failure: over
+    /// the kept mesh when nothing speaks against it, over a fresh one
+    /// otherwise. A ⊥ discards the mesh.
+    fn clear(
+        &mut self,
+        session: u64,
+        seed: u64,
+        bids: BidVector,
+        peers: Vec<PeerInfo>,
+        report: &mut ProviderReport,
+    ) -> Outcome {
+        if !self.mesh.as_ref().is_some_and(|mesh| mesh.roster == peers) {
+            // Close the old connections before dialling the new ones.
+            self.mesh = None;
+            report.mesh_bringups += 1;
+            self.mesh = self.bring_up(peers);
+        }
+        // A dead peer never completes bring-up: honest-or-⊥, bounded by
+        // the mesh budget.
+        let Some(mesh) = self.mesh.as_mut() else { return Outcome::Abort };
+        let mut engine = SessionEngine::new(
+            self.framework.clone().with_session(SessionId(session)),
+            self.me,
+            Arc::clone(self.program),
+            bids,
+            // The engine seed fan-out rule of every other runtime.
+            seed.wrapping_add(u64::from(self.me.0) + 1),
+        );
+        // A kept mesh may have lost a connection since the last epoch:
+        // under an unchanged roster and no `ResetMesh`, that peer is dead
+        // or has discarded its side and would not answer a dial either.
+        // `WholeMesh` ends such a session in ⊥ at its first quiet moment,
+        // which discards the mesh here and orders the rebuild there.
+        let outcome = drive(&mut engine, &mut WholeMesh(&mut mesh.endpoint), self.deadline);
+        if outcome.is_abort() {
+            self.mesh = None;
+        }
+        outcome
     }
-    let mut addrs: Vec<SocketAddr> = Vec::with_capacity(m);
-    for peer in peers {
-        match peer.mesh_addr.parse() {
-            Ok(addr) => addrs.push(addr),
-            Err(_) => return Outcome::Abort,
+
+    /// Dial a fresh mesh under the incarnation hello: this life's
+    /// incarnation presented, the roster's incarnations as the floor.
+    fn bring_up(&self, roster: Vec<PeerInfo>) -> Option<Mesh> {
+        if roster.len() != self.framework.m {
+            return None;
+        }
+        let addrs: Vec<SocketAddr> =
+            roster.iter().map(|p| p.mesh_addr.parse()).collect::<Result<_, _>>().ok()?;
+        let options = MeshOptions {
+            incarnation: self.incarnation,
+            min_incarnations: roster.iter().map(|p| p.incarnation).collect(),
+            budget: self.mesh_budget,
+        };
+        let listener = self.listener.try_clone().ok()?;
+        // One lane: this process runs exactly one session at a time.
+        let endpoint = MuxEndpoint::establish_with_options(self.me, 1, listener, &addrs, &options)
+            .ok()?
+            .remove(0);
+        Some(Mesh { endpoint, roster })
+    }
+}
+
+/// How often a session waiting on a quiet mesh re-checks that the mesh
+/// is still whole.
+const PEER_POLL: Duration = Duration::from_millis(10);
+
+/// A [`MuxEndpoint`] as the paper's protocol needs it: all `m`
+/// providers or nothing. The endpoint alone reports
+/// [`RecvError::Disconnected`] only when *every* peer is gone; a session
+/// that lost *one* can only ever end in ⊥, so this view reports the
+/// first loss as the disconnect — once the lane has nothing left to
+/// deliver — and `drive` leaves by detection instead of by deadline.
+struct WholeMesh<'a>(&'a mut MuxEndpoint);
+
+impl Transport for WholeMesh<'_> {
+    fn me(&self) -> ProviderId {
+        self.0.me()
+    }
+
+    fn num_providers(&self) -> usize {
+        self.0.num_providers()
+    }
+
+    fn send(&mut self, to: ProviderId, payload: Bytes) {
+        self.0.send(to, payload);
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<(ProviderId, Bytes), RecvError> {
+        match self.0.recv_timeout(timeout.min(PEER_POLL)) {
+            // Frames queued ahead of the loss are still delivered first
+            // (the ordering `MuxEndpoint::all_peers_open` documents).
+            Err(RecvError::Timeout) if !self.0.all_peers_open() => {
+                self.0.try_recv().ok_or(RecvError::Disconnected)
+            }
+            other => other,
         }
     }
-    let min_incarnations: Vec<u32> = peers.iter().map(|p| p.incarnation).collect();
-    let options = MeshOptions { incarnation, min_incarnations, budget: mesh_budget };
-    let Ok(listener) = listener.try_clone() else { return Outcome::Abort };
-    let me = ProviderId(config.id as u32);
-    let mut endpoint = match MuxEndpoint::establish_with_options(me, 1, listener, &addrs, &options)
-    {
-        // One lane: this process runs exactly one session at a time.
-        Ok(mut lanes) => lanes.remove(0),
-        // A dead peer never completes bring-up: honest-or-⊥, bounded
-        // by the mesh budget.
-        Err(_) => return Outcome::Abort,
-    };
-    let cfg = FrameworkConfig::new(m, k, n_users, m).with_session(SessionId(session));
-    let mut engine = SessionEngine::new(
-        cfg,
-        me,
-        Arc::clone(program),
-        bids,
-        // The engine seed fan-out rule of every other runtime.
-        seed.wrapping_add(config.id as u64 + 1),
-    );
-    drive(&mut engine, &mut endpoint, deadline)
 }
 
 /// Deterministic per-epoch workload, derived purely from the epoch
@@ -1130,6 +1315,13 @@ mod tests {
         });
         roundtrip(ControlMsg::OutcomeReport { epoch: 7, id: 1, outcome: Outcome::Abort });
         roundtrip(ControlMsg::Shutdown);
+        roundtrip(ControlMsg::ResetMesh);
+        assert_eq!(ControlMsg::ResetMesh.encode_to_bytes()[..], [6], "next free tag");
+        assert_eq!(
+            ControlMsg::decode_all(&[7]),
+            Err(CodecError::InvalidTag { what: "ControlMsg", tag: 7 }),
+            "tags past the last variant stay invalid"
+        );
     }
 
     #[test]
@@ -1185,6 +1377,10 @@ mod tests {
             let provider_report = provider.join().expect("provider thread").expect("provider run");
             assert_eq!(provider_report.rejoins, 0);
             assert_eq!(provider_report.epochs, 3);
+            assert!(
+                provider_report.mesh_bringups <= 1 + report.aborted(),
+                "one mesh, plus at most one rebuild per ⊥: {provider_report:?}"
+            );
         }
     }
 

@@ -74,10 +74,13 @@ pub fn register_market_metrics(registry: &Registry, watch: MarketWatch) {
 /// shared counters of a [`dauctioneer_net::LivenessTracker`].
 ///
 /// Exports `net_peers_up` (how many peers the liveness layer currently
-/// considers reachable — Up or Suspect) and `net_peer_reconnects_total`
-/// (rejoins after a declared death). The coordinator role registers
-/// this next to [`register_market_metrics`]-style families so a scrape
-/// during an outage shows the dip and the subsequent reconnect.
+/// considers reachable — Up or Suspect), `net_peer_reconnects_total`
+/// (rejoins after a declared death) and `net_mesh_bringups_total`
+/// (epochs the providers cleared over a freshly dialled mesh instead of
+/// the one they keep). The coordinator role registers this next to
+/// [`register_market_metrics`]-style families so a scrape during an
+/// outage shows the dip, the subsequent reconnect, and the re-dial that
+/// made the epoch after it slow.
 pub fn register_liveness_metrics(registry: &Registry, metrics: LivenessMetrics) {
     registry.register_collector(move || {
         vec![
@@ -92,6 +95,13 @@ pub fn register_liveness_metrics(registry: &Registry, metrics: LivenessMetrics) 
                 "Peer rejoins after the liveness layer declared them Down.",
                 MetricKind::Counter,
                 metrics.reconnects_total() as f64,
+            ),
+            Family::single(
+                "net_mesh_bringups_total",
+                "Epochs dispatched with an order to dial a fresh provider mesh \
+                 (first epoch, roster change, or the epoch after an abort).",
+                MetricKind::Counter,
+                metrics.mesh_bringups_total() as f64,
             ),
         ]
     });

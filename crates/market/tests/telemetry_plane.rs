@@ -152,6 +152,8 @@ fn registry_exports_every_market_family() {
     tracker.disconnect(2);
     tracker.begin_reconnect(2);
     tracker.join(2, now); // one kill/rejoin cycle: reconnects_total = 1
+    tracker.metrics().record_mesh_bringup(); // the first epoch's mesh...
+    tracker.metrics().record_mesh_bringup(); // ...and the re-dial after the rejoin
 
     let text = registry.render();
     market.shutdown();
@@ -169,6 +171,7 @@ fn registry_exports_every_market_family() {
         "# TYPE net_io_threads gauge",
         "# TYPE net_peers_up gauge",
         "# TYPE net_peer_reconnects_total counter",
+        "# TYPE net_mesh_bringups_total counter",
         "# TYPE flight_events_recorded_total counter",
     ] {
         assert!(text.contains(family), "scrape output missing {family:?}:\n{text}");
@@ -191,6 +194,10 @@ fn registry_exports_every_market_family() {
     assert!(
         text.contains("net_peer_reconnects_total 1"),
         "the kill/rejoin cycle counts exactly one reconnect:\n{text}"
+    );
+    assert!(
+        text.contains("net_mesh_bringups_total 2"),
+        "the initial mesh and the post-rejoin re-dial are two bring-ups:\n{text}"
     );
     assert!(text.contains("market_epoch_close_latency_us_bucket{le=\"+Inf\"} 1"));
 }

@@ -75,10 +75,11 @@ impl Default for LivenessConfig {
     }
 }
 
-/// Shared liveness gauges, exported as `net_peers_up` and
-/// `net_peer_reconnects_total` by the telemetry plane. Cheap to clone
-/// (an `Arc` around two atomics); the tracker keeps them current on
-/// every transition.
+/// Shared liveness gauges, exported as `net_peers_up`,
+/// `net_peer_reconnects_total` and `net_mesh_bringups_total` by the
+/// telemetry plane. Cheap to clone (an `Arc` around three atomics); the
+/// tracker keeps the first two current on every transition, the
+/// tracker's owner counts the third.
 #[derive(Debug, Clone, Default)]
 pub struct LivenessMetrics {
     inner: Arc<LivenessCells>,
@@ -88,6 +89,7 @@ pub struct LivenessMetrics {
 struct LivenessCells {
     peers_up: AtomicU64,
     reconnects_total: AtomicU64,
+    mesh_bringups_total: AtomicU64,
 }
 
 impl LivenessMetrics {
@@ -104,6 +106,19 @@ impl LivenessMetrics {
     /// Successful rejoins of previously-joined peers, cumulative.
     pub fn reconnects_total(&self) -> u64 {
         self.inner.reconnects_total.load(Ordering::Relaxed)
+    }
+
+    /// Times the peers were told to dial a fresh mesh among themselves,
+    /// cumulative: once at the start, then once per roster change or
+    /// failed round — never once per round.
+    pub fn mesh_bringups_total(&self) -> u64 {
+        self.inner.mesh_bringups_total.load(Ordering::Relaxed)
+    }
+
+    /// Count one mesh bring-up (called by whoever orders the peers to
+    /// rebuild — the cluster coordinator).
+    pub fn record_mesh_bringup(&self) {
+        self.inner.mesh_bringups_total.fetch_add(1, Ordering::Relaxed);
     }
 }
 

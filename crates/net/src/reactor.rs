@@ -96,14 +96,20 @@ pub(crate) struct NodeSpec {
     pub metrics: TrafficMetrics,
 }
 
-/// What [`spawn`] hands back per node: the per-peer send handles and the
-/// close handle the endpoint teardown calls.
+/// What [`spawn`] hands back per node: the per-peer send handles, the
+/// close handle the endpoint teardown calls, and the whole-mesh signal.
 #[derive(Debug)]
 pub(crate) struct NodeIo {
     /// `outbound[j]` sends to peer `j` (`None` at the node's own index).
     pub outbound: Vec<Option<ConnTx>>,
     /// Flush-and-half-close handle for this node's connections.
     pub closer: NodeCloser,
+    /// `true` until the first of the node's connections loses a side
+    /// (peer EOF, reset, dead write). The reactor stores `false` with
+    /// `Release` *after* routing the connection's last frames to their
+    /// inboxes; a reader that loads `false` with `Acquire` therefore
+    /// finds those frames already queued.
+    pub peers_open: Arc<AtomicBool>,
 }
 
 /// Sender half of one connection's bounded outbound ring, plus the
@@ -246,6 +252,8 @@ struct NodeState {
     read_live: usize,
     /// Connections whose write side is not yet shut.
     write_live: usize,
+    /// Cleared when the first connection loses a side ([`NodeIo::peers_open`]).
+    peers_open: Arc<AtomicBool>,
     closing: bool,
     ack: Option<Sender<()>>,
 }
@@ -303,6 +311,7 @@ pub(crate) fn spawn(specs: Vec<NodeSpec>) -> io::Result<(Arc<ReactorHandle>, Vec
             }));
         }
         let live = conn_keys.len();
+        let peers_open = Arc::new(AtomicBool::new(true));
         nodes.push(NodeState {
             me: spec.me,
             format: spec.format,
@@ -311,12 +320,14 @@ pub(crate) fn spawn(specs: Vec<NodeSpec>) -> io::Result<(Arc<ReactorHandle>, Vec
             conn_keys,
             read_live: live,
             write_live: live,
+            peers_open: Arc::clone(&peers_open),
             closing: false,
             ack: None,
         });
         ios.push(NodeIo {
             outbound,
             closer: NodeCloser { node: node_idx, shared: Arc::clone(&shared) },
+            peers_open,
         });
     }
 
@@ -542,6 +553,7 @@ impl Reactor {
     fn retire_read(&mut self, node_idx: usize) {
         let node = &mut self.nodes[node_idx];
         node.read_live -= 1;
+        node.peers_open.store(false, Ordering::Release);
         if node.read_live == 0 {
             // Last peer gone: drop the lane senders so every endpoint's
             // recv sees Disconnected once its inbox is drained.
@@ -613,6 +625,8 @@ impl Reactor {
         conn.write_shut = true;
         let node_idx = conn.node;
         self.nodes[node_idx].write_live -= 1;
+        // Our own close ends here too; nobody is left to read the flag.
+        self.nodes[node_idx].peers_open.store(false, Ordering::Release);
         if conn.read_open {
             let want = Interest { readable: true, writable: false };
             self.set_interest(&mut conn, want);

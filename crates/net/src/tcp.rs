@@ -80,6 +80,7 @@
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -724,6 +725,8 @@ impl TcpMesh {
 #[derive(Debug)]
 struct MuxNodeCore {
     closer: Option<NodeCloser>,
+    /// The reactor's whole-mesh signal ([`MuxEndpoint::all_peers_open`]).
+    peers_open: Arc<AtomicBool>,
     /// Keeps the event loop alive while any lane endpoint lives.
     reactor: Arc<ReactorHandle>,
 }
@@ -855,6 +858,18 @@ impl MuxEndpoint {
         self.core.reactor.io_threads()
     }
 
+    /// `true` while every peer connection of this node is still open in
+    /// both directions; `false` from the moment any peer's EOF, reset or
+    /// dead write side is observed, and for good — a mesh never heals, it
+    /// is replaced. Lanes only see [`RecvError::Disconnected`] once
+    /// *every* peer is gone; a protocol that needs all `m` providers
+    /// reads this to leave a doomed session at the first loss instead.
+    /// Frames read off a connection before its loss was observed are
+    /// already in the lane inboxes when this turns `false`.
+    pub fn all_peers_open(&self) -> bool {
+        self.core.peers_open.load(Ordering::Acquire)
+    }
+
     /// Queue `payload` for `to` on this lane. The reactor folds the lane
     /// into the wire tag and performs the socket write; sends to self or
     /// to departed peers are dropped silently (the run is over at that
@@ -935,7 +950,11 @@ fn build_lane_endpoints(
     metrics: TrafficMetrics,
     reactor: &Arc<ReactorHandle>,
 ) -> Vec<MuxEndpoint> {
-    let core = Arc::new(MuxNodeCore { closer: Some(io.closer), reactor: Arc::clone(reactor) });
+    let core = Arc::new(MuxNodeCore {
+        closer: Some(io.closer),
+        peers_open: io.peers_open,
+        reactor: Arc::clone(reactor),
+    });
     lane_rxs
         .into_iter()
         .enumerate()

@@ -196,3 +196,32 @@ fn dropping_one_lane_leaves_the_others_running() {
     let (_, payload) = live[1].recv_timeout(RECV).unwrap();
     assert_eq!(&payload[8..], b"still here");
 }
+
+#[test]
+fn one_lost_peer_clears_all_peers_open_before_lanes_disconnect() {
+    let mut mesh = MuxMesh::loopback(3, 1).unwrap();
+    let mut row = mesh.take_lane_endpoints().remove(0);
+    assert!(row.iter().all(|e| e.all_peers_open()), "a fresh mesh is whole");
+
+    // Provider 2 says one last thing and leaves; its drop returns only
+    // after the frame and the FIN have reached the kernel.
+    let leaver = row.remove(2);
+    leaver.send(ProviderId(0), frame(9, b"last words"));
+    drop(leaver);
+
+    let survivor = &row[0];
+    let started = Instant::now();
+    while survivor.all_peers_open() {
+        assert!(started.elapsed() < RECV, "the loss of provider 2 was never observed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // What the leaver sent before closing is already queued...
+    let (from, payload) = survivor.try_recv().expect("frame precedes the closed signal");
+    assert_eq!(from, ProviderId(2));
+    assert_eq!(&payload[8..], b"last words");
+    // ...and the lane is not Disconnected: provider 1 is still there.
+    assert_eq!(survivor.recv_timeout(Duration::from_millis(20)), Err(RecvError::Timeout));
+    row[1].send(ProviderId(0), frame(9, b"still here"));
+    let (from, _) = survivor.recv_timeout(RECV).unwrap();
+    assert_eq!(from, ProviderId(1));
+}

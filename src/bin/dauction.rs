@@ -56,6 +56,13 @@
 //! crash, re-clearing unsealed epochs to byte-identical outcomes
 //! (`--recover --epochs 0` recovers, reports, and exits).
 //!
+//! In the `coordinator`/`provider` deployment the providers dial their
+//! mesh once and keep it across clean epochs. `--mesh-budget-ms` is the
+//! budget of **one bring-up** — the first epoch's, and each rebuild's
+//! after a ⊥ or a roster change — not a per-epoch allowance; the
+//! coordinator's `/metrics` counts the bring-ups it ordered as
+//! `net_mesh_bringups_total`.
+//!
 //! `--metrics-addr` serves every market/net/chaos/journal counter in the
 //! Prometheus text exposition format (`curl http://HOST:PORT/metrics`).
 //! While serving, `kill -USR1 <pid>` dumps the crash flight recorder —
@@ -158,7 +165,9 @@ delay=P,delay-ms=A..B,corrupt=P,seed=S,hold-ms=H] [--journal PATH] \
 [--mesh-listen HOST:PORT] [--heartbeat-ms D] [--backoff-base-ms D] [--backoff-cap-ms D] \
 [--reconnect-budget N]\n       dauction verify-log PATH\n       dauction flight-dump PATH\n\
 mechanism SPEC: double | standard[,eps=PPM] | combinatorial[,budget=NODES] | \
-divisible[,beta=PRICE]";
+divisible[,beta=PRICE]\n\
+--mesh-budget-ms D: budget of one provider-mesh bring-up (the first epoch's, and each rebuild \
+after a ⊥ or a roster change); epochs that reuse the mesh spend none of it";
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -432,9 +441,10 @@ fn coordinator_main(argv: &[String]) -> Result<i32, String> {
 
 /// The `provider` subcommand: one provider process of the
 /// multi-process deployment. Joins the coordinator (redialling under a
-/// jittered exponential backoff), clears every work order over a fresh
-/// per-epoch mesh, and exits when the coordinator says shutdown. Exit 0
-/// on a clean shutdown, 1 on an exhausted reconnect budget.
+/// jittered exponential backoff), clears every work order over the
+/// mesh it keeps across clean epochs (rebuilt after a ⊥ or a roster
+/// change), and exits when the coordinator says shutdown. Exit 0 on a
+/// clean shutdown, 1 on an exhausted reconnect budget.
 fn provider_main(argv: &[String]) -> Result<i32, String> {
     use dauctioneer::market::{run_provider, ProviderConfig};
 
@@ -492,8 +502,9 @@ fn provider_main(argv: &[String]) -> Result<i32, String> {
     match run_provider(config) {
         Ok(report) => {
             println!(
-                "provider {id} done: {} epochs ({} cleared, {} ⊥), {} rejoin(s)",
-                report.epochs, report.cleared, report.aborted, report.rejoins
+                "provider {id} done: {} epochs ({} cleared, {} ⊥), {} rejoin(s), {} mesh \
+                 bring-up(s)",
+                report.epochs, report.cleared, report.aborted, report.rejoins, report.mesh_bringups
             );
             Ok(0)
         }

@@ -12,16 +12,21 @@
 //! * **rejoin at the next epoch boundary** — the restarted provider
 //!   joins under a fresh incarnation within the reconnect budget and
 //!   the cluster clears epochs again;
+//! * **one mesh, not one per epoch** — every provider prints how many
+//!   mesh bring-ups it made: the survivors' initial one, one for the
+//!   roster change of the rejoin, and at most one more per ⊥ they
+//!   decided — never one per epoch;
 //! * **journal integrity across the kill** — `dauction verify-log`
 //!   certifies the coordinator's settlement chain after the run.
 //!
 //! The kill point derives from `CRASH_SEED` (CI sets a date-derived
 //! value echoed to the step summary; any failure reproduces by
 //! exporting the seed the log prints). When `BENCH_HA_OUT` is set the
-//! harness emits a `BENCH_ha.json` row — outage-window epoch p99 and
-//! rejoin-to-clear time — for the `ci/compare_bench.py` gate.
+//! harness emits a `BENCH_ha.json` row — outage-window epoch p99,
+//! rejoin-to-clear time and the steady-state (cleared-epoch) close
+//! median — for the `ci/compare_bench.py` gate.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -124,15 +129,50 @@ fn parse_epoch_line(line: &Line) -> Option<EpochLine> {
     None
 }
 
+/// Spawn a provider with its stdout piped: two short lines (the join
+/// banner and the end-of-run summary), read after it exits.
 fn spawn_provider(bin: &str, id: usize, addr: &str) -> Reaper {
     Reaper(
         Command::new(bin)
             .args(["provider", "--id", &id.to_string(), "--join", addr])
-            .stdout(Stdio::null())
+            .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
             .expect("spawn dauction provider"),
     )
+}
+
+/// A provider's end-of-run summary, decoded.
+#[derive(Debug, Clone, Copy)]
+struct ProviderSummary {
+    epochs: u64,
+    aborted: u64,
+    mesh_bringups: u64,
+}
+
+/// Decode `provider K done: E epochs (C cleared, A ⊥), R rejoin(s), B
+/// mesh bring-up(s)` from an exited provider's stdout.
+fn provider_summary(provider: &mut Child) -> ProviderSummary {
+    let mut text = String::new();
+    provider
+        .stdout
+        .take()
+        .expect("provider stdout piped")
+        .read_to_string(&mut text)
+        .expect("read provider stdout");
+    // The integer right before `marker`.
+    let before = |marker: &str| -> u64 {
+        text.split(marker)
+            .next()
+            .and_then(|head| head.rsplit([' ', '(']).next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no count before {marker:?} in provider output:\n{text}"))
+    };
+    ProviderSummary {
+        epochs: before(" epochs ("),
+        aborted: before(" ⊥)"),
+        mesh_bringups: before(" mesh bring-up(s)"),
+    }
 }
 
 /// The acceptance test of the multi-process deployment: a
@@ -277,9 +317,26 @@ fn sigkill_mid_epoch_survivors_stay_honest_and_killed_provider_rejoins() {
     assert!(status.success(), "coordinator exited non-zero");
     drop(coordinator);
     let _ = reader.join();
-    for provider in providers.iter_mut().flatten() {
+    for (id, provider) in providers.iter_mut().enumerate() {
+        let provider = provider.as_mut().expect("all three providers run to the end");
         let status = wait_exit(&mut provider.0, Duration::from_secs(30)).expect("provider exited");
         assert!(status.success(), "a surviving provider exited non-zero");
+
+        // The mesh is kept across clean epochs: a survivor dials it at
+        // the start and again for the roster change of the rejoin, the
+        // restarted victim once; each ⊥ a provider decided itself may
+        // cost it one more bring-up, and nothing else does.
+        let summary = provider_summary(&mut provider.0);
+        println!("provider {id}: {summary:?}");
+        let baseline = if id == victim { 1 } else { 2 };
+        assert!(
+            (baseline..=baseline + summary.aborted).contains(&summary.mesh_bringups),
+            "provider {id} made {} mesh bring-ups over {} epochs ({} ⊥); expected {baseline} \
+             plus at most one per ⊥",
+            summary.mesh_bringups,
+            summary.epochs,
+            summary.aborted
+        );
     }
 
     let transcript = lines.lock().expect("lines lock").clone();
@@ -299,7 +356,10 @@ fn sigkill_mid_epoch_survivors_stay_honest_and_killed_provider_rejoins() {
     let outage: Vec<&EpochLine> =
         epochs.iter().filter(|e| e.reason.as_deref() == Some("peer_down")).collect();
     assert!(!outage.is_empty(), "the kill produced no peer_down abort");
-    let cleared = epochs.iter().filter(|e| e.cleared).count();
+    let mut steady: Vec<Duration> =
+        epochs.iter().filter(|e| e.cleared).map(|e| e.latency).collect();
+    steady.sort();
+    let cleared = steady.len();
     assert!(
         cleared >= pre_kill,
         "only {cleared} epochs cleared across the whole run ({} outage aborts)",
@@ -367,11 +427,14 @@ fn sigkill_mid_epoch_survivors_stay_honest_and_killed_provider_rejoins() {
              \"epoch_ms\":{EPOCH_MS},\"deadline_ms\":{DEADLINE_MS},\
              \"mesh_budget_ms\":{MESH_BUDGET_MS},\"seed\":{seed}}},\"runs\":[{{\
              \"scenario\":\"kill-one-provider\",\"outage_epochs\":{},\
-             \"outage_epoch_p99_s\":{},\"reconnect_s\":{},\"epochs_cleared\":{}}}]}}\n",
+             \"outage_epoch_p99_s\":{},\"reconnect_s\":{},\"steady_epoch_p50_s\":{},\
+             \"epochs_cleared\":{}}}]}}\n",
             std::env::var("GITHUB_SHA").unwrap_or_else(|_| "local".into()),
             outage.len(),
             outage_p99.as_secs_f64(),
             reconnect.as_secs_f64(),
+            // Cleared epochs are the ones outside the outage window.
+            steady[cleared / 2].as_secs_f64(),
             cleared,
         );
         std::fs::write(&out, json).expect("write BENCH_ha.json");
