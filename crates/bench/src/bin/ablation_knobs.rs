@@ -1,4 +1,5 @@
-//! **Ablation A2**: the design knobs called out in DESIGN.md.
+//! **Ablation A2**: the design knobs where this implementation departs
+//! from, or parameterises, the paper.
 //!
 //! 1. `validation: full vs hash` — input validation broadcasting the full
 //!    agreed vector (faithful to the paper) vs a 32-byte digest.

@@ -11,7 +11,8 @@
 //!
 //! The branch-and-bound search budget grows as `2n³` nodes per solve,
 //! mirroring the polynomial search effort of the paper's (1−ε)-optimal
-//! algorithm (DESIGN.md §3/§4). Distributed times are virtual-clock spans
+//! algorithm (`docs/ARCHITECTURE.md`, "Why the budget is counted in
+//! nodes"). Distributed times are virtual-clock spans
 //! (one CPU per provider, as on the paper's testbed). Usage:
 //!
 //! ```text

@@ -2,7 +2,7 @@
 //! for the figure-regeneration binaries.
 //!
 //! Each binary under `src/bin/` regenerates one figure of the paper's
-//! evaluation (see `DESIGN.md` §5 for the experiment index):
+//! evaluation or one ablation of ours:
 //!
 //! * `fig4` — double-auction running time vs `n` (§6.2, Figure 4),
 //! * `fig5` — standard-auction running time vs `n` and parallelism

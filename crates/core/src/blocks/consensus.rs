@@ -17,7 +17,8 @@
 //! The paper runs one consensus instance per bid *bit*; this
 //! implementation batches all positions of all bidders into one exchange —
 //! the per-bit decision rule is unchanged, only the packaging differs
-//! (DESIGN.md §2). `m > 2k` is required, as in the paper's §6.
+//! (`docs/ARCHITECTURE.md`, "The building blocks"). `m > 2k` is
+//! required, as in the paper's §6.
 
 use bytes::Bytes;
 use dauctioneer_types::ProviderId;

@@ -1,7 +1,8 @@
 //! The threaded runtime: one OS thread per provider, real message passing.
 //!
 //! This is the workspace's stand-in for the paper's deployment on Guifi
-//! nodes (DESIGN.md §4): provider threads give real CPU parallelism for
+//! nodes (`docs/ARCHITECTURE.md`, "One engine, three runtimes, two
+//! transports"): provider threads give real CPU parallelism for
 //! the computation-bound standard auction, and injected link latency
 //! reproduces the communication-bound regime of the double auction. A
 //! session runs every provider's [`SessionEngine`] to completion (or a

@@ -9,7 +9,7 @@ use dauctioneer_core::{
     drive, drive_multi, run_batch_with, run_session, unanimous, BatchConfig, BatchSession,
     DoubleAuctionProgram, FrameworkConfig, RunOptions, SessionEngine, SessionPool,
 };
-use dauctioneer_net::{shard_for, MuxMesh, TcpMesh};
+use dauctioneer_net::{shard_for, MuxEndpoint, MuxMesh};
 use dauctioneer_types::{BidVector, Bw, Money, Outcome, ProviderAsk, SessionId, UserBid};
 
 const DEADLINE: Duration = Duration::from_secs(30);
@@ -22,11 +22,15 @@ fn bids(valuation: f64) -> BidVector {
         .build()
 }
 
+/// The endpoints of a fresh single-lane loopback mesh, in provider order.
+fn one_lane(m: usize) -> Vec<MuxEndpoint> {
+    MuxMesh::loopback(m, 1).unwrap().take_lane_endpoints().remove(0)
+}
+
 /// Run one session with every provider on its own thread over a TCP
 /// mesh, returning each provider's outcome.
 fn run_over_tcp(cfg: &FrameworkConfig, valuation: f64, seed: u64) -> Vec<Outcome> {
-    let mut mesh = TcpMesh::loopback(cfg.m).unwrap();
-    let endpoints = mesh.take_endpoints();
+    let endpoints = one_lane(cfg.m);
     let engines = SessionEngine::roster(
         cfg,
         &Arc::new(DoubleAuctionProgram::new()),
@@ -68,8 +72,7 @@ fn concurrent_sessions_stay_isolated_on_a_shared_socket_mesh() {
     let cfg = FrameworkConfig::new(3, 1, 2, 1);
     let sessions = [(SessionId(11), 1.1, 7u64), (SessionId(12), 1.3, 19u64)];
 
-    let mut mesh = TcpMesh::loopback(cfg.m).unwrap();
-    let endpoints = mesh.take_endpoints();
+    let endpoints = one_lane(cfg.m);
     let program = Arc::new(DoubleAuctionProgram::new());
     let handles: Vec<_> = endpoints
         .into_iter()
@@ -154,9 +157,7 @@ fn two_lanes_of_one_mux_mesh_match_two_independent_meshes_and_inproc() {
     let mut mux = MuxMesh::loopback(cfg.m, 2).unwrap();
     let over_mux = pool_outcomes(&cfg, mux.take_lane_endpoints(), &sessions);
 
-    let mut independent_meshes: Vec<TcpMesh> =
-        (0..2).map(|_| TcpMesh::loopback(cfg.m).unwrap()).collect();
-    let endpoints = independent_meshes.iter_mut().map(TcpMesh::take_endpoints).collect();
+    let endpoints = (0..2).map(|_| one_lane(cfg.m)).collect();
     let over_independent = pool_outcomes(&cfg, endpoints, &sessions);
 
     let mut hub =

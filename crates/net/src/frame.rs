@@ -28,7 +28,7 @@
 //! [`MUX_SESSION_BITS`]. The receiver [`mux_unpack`]s it, routes by
 //! lane, and restores the original `[session][inner…]` payload, so the
 //! layers above (session routing in the engine, channel tags nested
-//! inside) are byte-identical to the single-mesh transports and the
+//! inside) are byte-identical to the in-process transport and the
 //! whole `(shard, session, channel)` triple stays injective on the wire.
 //!
 //! Payloads that are *not* well-formed session frames (shorter than a

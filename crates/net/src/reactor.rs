@@ -29,7 +29,7 @@
 //!    remaining bytes go out, and write interest is dropped again.
 //! 4. **readability** — level-triggered reads pull socket bytes into the
 //!    connection's assembler and route every completed frame to its
-//!    lane's inbox (mux) or the endpoint's inbox (plain).
+//!    lane's inbox.
 //! 5. **close** — an endpoint drop sends a `CloseNode` control message
 //!    and blocks for the ack: the reactor flushes the node's rings and
 //!    write buffers to the kernel, then half-closes each socket
@@ -56,7 +56,7 @@ use polling::{Events, Interest, PollMode, Poller};
 use dauctioneer_types::ProviderId;
 
 use crate::frame::FrameAssembler;
-use crate::frame::{mux_frame_into, mux_unframe, wire_encode_into, MAX_WIRE_FRAME};
+use crate::frame::{mux_frame_into, mux_unframe, MAX_WIRE_FRAME};
 use crate::metrics::TrafficMetrics;
 use crate::tcp::{OUTBOUND_QUEUE_FRAMES, WRITE_COALESCE_BYTES};
 
@@ -65,32 +65,19 @@ use crate::tcp::{OUTBOUND_QUEUE_FRAMES, WRITE_COALESCE_BYTES};
 /// survive the kernel's 15-byte `comm` truncation.
 pub(crate) const REACTOR_THREAD_PREFIX: &str = "net-reactor";
 
-/// How a connection encodes outbound payloads and routes inbound frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WireFormat {
-    /// Dedicated mesh ([`TcpEndpoint`][crate::TcpEndpoint]): plain wire
-    /// frames, one inbox (lane 0), the lane id on sends is ignored.
-    Plain,
-    /// Multiplexed mesh ([`MuxEndpoint`][crate::MuxEndpoint]): the lane
-    /// id is folded into the frame tag and inbound frames are
-    /// demultiplexed to per-lane inboxes.
-    Mux,
-}
-
 /// One provider's wiring handed to [`spawn`].
 #[derive(Debug)]
 pub(crate) struct NodeSpec {
     /// The node's provider id.
     pub me: ProviderId,
-    /// Outbound encoding / inbound routing discipline.
-    pub format: WireFormat,
     /// `streams[j]` is the established connection to peer `j` (`None` at
     /// the node's own index). The reactor takes ownership and switches
     /// every stream to nonblocking mode.
     pub streams: Vec<Option<TcpStream>>,
-    /// Inbound frame sinks: one per lane (exactly one for
-    /// [`WireFormat::Plain`]). Dropped by the reactor once the node's
-    /// last read side dies, so receivers observe `Disconnected`.
+    /// Inbound frame sinks, one per lane: the lane id is folded into
+    /// every frame's tag and inbound frames are demultiplexed by it.
+    /// Dropped by the reactor once the node's last read side dies, so
+    /// receivers observe `Disconnected`.
     pub lanes: Vec<Sender<(ProviderId, Bytes)>>,
     /// The node's traffic counters (shared mesh-wide for loopback).
     pub metrics: TrafficMetrics,
@@ -242,7 +229,6 @@ struct Conn {
 #[derive(Debug)]
 struct NodeState {
     me: ProviderId,
-    format: WireFormat,
     /// Dropped once the last read side dies, so lane receivers observe
     /// `Disconnected` exactly like the old reader-thread teardown.
     lanes: Option<Vec<Sender<(ProviderId, Bytes)>>>,
@@ -314,7 +300,6 @@ pub(crate) fn spawn(specs: Vec<NodeSpec>) -> io::Result<(Arc<ReactorHandle>, Vec
         let peers_open = Arc::new(AtomicBool::new(true));
         nodes.push(NodeState {
             me: spec.me,
-            format: spec.format,
             lanes: Some(spec.lanes),
             metrics: spec.metrics,
             conn_keys,
@@ -354,22 +339,13 @@ pub(crate) fn spawn(specs: Vec<NodeSpec>) -> io::Result<(Arc<ReactorHandle>, Vec
     Ok((Arc::new(ReactorHandle { shared, thread: Some(thread) }), ios))
 }
 
-/// Append `(lane, payload)` to `buf` in the connection's wire format.
-/// Oversized payloads are skipped defensively — both endpoint `send`s
-/// already drop-and-count them, and a panic here would take the whole
-/// mesh's I/O down.
-fn encode_frame(format: WireFormat, lane: usize, payload: &Bytes, buf: &mut BytesMut) {
-    match format {
-        WireFormat::Plain => {
-            if payload.len() <= MAX_WIRE_FRAME {
-                wire_encode_into(payload, buf);
-            }
-        }
-        WireFormat::Mux => {
-            if payload.len() <= MAX_WIRE_FRAME - 8 {
-                mux_frame_into(lane, payload, buf);
-            }
-        }
+/// Append `(lane, payload)` to `buf` as a mux wire frame. Oversized
+/// payloads are skipped defensively — the endpoint `send` already
+/// drops-and-counts them, and a panic here would take the whole mesh's
+/// I/O down.
+fn encode_frame(lane: usize, payload: &Bytes, buf: &mut BytesMut) {
+    if payload.len() <= MAX_WIRE_FRAME - 8 {
+        mux_frame_into(lane, payload, buf);
     }
 }
 
@@ -379,8 +355,8 @@ enum ReadOutcome {
     Keep,
     /// Peer EOF or socket error: the read side is done.
     Eof,
-    /// Undecodable stream (corrupt length, bad lane, dead plain inbox):
-    /// tear the whole connection down.
+    /// Undecodable stream (corrupt length, bad lane): tear the whole
+    /// connection down.
     Kill,
 }
 
@@ -440,37 +416,29 @@ impl Reactor {
         }
     }
 
-    /// Route one inbound frame. Returns `false` when the stream must be
-    /// torn down (corrupt mux framing or a dead plain inbox).
+    /// Route one inbound frame to its lane's inbox. Returns `false` when
+    /// the stream must be torn down (corrupt mux framing).
     fn deliver(&mut self, node_idx: usize, peer: ProviderId, frame: &[u8]) -> bool {
         let node = &mut self.nodes[node_idx];
-        match node.format {
-            WireFormat::Mux => {
-                let Ok((lane, payload)) = mux_unframe(frame) else {
-                    return false; // shorter than a packed tag: corrupt
-                };
-                let len = payload.len();
-                let delivered = node
-                    .lanes
-                    .as_ref()
-                    .and_then(|lanes| lanes.get(lane))
-                    .is_some_and(|tx| tx.send((peer, payload)).is_ok());
-                if !delivered {
-                    match node.lanes.as_ref() {
-                        // A lane outside the mesh's range: corrupt stream.
-                        Some(lanes) if lane >= lanes.len() => return false,
-                        // This lane's endpoint is gone (a straggler of a
-                        // finished epoch): count, drop, carry on.
-                        _ => node.metrics.record_drop(node.me, len),
-                    }
-                }
-                true
+        let Ok((lane, payload)) = mux_unframe(frame) else {
+            return false; // shorter than a packed tag: corrupt
+        };
+        let len = payload.len();
+        let delivered = node
+            .lanes
+            .as_ref()
+            .and_then(|lanes| lanes.get(lane))
+            .is_some_and(|tx| tx.send((peer, payload)).is_ok());
+        if !delivered {
+            match node.lanes.as_ref() {
+                // A lane outside the mesh's range: corrupt stream.
+                Some(lanes) if lane >= lanes.len() => return false,
+                // This lane's endpoint is gone (a straggler of a
+                // finished epoch): count, drop, carry on.
+                _ => node.metrics.record_drop(node.me, len),
             }
-            WireFormat::Plain => match node.lanes.as_ref() {
-                Some(lanes) => lanes[0].send((peer, Bytes::copy_from_slice(frame))).is_ok(),
-                None => false, // endpoint gone: no reason to keep reading
-            },
         }
+        true
     }
 
     fn do_read(&mut self, key: usize) {
@@ -570,14 +538,13 @@ impl Reactor {
             self.conns[key] = Some(conn);
             return;
         }
-        let format = self.nodes[conn.node].format;
         loop {
             if conn.wpos == conn.wbuf.len() {
                 conn.wbuf.clear();
                 conn.wpos = 0;
                 while conn.wbuf.len() < WRITE_COALESCE_BYTES {
                     match conn.ring.try_recv() {
-                        Ok((lane, payload)) => encode_frame(format, lane, &payload, &mut conn.wbuf),
+                        Ok((lane, payload)) => encode_frame(lane, &payload, &mut conn.wbuf),
                         Err(_) => break, // ring momentarily empty (or closing)
                     }
                 }

@@ -1,24 +1,25 @@
-//! Real-socket transport: a full TCP mesh of providers.
+//! Real-socket transport: a full, multiplexed TCP mesh of providers.
 //!
 //! The paper deploys its prototype on physical community-network nodes
 //! with ØMQ sockets between them; [`crate::hub`] substitutes in-process
 //! channels for speed. This module closes the realism gap: a
-//! [`TcpEndpoint`] is one provider's handle onto a full mesh of TCP
-//! connections (loopback or LAN), carrying exactly the same
+//! [`MuxEndpoint`] is one provider's handle onto **one lane** of a full
+//! mesh of TCP connections (loopback or LAN), carrying exactly the same
 //! session-tagged frames the in-process transport carries, delimited on
 //! the byte stream by the wire frames of the [`frame`][mod@crate::frame]
-//! module ([`wire_encode`][crate::frame::wire_encode]).
+//! module.
 //!
-//! Two flavours share the same sockets, bring-up and teardown:
+//! Each provider pair shares one connection across any number of
+//! logical lanes (= hub shards): the lane id is folded into the u64 tag
+//! slot of every wire frame ([`mux_pack`][crate::frame::mux_pack]), so
+//! `N` shards cost the connection count and thread count of *one* mesh
+//! instead of `N`. A single-lane mesh (`MuxMesh::loopback(m, 1)`) gives
+//! each provider exactly one endpoint. Entry points:
 //!
-//! * [`TcpEndpoint`] / [`TcpMesh`] — one dedicated mesh, one endpoint
-//!   per provider (the original PR-2 transport, still what a single
-//!   standalone deployment uses);
-//! * [`MuxEndpoint`] / [`MuxMesh`] — **one connection per provider pair
-//!   shared by any number of logical lanes** (= hub shards): the lane id
-//!   is folded into the u64 tag slot of every wire frame
-//!   ([`mux_pack`][crate::frame::mux_pack]), so `N` shards cost the
-//!   connection count and thread count of *one* mesh instead of `N`.
+//! * [`MuxEndpoint::establish_with_options`] — one provider process
+//!   joins a multi-host mesh (dial / accept / hello bring-up);
+//! * [`MuxMesh::loopback`] — every provider in one process, over
+//!   loopback sockets.
 //!
 //! Topology and threads:
 //!
@@ -32,7 +33,7 @@
 //!   nonblocking `connect` completion, accept readiness and hello bytes
 //!   are all observed through an epoll poller — no dial-retry or
 //!   accept-poll sleep loops — under one bounded budget
-//!   (`DIAL_TIMEOUT`, or [`MeshOptions::budget`]) whose expiry reports
+//!   ([`MeshOptions::budget`]) whose expiry reports
 //!   a [`WireError::BringUpExpired`] naming each missing peer.
 //!   [`MuxMesh::loopback`] skips the hello dance entirely and wires the
 //!   pairs up through one ephemeral listener. `TCP_NODELAY` is set on
@@ -47,28 +48,28 @@
 //!   (`OUTBOUND_QUEUE_FRAMES`) and leave in one kernel write per batch
 //!   (up to `WRITE_COALESCE_BYTES`), exactly the syscall profile of
 //!   the old per-peer writer threads. What used to be `2m(m−1)` blocking
-//!   threads per mux mesh is now **one thread, independent of both `m`
+//!   threads per mesh is now **one thread, independent of both `m`
 //!   and the lane count** — the property the thread-accounting tests and
 //!   the [`TrafficMetrics::io_threads`][crate::TrafficMetrics::io_threads]
 //!   gauge pin down.
 //!
 //! Shutdown is clean on either a decided session or a ⊥-abort: dropping
-//! the endpoint blocks until the reactor has flushed every queued frame
-//! of the node to the kernel and half-closed its sockets (FIN *after*
-//! the data). Peers observe EOF, and their own
-//! [`TcpEndpoint::recv_timeout`] reports [`RecvError::Disconnected`]
+//! a provider's last lane endpoint blocks until the reactor has flushed
+//! every queued frame of the node to the kernel and half-closed its
+//! sockets (FIN *after* the data). Peers observe EOF, and their own
+//! [`MuxEndpoint::recv_timeout`] reports [`RecvError::Disconnected`]
 //! once every connection is gone — which the engine's drive loops map to
 //! the external ⊥ of §3.2.
 //!
 //! # Example
 //!
 //! ```
-//! use dauctioneer_net::TcpMesh;
+//! use dauctioneer_net::MuxMesh;
 //! use bytes::Bytes;
 //! use std::time::Duration;
 //!
-//! let mut mesh = TcpMesh::loopback(2).unwrap();
-//! let mut endpoints = mesh.take_endpoints();
+//! let mut mesh = MuxMesh::loopback(2, 1).unwrap();
+//! let mut endpoints = mesh.take_lane_endpoints().remove(0);
 //! let e1 = endpoints.remove(1);
 //! let e0 = endpoints.remove(0);
 //! e0.send(e1.me(), Bytes::from_static(b"over real sockets"));
@@ -94,9 +95,9 @@ use crate::frame::{WireError, MAX_WIRE_FRAME, MUX_MAX_LANES};
 use crate::hello::{Hello, HELLO_LEN};
 use crate::hub::RecvError;
 use crate::metrics::TrafficMetrics;
-use crate::reactor::{self, ConnTx, NodeCloser, NodeIo, NodeSpec, ReactorHandle, WireFormat};
+use crate::reactor::{self, ConnTx, NodeCloser, NodeIo, NodeSpec, ReactorHandle};
 
-/// Total bring-up budget for [`TcpEndpoint::establish`]: how long dial
+/// Default bring-up budget ([`MeshOptions::budget`]): how long dial
 /// completion, accept readiness and hello exchange may take before the
 /// mesh is reported down ([`WireError::BringUpExpired`]).
 const DIAL_TIMEOUT: Duration = Duration::from_secs(10);
@@ -148,190 +149,6 @@ pub(crate) const WRITE_COALESCE_BYTES: usize = 256 * 1024;
 /// always keeps draining read sides.
 pub(crate) const OUTBOUND_QUEUE_FRAMES: usize = 1024;
 
-/// One provider's handle onto a TCP mesh.
-///
-/// Constructed either directly with [`TcpEndpoint::establish`] (one call
-/// per process, for a real multi-host deployment) or via
-/// [`TcpMesh::loopback`] (all providers in one process, over loopback
-/// sockets). The API mirrors the in-process
-/// [`Endpoint`][crate::Endpoint], so the protocol layer cannot tell the
-/// two apart.
-#[derive(Debug)]
-pub struct TcpEndpoint {
-    me: ProviderId,
-    m: usize,
-    /// Outbound ring per peer (`None` at our own index).
-    outbound: Vec<Option<ConnTx>>,
-    inbox: Receiver<(ProviderId, Bytes)>,
-    metrics: TrafficMetrics,
-    closer: Option<NodeCloser>,
-    /// Shared by every endpoint the same reactor serves; the last drop
-    /// shuts the event loop down.
-    reactor: Arc<ReactorHandle>,
-}
-
-impl TcpEndpoint {
-    /// Join the mesh as provider `me`.
-    ///
-    /// `addrs[j]` is provider `j`'s listening address; `listener` must be
-    /// bound to `addrs[me]`'s port. The call dials every peer with a
-    /// smaller id (redialling, event-paced, until its listener is up) and
-    /// accepts a connection from every peer with a larger id, so the `m`
-    /// providers may start in any order. It returns once all `m − 1`
-    /// connections are established. Accepted connections that never
-    /// present a valid hello (strays, port scanners) are dropped and
-    /// accepting continues.
-    ///
-    /// # Errors
-    ///
-    /// Any socket-level failure, or peers that cannot be reached (dial)
-    /// or do not connect (accept) within the bring-up budget — the
-    /// timeout error wraps [`WireError::BringUpExpired`] naming each
-    /// peer still outstanding, so a peer whose own bring-up failed
-    /// leaves this call with a diagnosis, never blocked forever.
-    pub fn establish(
-        me: ProviderId,
-        listener: TcpListener,
-        addrs: &[SocketAddr],
-    ) -> io::Result<TcpEndpoint> {
-        TcpEndpoint::establish_with(me, listener, addrs, TrafficMetrics::new(addrs.len()))
-    }
-
-    /// [`TcpEndpoint::establish`] with caller-supplied (possibly shared)
-    /// traffic counters — what [`TcpMesh`] uses so one snapshot covers
-    /// the whole in-process mesh.
-    pub fn establish_with(
-        me: ProviderId,
-        listener: TcpListener,
-        addrs: &[SocketAddr],
-        metrics: TrafficMetrics,
-    ) -> io::Result<TcpEndpoint> {
-        let m = addrs.len();
-        let streams = establish_streams(me, listener, addrs)?;
-        let (inbox_tx, inbox) = unbounded();
-        let spec = NodeSpec {
-            me,
-            format: WireFormat::Plain,
-            streams,
-            lanes: vec![inbox_tx],
-            metrics: metrics.clone(),
-        };
-        let (reactor, mut ios) = reactor::spawn(vec![spec])?;
-        let io = ios.pop().expect("one node spec yields one node io");
-        Ok(TcpEndpoint::from_parts(me, m, io, inbox, metrics, reactor))
-    }
-
-    fn from_parts(
-        me: ProviderId,
-        m: usize,
-        io: NodeIo,
-        inbox: Receiver<(ProviderId, Bytes)>,
-        metrics: TrafficMetrics,
-        reactor: Arc<ReactorHandle>,
-    ) -> TcpEndpoint {
-        TcpEndpoint {
-            me,
-            m,
-            outbound: io.outbound,
-            inbox,
-            metrics,
-            closer: Some(io.closer),
-            reactor,
-        }
-    }
-
-    /// This endpoint's provider id.
-    pub fn me(&self) -> ProviderId {
-        self.me
-    }
-
-    /// Number of providers in the mesh.
-    pub fn num_providers(&self) -> usize {
-        self.m
-    }
-
-    /// All provider ids except this endpoint's own.
-    pub fn peers(&self) -> impl Iterator<Item = ProviderId> + '_ {
-        ProviderId::all(self.m).filter(move |p| *p != self.me)
-    }
-
-    /// The endpoint's traffic counters (shared across the mesh when built
-    /// by [`TcpMesh`]).
-    pub fn metrics(&self) -> TrafficMetrics {
-        self.metrics.clone()
-    }
-
-    /// OS threads doing I/O for this endpoint: the reactor's constant
-    /// roster (one), no matter how many peers the mesh has.
-    pub fn io_threads(&self) -> usize {
-        self.reactor.io_threads()
-    }
-
-    /// Queue `payload` for `to`. The reactor performs the socket write;
-    /// a send blocks only when the peer's bounded ring is full
-    /// (backpressure). Sends to self or to departed peers are dropped
-    /// silently (the run is over at that point); payloads exceeding
-    /// [`MAX_WIRE_FRAME`] are dropped and
-    /// counted rather than queued — a panic inside the shared reactor
-    /// would take down the whole mesh's I/O.
-    pub fn send(&self, to: ProviderId, payload: Bytes) {
-        let Some(Some(conn)) = self.outbound.get(to.index()) else { return };
-        self.metrics.record_send(self.me, payload.len());
-        if payload.len() > MAX_WIRE_FRAME {
-            self.metrics.record_drop(self.me, payload.len());
-            return;
-        }
-        conn.send(0, payload);
-    }
-
-    /// Send `payload` to every other provider.
-    pub fn broadcast(&self, payload: &Bytes) {
-        for peer in ProviderId::all(self.m) {
-            if peer != self.me {
-                self.send(peer, payload.clone());
-            }
-        }
-    }
-
-    /// Receive the next message, waiting up to `timeout`.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvError::Timeout`] if nothing arrived in time,
-    /// [`RecvError::Disconnected`] once every peer connection is gone and
-    /// the inbox is drained.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<(ProviderId, Bytes), RecvError> {
-        match self.inbox.recv_timeout(timeout) {
-            Ok((from, payload)) => {
-                self.metrics.record_recv(self.me, payload.len());
-                Ok((from, payload))
-            }
-            Err(RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(RecvError::Disconnected),
-        }
-    }
-
-    /// Receive without blocking.
-    pub fn try_recv(&self) -> Option<(ProviderId, Bytes)> {
-        self.inbox.try_recv().ok().inspect(|(_, payload)| {
-            self.metrics.record_recv(self.me, payload.len());
-        })
-    }
-}
-
-impl Drop for TcpEndpoint {
-    fn drop(&mut self) {
-        // Block until the reactor has flushed every frame still queued in
-        // our rings to the kernel and half-closed the sockets (FIN after
-        // the data): a decided engine's final sends must reach the peers.
-        if let Some(closer) = self.closer.take() {
-            closer.close();
-        }
-        // `reactor` drops with the struct; the last endpoint it serves
-        // shuts the event loop down and joins the thread.
-    }
-}
-
 /// In-flight state of one outgoing (dialling) connection during
 /// event-driven bring-up.
 #[derive(Debug)]
@@ -355,34 +172,25 @@ struct PendingHello {
     deadline: Instant,
 }
 
-/// The shared mesh bring-up: one connected, [`TCP_NODELAY`]-enabled
-/// stream per peer (`None` at our own index), regardless of start order.
+/// The mesh bring-up: one connected, [`TCP_NODELAY`]-enabled stream per
+/// peer (`None` at our own index), regardless of start order.
 ///
 /// Fully event-driven on a temporary poller: every dial is a nonblocking
 /// connect whose completion (or refusal) arrives as writability, redials
 /// are paced by the poll timeout instead of sleeps, accepts arrive as
 /// listener readability, and hello bytes as connection readability — so
 /// a whole mesh's bring-up burns no busy-wait cycles anywhere. Dials
-/// present a 4-byte hello; accepted connections must present one within
-/// [`HELLO_TIMEOUT`] (port scanners and misdirected clients are dropped,
-/// not fatal). The whole bring-up shares one `DIAL_TIMEOUT` budget:
-/// expiry reports [`WireError::BringUpExpired`] with the number of
-/// connections still missing. Returned streams are nonblocking — their
-/// next stop is the reactor's poller.
+/// present a [`HELLO_LEN`]-byte hello carrying `options.incarnation`;
+/// accepted connections must present one within [`HELLO_TIMEOUT`], at
+/// or above the peer's `options.min_incarnations` floor (port scanners,
+/// misdirected clients and previous lives are dropped, not fatal). The
+/// whole bring-up shares one `options.budget`: expiry reports
+/// [`WireError::BringUpExpired`] naming each peer still missing.
+/// Returned streams are nonblocking — their next stop is the reactor's
+/// poller.
 ///
 /// [`TCP_NODELAY`]: TcpStream::set_nodelay
 fn establish_streams(
-    me: ProviderId,
-    listener: TcpListener,
-    addrs: &[SocketAddr],
-) -> io::Result<Vec<Option<TcpStream>>> {
-    establish_streams_with(me, listener, addrs, &MeshOptions::default())
-}
-
-/// [`establish_streams`] with explicit [`MeshOptions`]: the incarnation
-/// this node presents, the per-peer incarnation floor it honours on
-/// accept, and the bring-up budget.
-fn establish_streams_with(
     me: ProviderId,
     listener: TcpListener,
     addrs: &[SocketAddr],
@@ -612,116 +420,10 @@ fn advance_hello(
     }
 }
 
-/// A full in-process TCP mesh over loopback sockets: every provider pair
-/// connected, all endpoints sharing one set of traffic counters **and
-/// one reactor thread**.
-///
-/// This is the single-host stand-in for a real LAN deployment (where each
-/// provider process calls [`TcpEndpoint::establish`] itself); it is what
-/// the batch layer and the benchmarks use for the `Tcp` backend.
-#[derive(Debug)]
-pub struct TcpMesh {
-    endpoints: Vec<TcpEndpoint>,
-    metrics: TrafficMetrics,
-}
-
-impl TcpMesh {
-    /// Bring up a full mesh of `m` providers over `127.0.0.1` (ephemeral
-    /// ports), establishing all connections concurrently, then driving
-    /// every node from **one** shared reactor thread.
-    ///
-    /// # Errors
-    ///
-    /// Any socket-level failure while binding or connecting.
-    pub fn loopback(m: usize) -> io::Result<TcpMesh> {
-        let metrics = TrafficMetrics::new(m);
-        let mut listeners = Vec::with_capacity(m);
-        let mut addrs = Vec::with_capacity(m);
-        for _ in 0..m {
-            let listener = TcpListener::bind(("127.0.0.1", 0))?;
-            addrs.push(listener.local_addr()?);
-            listeners.push(listener);
-        }
-        // Bring every node's connections up concurrently: the dial /
-        // accept / hello protocol needs all nodes progressing at once.
-        let handles: Vec<_> = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(i, listener)| {
-                let addrs = addrs.clone();
-                std::thread::Builder::new()
-                    .name(format!("tcp-mesh-up-{i}"))
-                    .spawn(move || establish_streams(ProviderId(i as u32), listener, &addrs))
-                    .expect("spawn mesh bring-up thread")
-            })
-            .collect();
-        // Join every bring-up thread before reporting, so a failure on
-        // one provider (its peers unblock at the bring-up deadline) never
-        // leaves detached threads behind.
-        let mut rows = Vec::with_capacity(m);
-        let mut first_err = None;
-        for handle in handles {
-            match handle.join().expect("mesh bring-up thread panicked") {
-                Ok(row) => rows.push(row),
-                Err(err) => first_err = first_err.or(Some(err)),
-            }
-        }
-        if let Some(err) = first_err {
-            return Err(err);
-        }
-        // One reactor serves all m nodes.
-        let mut specs = Vec::with_capacity(m);
-        let mut inboxes = Vec::with_capacity(m);
-        for (i, row) in rows.into_iter().enumerate() {
-            let (inbox_tx, inbox_rx) = unbounded();
-            specs.push(NodeSpec {
-                me: ProviderId(i as u32),
-                format: WireFormat::Plain,
-                streams: row,
-                lanes: vec![inbox_tx],
-                metrics: metrics.clone(),
-            });
-            inboxes.push(inbox_rx);
-        }
-        let (reactor, ios) = reactor::spawn(specs)?;
-        let endpoints = ios
-            .into_iter()
-            .zip(inboxes)
-            .enumerate()
-            .map(|(i, (io, inbox))| {
-                TcpEndpoint::from_parts(
-                    ProviderId(i as u32),
-                    m,
-                    io,
-                    inbox,
-                    metrics.clone(),
-                    Arc::clone(&reactor),
-                )
-            })
-            .collect();
-        Ok(TcpMesh { endpoints, metrics })
-    }
-
-    /// Take ownership of the endpoints (one per provider, in id order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called twice.
-    pub fn take_endpoints(&mut self) -> Vec<TcpEndpoint> {
-        assert!(!self.endpoints.is_empty(), "endpoints already taken");
-        std::mem::take(&mut self.endpoints)
-    }
-
-    /// The mesh's shared traffic counters.
-    pub fn metrics(&self) -> TrafficMetrics {
-        self.metrics.clone()
-    }
-}
-
 /// One provider's share of the reactor wiring that **every lane
 /// shares**. Lane endpoints hold it behind an [`Arc`]; when the last one
 /// drops, the node's rings are flushed and its sockets half-closed —
-/// drain-then-shutdown exactly like [`TcpEndpoint`]'s.
+/// drain-then-shutdown.
 #[derive(Debug)]
 struct MuxNodeCore {
     closer: Option<NodeCloser>,
@@ -748,9 +450,9 @@ impl Drop for MuxNodeCore {
 /// mesh's single reactor thread ([`MuxMesh`]); a lane is purely a
 /// routing namespace — the lane id is folded into the u64 tag slot of
 /// every wire frame ([`mux_pack`][crate::frame::mux_pack]) and incoming
-/// frames are demultiplexed to the lane's own inbox. The API mirrors
-/// [`TcpEndpoint`], so the protocol layer cannot tell a lane of a shared
-/// mesh from a dedicated mesh.
+/// frames are demultiplexed to the lane's own inbox. The API mirrors the
+/// in-process [`Endpoint`][crate::Endpoint], so the protocol layer
+/// cannot tell the two apart.
 #[derive(Debug)]
 pub struct MuxEndpoint {
     me: ProviderId,
@@ -765,43 +467,30 @@ pub struct MuxEndpoint {
 
 impl MuxEndpoint {
     /// Join a multiplexed mesh as provider `me`, returning one endpoint
-    /// per lane (this is the multi-host entry point; in-process callers
-    /// use [`MuxMesh::loopback`]). `addrs[j]` is provider `j`'s
+    /// per lane — the multi-process deployment's entry point (in-process
+    /// callers use [`MuxMesh::loopback`]). `addrs[j]` is provider `j`'s
     /// listening address; `listener` must be bound to `addrs[me]`'s
     /// port. All providers must agree on `lanes`.
     ///
-    /// # Errors
-    ///
-    /// Any socket-level failure, or peers unreachable within the
-    /// bring-up budget — as for [`TcpEndpoint::establish`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero or exceeds
-    /// [`MUX_MAX_LANES`].
-    pub fn establish(
-        me: ProviderId,
-        lanes: usize,
-        listener: TcpListener,
-        addrs: &[SocketAddr],
-    ) -> io::Result<Vec<MuxEndpoint>> {
-        MuxEndpoint::establish_with_options(me, lanes, listener, addrs, &MeshOptions::default())
-    }
-
-    /// [`MuxEndpoint::establish`] with explicit [`MeshOptions`] — the
-    /// multi-process deployment's entry point: the provider presents its
-    /// coordinator-assigned incarnation in every hello, refuses hellos
-    /// below each peer's incarnation floor (stale dials from a killed
-    /// peer's previous life), and bounds bring-up by the caller's
-    /// budget rather than the default `DIAL_TIMEOUT`.
+    /// The call dials every peer with a smaller id (redialling,
+    /// event-paced, until its listener is up) and accepts a connection
+    /// from every peer with a larger id, so the `m` providers may start
+    /// in any order. The provider presents `options.incarnation` in every
+    /// hello, refuses hellos below each peer's incarnation floor (stale
+    /// dials from a killed peer's previous life), and bounds bring-up by
+    /// `options.budget`.
     ///
     /// # Errors
     ///
-    /// As for [`MuxEndpoint::establish`].
+    /// Any socket-level failure, or peers that cannot be reached (dial)
+    /// or do not connect (accept) within the budget — the timeout error
+    /// wraps [`WireError::BringUpExpired`] naming each peer still
+    /// outstanding, so a peer whose own bring-up failed leaves this call
+    /// with a diagnosis, never blocked forever.
     ///
     /// # Panics
     ///
-    /// As for [`MuxEndpoint::establish`].
+    /// Panics if `lanes` is zero or exceeds [`MUX_MAX_LANES`].
     pub fn establish_with_options(
         me: ProviderId,
         lanes: usize,
@@ -810,16 +499,10 @@ impl MuxEndpoint {
         options: &MeshOptions,
     ) -> io::Result<Vec<MuxEndpoint>> {
         let m = addrs.len();
-        let streams = establish_streams_with(me, listener, addrs, options)?;
+        let streams = establish_streams(me, listener, addrs, options)?;
         let metrics = TrafficMetrics::new(m);
         let (lane_txs, lane_rxs) = make_lane_channels(lanes);
-        let spec = NodeSpec {
-            me,
-            format: WireFormat::Mux,
-            streams,
-            lanes: lane_txs,
-            metrics: metrics.clone(),
-        };
+        let spec = NodeSpec { me, streams, lanes: lane_txs, metrics: metrics.clone() };
         let (reactor, mut ios) = reactor::spawn(vec![spec])?;
         let io = ios.pop().expect("one node spec yields one node io");
         Ok(build_lane_endpoints(me, m, io, lane_rxs, metrics, &reactor))
@@ -1057,7 +740,6 @@ impl MuxMesh {
             let (lane_txs, lane_rxs) = make_lane_channels(lanes);
             specs.push(NodeSpec {
                 me: ProviderId(i as u32),
-                format: WireFormat::Mux,
                 streams: row,
                 lanes: lane_txs,
                 metrics: metrics.clone(),

@@ -1,16 +1,147 @@
-//! Integration tests for the multiplexed TCP mesh: lane isolation over
-//! shared sockets, raw-frame transparency, coalesced flush on shutdown,
-//! the `TCP_NODELAY` loopback-latency contract, and the O(1) reactor
-//! I/O-thread accounting that replaces the old per-peer O(m) roster
-//! (which itself replaced the mesh-per-shard O(m·shards)).
+//! Integration tests for the TCP mesh: FIFO per link, frame integrity
+//! across the byte stream, shutdown semantics, traffic accounting, lane
+//! isolation over shared sockets, raw-frame transparency, coalesced
+//! flush on shutdown, the `TCP_NODELAY` loopback-latency contract, and
+//! the O(1) reactor I/O-thread accounting that replaces the old per-peer
+//! O(m) roster (which itself replaced the mesh-per-shard O(m·shards)).
 
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use dauctioneer_net::{frame, MuxMesh, RecvError};
+use dauctioneer_net::{frame, unframe, MuxEndpoint, MuxMesh, RecvError};
 use dauctioneer_types::ProviderId;
 
 const RECV: Duration = Duration::from_secs(5);
+
+/// The endpoints of a single-lane loopback mesh of `m` providers, in id
+/// order.
+fn one_lane(m: usize) -> Vec<MuxEndpoint> {
+    MuxMesh::loopback(m, 1).unwrap().take_lane_endpoints().remove(0)
+}
+
+#[test]
+fn fifo_per_link() {
+    let eps = one_lane(2);
+    for i in 0..100u8 {
+        eps[0].send(ProviderId(1), Bytes::copy_from_slice(&[i]));
+    }
+    for i in 0..100u8 {
+        let (_, payload) = eps[1].recv_timeout(RECV).unwrap();
+        assert_eq!(payload[0], i, "out-of-order TCP delivery");
+    }
+}
+
+#[test]
+fn message_boundaries_survive_the_byte_stream() {
+    // Frames of very different sizes back-to-back on one socket: the
+    // wire layer must re-delimit them exactly.
+    let eps = one_lane(2);
+    let sizes = [0usize, 1, 7, 8, 9, 1024, 65_537];
+    for &len in &sizes {
+        eps[0].send(ProviderId(1), Bytes::from(vec![len as u8; len]));
+    }
+    for &len in &sizes {
+        let (_, payload) = eps[1].recv_timeout(RECV).unwrap();
+        assert_eq!(payload.len(), len);
+        assert!(payload.iter().all(|b| *b == len as u8));
+    }
+}
+
+#[test]
+fn session_tags_survive_a_shared_lane() {
+    // Two sessions' frames interleaved over the same lane: the receiver
+    // can attribute every frame to its session by tag alone.
+    let eps = one_lane(2);
+    for round in 0..10u64 {
+        for session in [7u64, 9] {
+            let body = format!("s{session}-r{round}");
+            eps[0].send(ProviderId(1), frame(session, body.as_bytes()));
+        }
+    }
+    let mut seen = std::collections::HashMap::<u64, u64>::new();
+    for _ in 0..20 {
+        let (_, payload) = eps[1].recv_timeout(RECV).unwrap();
+        let (tag, body) = unframe(&payload).unwrap();
+        let round = seen.entry(tag).or_insert(0);
+        assert_eq!(
+            std::str::from_utf8(body).unwrap(),
+            format!("s{tag}-r{round}"),
+            "frame attributed to the wrong session"
+        );
+        *round += 1;
+    }
+    assert_eq!(seen[&7], 10);
+    assert_eq!(seen[&9], 10);
+}
+
+#[test]
+fn dropping_an_endpoint_disconnects_its_peers() {
+    let mut eps = one_lane(2);
+    let e1 = eps.remove(1);
+    let e0 = eps.remove(0);
+    // Queued messages still arrive before the disconnect is observed.
+    e0.send(ProviderId(1), Bytes::from_static(b"last words"));
+    drop(e0);
+    let (_, payload) = e1.recv_timeout(RECV).unwrap();
+    assert_eq!(&payload[..], b"last words");
+    let err = loop {
+        match e1.recv_timeout(RECV) {
+            Ok(_) => continue,
+            Err(err) => break err,
+        }
+    };
+    assert_eq!(err, RecvError::Disconnected);
+}
+
+#[test]
+fn recv_timeout_expires_without_traffic() {
+    let eps = one_lane(2);
+    assert_eq!(eps[0].recv_timeout(Duration::from_millis(20)), Err(RecvError::Timeout));
+}
+
+#[test]
+fn broadcast_reaches_all_peers_but_not_self() {
+    let eps = one_lane(3);
+    eps[1].broadcast(&Bytes::from_static(b"b"));
+    assert!(eps[0].recv_timeout(RECV).is_ok());
+    assert!(eps[2].recv_timeout(RECV).is_ok());
+    std::thread::sleep(Duration::from_millis(30));
+    assert!(eps[1].try_recv().is_none());
+}
+
+#[test]
+fn concurrent_threads_exchange_over_sockets() {
+    let handles: Vec<_> = one_lane(4)
+        .into_iter()
+        .map(|ep| {
+            std::thread::spawn(move || {
+                ep.broadcast(&Bytes::from_static(b"ping"));
+                let mut got = 0;
+                while got < 3 {
+                    if ep.recv_timeout(RECV).is_ok() {
+                        got += 1;
+                    }
+                }
+                got
+            })
+        })
+        .collect();
+    for h in handles {
+        assert_eq!(h.join().unwrap(), 3);
+    }
+}
+
+#[test]
+fn metrics_count_tcp_traffic() {
+    let mut mesh = MuxMesh::loopback(2, 1).unwrap();
+    let metrics = mesh.metrics();
+    let eps = mesh.take_lane_endpoints().remove(0);
+    eps[0].send(ProviderId(1), Bytes::from_static(b"12345"));
+    eps[1].recv_timeout(RECV).unwrap();
+    let snap = metrics.snapshot();
+    assert_eq!(snap.per_provider[0].sent_bytes, 5);
+    assert_eq!(snap.per_provider[1].received_bytes, 5);
+}
 
 #[test]
 fn lanes_are_isolated_namespaces_over_one_socket() {
@@ -28,7 +159,7 @@ fn lanes_are_isolated_namespaces_over_one_socket() {
         for round in 0..5u64 {
             let (from, payload) = row[1].recv_timeout(RECV).unwrap();
             assert_eq!(from, ProviderId(0));
-            let (tag, body) = dauctioneer_net::unframe(&payload).unwrap();
+            let (tag, body) = unframe(&payload).unwrap();
             assert_eq!(tag, 100 + lane as u64, "frame crossed lanes");
             assert_eq!(std::str::from_utf8(body).unwrap(), format!("lane{lane}-r{round}"));
         }

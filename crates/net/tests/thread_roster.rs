@@ -4,16 +4,16 @@
 //! of `m` providers and any number of lanes holds a **constant** number
 //! of I/O threads — one reactor — where the old design spawned a
 //! blocking reader and a coalescing writer per peer connection
-//! (`2m(m−1)` threads per mux mesh, `2(m−1)` per dedicated-mesh
-//! endpoint). It counts real OS threads via `/proc/self/task` rather
-//! than trusting the API's own `io_threads()` gauge, using the
-//! named-thread partition trick: every reactor thread is named with a
-//! fixed prefix that survives the kernel's 15-byte `comm` truncation.
+//! (`2m(m−1)` threads per mesh). It counts real OS threads via
+//! `/proc/self/task` rather than trusting the API's own `io_threads()`
+//! gauge, using the named-thread partition trick: every reactor thread
+//! is named with a fixed prefix that survives the kernel's 15-byte
+//! `comm` truncation.
 //!
 //! It lives in its own integration-test binary (= its own process) so
 //! the exact thread counts cannot race with other tests' meshes.
 
-use dauctioneer_net::{MuxMesh, TcpMesh};
+use dauctioneer_net::MuxMesh;
 
 /// Live OS threads of this process whose name starts with the reactor
 /// prefix.
@@ -63,15 +63,15 @@ fn os_thread_roster_is_constant_in_mesh_size_and_lanes() {
         );
     }
 
-    // The dedicated (plain) mesh shares the same property: one reactor
-    // for all m nodes, not 2(m−1) threads per endpoint.
-    let tcp = TcpMesh::loopback(4).unwrap();
-    assert_roster(meshes.len() + 1, "plain mesh grew more than one I/O thread");
+    // A single-lane mesh shares the same property: one reactor for all
+    // m nodes, not 2(m−1) threads per endpoint.
+    let single = MuxMesh::loopback(4, 1).unwrap();
+    assert_roster(meshes.len() + 1, "single-lane mesh grew more than one I/O thread");
 
     // Teardown releases them: drop everything and the roster returns to
     // zero (dropping the last handle joins each reactor thread, so the
     // zero is deterministic, not eventual).
-    drop(tcp);
+    drop(single);
     drop(meshes);
     assert_eq!(reactor_threads(), 0, "reactor threads leaked past mesh teardown");
 }

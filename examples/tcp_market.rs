@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dauctioneer::core::{drive, DoubleAuctionProgram, FrameworkConfig, SessionEngine};
-use dauctioneer::net::TcpMesh;
+use dauctioneer::net::MuxMesh;
 use dauctioneer::types::{BidVector, Bw, Money, ProviderAsk, ProviderId, UserBid, UserId};
 
 fn main() {
@@ -33,11 +33,11 @@ fn main() {
         .provider_ask(1, ProviderAsk::new(Money::from_f64(0.45), Bw::from_f64(1.0)))
         .build();
 
-    // Bring up the socket mesh: m listeners, one TCP connection per
-    // provider pair, established concurrently.
-    let mut mesh = TcpMesh::loopback(m).expect("bring up loopback TCP mesh");
+    // Bring up the socket mesh: one TCP connection per provider pair,
+    // carrying a single lane.
+    let mut mesh = MuxMesh::loopback(m, 1).expect("bring up loopback TCP mesh");
     let metrics = mesh.metrics();
-    let endpoints = mesh.take_endpoints();
+    let endpoints = mesh.take_lane_endpoints().remove(0);
     println!("TCP mesh up: {m} providers, {} connections", m * (m - 1) / 2);
 
     // One thread per provider, as on real hardware: build the engine,

@@ -211,6 +211,12 @@ fn main() {
             std::process::exit(2);
         }
     };
+    // `m > 2k` depends on neither the mechanism nor the workload: reject
+    // it here with a usage error, before any runtime asserts it.
+    if let Err(e) = FrameworkConfig::new(args.m, args.k, args.n, 0).validate() {
+        eprintln!("invalid configuration: {e}");
+        std::process::exit(2);
+    }
 
     // `--mechanism SPEC` supersedes the legacy `--auction` selector and
     // reaches all four mechanisms through the same grammar `serve` uses.
