@@ -54,7 +54,7 @@ fn solve_once(n: usize, m: usize, budget: u64, seed: u64) -> (f64, usize, SolveS
     let elapsed = started.elapsed().as_secs_f64();
     let sample = SolveSample {
         nodes: stats.nodes,
-        fallback: stats.fallback,
+        fallback: !stats.complete,
         bound_ppm: stats.bound_ppm,
         welfare: solution.welfare.as_f64(),
         root_bound: stats.root_bound.as_f64(),

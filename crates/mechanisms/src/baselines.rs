@@ -37,13 +37,11 @@ impl Mechanism for GreedyFirstPrice {
         let solution = solve_greedy(&instance);
         let mut allocation = Allocation::new(bids.num_users(), m);
         let mut payments = Payments::zero(bids.num_users(), m);
-        for (item, assigned) in instance.items.iter().zip(&solution.assignment) {
-            if let Some(j) = assigned {
-                let provider = ProviderId(*j as u32);
-                allocation.add(item.user, provider, item.demand);
-                payments.set_user_payment(item.user, item.value);
-                payments.add_provider_revenue(provider, item.value);
-            }
+        for (item, option, j) in solution.winners(&instance) {
+            let provider = ProviderId(j as u32);
+            allocation.add(item.user, provider, Bw::from_micro(option.units));
+            payments.set_user_payment(item.user, option.price);
+            payments.add_provider_revenue(provider, option.price);
         }
         AuctionResult::new(allocation, payments)
     }

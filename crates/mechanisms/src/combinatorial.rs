@@ -4,13 +4,14 @@
 //! resource allocation: the resource is sold in *indivisible units*, and
 //! each bidder submits an XOR set of bundle options — "this many units,
 //! wholly at one provider, for this total price". Winner determination
-//! ([`crate::solver::bundle`]) is NP-hard; the solver is an exact
+//! ([`crate::solver`]) is NP-hard; the solver is an exact
 //! branch-and-bound under a **node budget**, seeded by a greedy
 //! incumbent that becomes the approximation-bounded fallback when the
 //! budget exhausts. [`CombinatorialAuction::winner_determination`]
-//! surfaces the solver's [`BundleSolveStats`], including the certified
+//! returns the solver's [`SolveStats`], including the certified
 //! `bound_ppm` optimality fraction — the "reports its bound on the
-//! result" contract.
+//! result" contract; [`Mechanism::run`] clears with the same search and
+//! drops the statistics.
 //!
 //! The market submits plain [`UserBid`](dauctioneer_types::UserBid)s, so the mechanism *lifts* each
 //! valid bid into an XOR bundle deterministically (no randomness, no
@@ -33,9 +34,7 @@ use dauctioneer_types::{
 };
 
 use crate::shared::SharedRng;
-use crate::solver::{
-    solve_bundle_branch_bound, BranchBoundConfig, BundleInstance, BundleSolution, BundleSolveStats,
-};
+use crate::solver::{solve_branch_bound, BranchBoundConfig, BundleInstance, Solution, SolveStats};
 use crate::traits::Mechanism;
 
 /// Default resource quantum: a quarter of the abstract unit, so typical
@@ -166,10 +165,10 @@ impl CombinatorialAuction {
         &self,
         bids: &BidVector,
         shared: &SharedRng,
-    ) -> (BundleInstance, BundleSolution, BundleSolveStats) {
+    ) -> (BundleInstance, Solution, SolveStats) {
         let instance = BundleInstance::new(&self.lift_bids(bids), &self.unit_capacities());
         let mut rng = shared.rng(b"combinatorial/wd");
-        let (solution, stats) = solve_bundle_branch_bound(&instance, self.config.solver, &mut rng);
+        let (solution, stats) = solve_branch_bound(&instance, self.config.solver, &mut rng);
         (instance, solution, stats)
     }
 
@@ -181,14 +180,12 @@ impl CombinatorialAuction {
         &self,
         bids: &BidVector,
         instance: &BundleInstance,
-        solution: &BundleSolution,
+        solution: &Solution,
     ) -> AuctionResult {
         let mut allocation = Allocation::new(bids.num_users(), self.num_providers());
         let mut payments = Payments::zero(bids.num_users(), self.num_providers());
-        for (choice, bid) in solution.choice.iter().zip(&instance.bids) {
-            let Some((oi, j)) = choice else { continue };
-            let option = bid.options[*oi];
-            let provider = ProviderId(*j as u32);
+        for (bid, option, j) in solution.winners(instance) {
+            let provider = ProviderId(j as u32);
             let granted = Bw::from_micro(option.units * self.config.unit.micro());
             let demand = bids.user_bid(bid.user).as_bid().map(|b| b.demand()).unwrap_or(granted);
             allocation.add(bid.user, provider, granted.min(demand));
@@ -307,7 +304,7 @@ mod tests {
             (0..14).map(|i| (1.25 - 0.03 * i as f64, 0.3 + 0.05 * (i % 5) as f64)).collect();
         let bids = bids_of(&specs);
         let (instance, solution, stats) = a.winner_determination(&bids, &shared());
-        assert!(stats.fallback, "30-node budget must exhaust");
+        assert!(!stats.complete, "30-node budget must exhaust");
         assert!(stats.bound_ppm > 0);
         assert!(solution.is_feasible(&instance));
         // The assembled result is still feasible and rational.

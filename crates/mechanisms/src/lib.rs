@@ -18,7 +18,8 @@
 //!   Zhang et al. (INFOCOM 2015) used for the computation-bound experiment
 //!   (Fig. 5). Users are single-minded (their whole demand must be placed at
 //!   one provider); welfare maximisation is a multiple-knapsack problem
-//!   (NP-hard). The [`solver`] module provides an exact branch-and-bound
+//!   (NP-hard) — the one-option case of XOR-bundle winner determination.
+//!   The [`solver`] module provides an exact branch-and-bound
 //!   with a fractional relaxation bound, an ε early-stop that trades
 //!   optimality for time (the same dial as the paper's (1−ε) guarantee),
 //!   and coin-seeded randomized exploration. VCG payments require one
@@ -29,10 +30,11 @@
 //! case study (ROADMAP item 2):
 //!
 //! * [`CombinatorialAuction`] — multi-unit XOR-bundle clearing after Yen &
-//!   Sun's decentralized combinatorial auctions. Winner determination is a
-//!   node-budgeted branch-and-bound ([`solver::bundle`]) whose greedy
-//!   fallback reports a certified bound on its result when the budget
-//!   exhausts; payments are pay-as-bid on the winning option.
+//!   Sun's decentralized combinatorial auctions. Winner determination is
+//!   the same node-budgeted branch-and-bound ([`solver`]) over bidders
+//!   with several XOR options, whose greedy fallback reports a certified
+//!   bound on its result when the budget exhausts; payments are
+//!   pay-as-bid on the winning option.
 //!
 //! * [`DivisibleAuction`] — fractional allocation by descending-β
 //!   water-filling with exact Clarke-pivot VCG payments, one cheap

@@ -1,21 +1,20 @@
-//! Branch-and-bound multiple-knapsack solver with a (1−ε) early stop.
+//! Branch-and-bound search with a (1−ε) early stop and a node budget.
 //!
 //! This reproduces the computational profile of Zhang et al.'s randomized
 //! (1−ε)-optimal mechanism (the paper's reference \[18\]): an exact search
 //! whose running time explodes with the feasible-allocation space, tamed by
 //! an ε knob that stops as soon as the incumbent provably reaches a (1−ε)
-//! fraction of the optimum. The search explores items in density order,
-//! prunes with the pooled fractional-relaxation bound, breaks provider
-//! symmetries, and (optionally) randomizes the provider branch order from
-//! the shared coin — the "randomized auction" aspect of \[18\]; replicas
-//! seeded identically explore identically, which the distributed framework
-//! relies on.
+//! fraction of the optimum. Provider branch orders may be shuffled from the
+//! shared coin — the "randomized auction" aspect of \[18\] — but the RNG
+//! is drawn only before the search and the budget counts **nodes, never
+//! wall-clock**, so every replica and every journal recovery replay
+//! explores identically and stops at the same node.
 
-use dauctioneer_types::{Bw, Money};
+use dauctioneer_types::Money;
 use rand::seq::SliceRandom;
 use rand::RngCore;
 
-use super::{solve_greedy, Instance, Solution};
+use super::{solve_greedy, Bidder, Instance, Solution};
 
 /// Parts-per-million denominator for the ε knob.
 pub const PPM: u64 = 1_000_000;
@@ -47,17 +46,26 @@ pub struct SolveStats {
     /// Nodes visited.
     pub nodes: u64,
     /// `true` if the search ran to completion (exact optimum, or proven
-    /// (1−ε)-optimal when ε > 0).
+    /// (1−ε)-optimal when ε > 0); `false` when the node budget cut it
+    /// short and the greedy-seeded incumbent was returned.
     pub complete: bool,
     /// Root fractional bound (upper bound on the optimum).
     pub root_bound: Money,
+    /// Certified optimality fraction of the returned solution, in parts
+    /// per million: `welfare·PPM / root_bound`, clamped to `PPM`. Since
+    /// `root_bound ≥ OPT`, the result achieves at least `bound_ppm / PPM`
+    /// of the true optimum — the bound a budgeted search reports.
+    pub bound_ppm: u64,
 }
 
-struct Search<'a> {
-    instance: &'a Instance,
-    config: BranchBoundConfig,
-    /// Provider try-order per item depth (possibly shuffled).
+struct Search<'a, B> {
+    instance: &'a Instance<B>,
+    max_nodes: u64,
+    /// Provider try-order per bidder depth (possibly shuffled).
     provider_orders: Vec<Vec<usize>>,
+    /// Residual capacity per provider and choice per bidder on the path.
+    residual: Vec<u64>,
+    choice: Vec<Option<(usize, usize)>>,
     incumbent: Solution,
     target: Money,
     nodes: u64,
@@ -73,28 +81,29 @@ struct Search<'a> {
 /// # Example
 ///
 /// ```
-/// use dauctioneer_mechanisms::solver::{solve_branch_bound, BranchBoundConfig, Instance};
-/// use dauctioneer_types::{BidVector, UserBid, Money, Bw};
+/// use dauctioneer_mechanisms::solver::{solve_branch_bound, BranchBoundConfig, BundleInstance};
+/// use dauctioneer_types::{BundleBid, BundleOption, Money, UserId};
 /// use rand::{SeedableRng, rngs::StdRng};
 ///
-/// let bids = BidVector::builder(2, 0)
-///     .user_bid(0, UserBid::new(Money::from_f64(1.0), Bw::from_f64(0.6)))
-///     .user_bid(1, UserBid::new(Money::from_f64(0.9), Bw::from_f64(0.6)))
-///     .build();
-/// let inst = Instance::from_bids(&bids, &[Bw::from_f64(0.6)]);
+/// let bids = [
+///     BundleBid::new(UserId(0), vec![BundleOption::new(3, Money::from_f64(3.0))]),
+///     BundleBid::new(UserId(1), vec![
+///         BundleOption::new(4, Money::from_f64(4.4)),
+///         BundleOption::new(1, Money::from_f64(1.2)),
+///     ]),
+/// ];
+/// let inst = BundleInstance::new(&bids, &[4]);
 /// let (sol, stats) = solve_branch_bound(&inst, BranchBoundConfig::default(),
 ///                                       &mut StdRng::seed_from_u64(1));
 /// assert!(stats.complete);
-/// assert_eq!(sol.welfare, Money::from_f64(0.6)); // denser user wins
+/// assert_eq!(sol.welfare, Money::from_f64(4.4)); // user 1's full bundle beats 3.0 + 1.2
 /// ```
-pub fn solve_branch_bound(
-    instance: &Instance,
+pub fn solve_branch_bound<B: Bidder>(
+    instance: &Instance<B>,
     config: BranchBoundConfig,
     rng: &mut dyn RngCore,
 ) -> (Solution, SolveStats) {
-    let m = instance.capacities.len();
-    let n = instance.len();
-    let pooled: Bw = instance.capacities.iter().copied().sum();
+    let pooled: u64 = instance.capacities.iter().sum();
     let root_bound = instance.fractional_bound(0, pooled);
 
     // ε target: stop once incumbent ≥ (1−ε)·root_bound.
@@ -105,54 +114,56 @@ pub fn solve_branch_bound(
 
     // Branch order per depth, fixed up front so the traversal depends only
     // on the seed.
-    let mut provider_orders: Vec<Vec<usize>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut order: Vec<usize> = (0..m).collect();
-        if config.shuffle_providers {
-            order.shuffle(rng);
-        }
-        provider_orders.push(order);
-    }
+    let provider_orders = (0..instance.len())
+        .map(|_| {
+            let mut order: Vec<usize> = (0..instance.capacities.len()).collect();
+            if config.shuffle_providers {
+                order.shuffle(rng);
+            }
+            order
+        })
+        .collect();
 
-    let incumbent = solve_greedy(instance);
-    let mut search =
-        Search { instance, config, provider_orders, incumbent, target, nodes: 0, stopped: false };
+    let mut search = Search {
+        instance,
+        max_nodes: config.max_nodes,
+        provider_orders,
+        residual: instance.capacities.clone(),
+        choice: vec![None; instance.len()],
+        incumbent: solve_greedy(instance),
+        target,
+        nodes: 0,
+        stopped: false,
+    };
     // The greedy incumbent may already prove (1−ε)-optimality.
     if search.incumbent.welfare < target {
-        let mut residual = instance.capacities.clone();
-        let mut assignment: Vec<Option<usize>> = vec![None; n];
-        search.explore(0, Money::ZERO, pooled, &mut residual, &mut assignment);
+        search.explore(0, Money::ZERO, pooled);
     }
 
     let complete = !search.stopped || search.incumbent.welfare >= target;
-    let stats = SolveStats { nodes: search.nodes, complete, root_bound };
-    let incumbent = search.incumbent;
-    (incumbent, stats)
+    let bound_ppm = match root_bound.micro() {
+        root if root <= 0 => PPM,
+        root => ((search.incumbent.welfare.micro() as i128 * PPM as i128 / root as i128) as u64)
+            .min(PPM),
+    };
+    let stats = SolveStats { nodes: search.nodes, complete, root_bound, bound_ppm };
+    (search.incumbent, stats)
 }
 
-impl<'a> Search<'a> {
-    fn explore(
-        &mut self,
-        depth: usize,
-        value: Money,
-        pooled_residual: Bw,
-        residual: &mut [Bw],
-        assignment: &mut Vec<Option<usize>>,
-    ) {
+impl<B: Bidder> Search<'_, B> {
+    fn explore(&mut self, depth: usize, value: Money, pooled_residual: u64) {
         if self.stopped {
             return;
         }
         self.nodes += 1;
-        if self.nodes >= self.config.max_nodes {
+        if self.nodes >= self.max_nodes {
             self.stopped = true;
             return;
         }
         if depth == self.instance.len() {
             if value > self.incumbent.welfare {
-                self.incumbent = Solution { assignment: assignment.clone(), welfare: value };
-                if value >= self.target {
-                    self.stopped = true;
-                }
+                self.incumbent = Solution { choice: self.choice.clone(), welfare: value };
+                self.stopped = value >= self.target;
             }
             return;
         }
@@ -163,161 +174,32 @@ impl<'a> Search<'a> {
             return;
         }
 
-        let item = self.instance.items[depth];
-        // Assign-branches first (density order makes early assignment the
-        // greedy-good choice), skipping symmetric residuals.
+        let bidder = &self.instance.bidders[depth];
         let order = std::mem::take(&mut self.provider_orders[depth]);
-        let mut tried: Vec<Bw> = Vec::with_capacity(order.len());
-        for &j in &order {
-            if residual[j] < item.demand {
-                continue;
-            }
-            // Symmetry breaking: two providers with equal residual lead to
-            // isomorphic subtrees; explore only the first.
-            if tried.contains(&residual[j]) {
-                continue;
-            }
-            tried.push(residual[j]);
-            residual[j] = residual[j].saturating_sub(item.demand);
-            assignment[depth] = Some(j);
-            self.explore(
-                depth + 1,
-                value + item.value,
-                pooled_residual.saturating_sub(item.demand),
-                residual,
-                assignment,
-            );
-            assignment[depth] = None;
-            residual[j] += item.demand;
-            if self.stopped {
-                self.provider_orders[depth] = order;
-                return;
+        // Assign-branches first (canonical order makes early assignment
+        // the greedy-good choice).
+        for (oi, opt) in bidder.options().iter().enumerate() {
+            // Symmetry breaking per option: two providers with equal
+            // residual lead to isomorphic subtrees; explore only the first.
+            let mut tried: Vec<u64> = Vec::with_capacity(order.len());
+            for &j in &order {
+                let residual = self.residual[j];
+                if residual < opt.units || tried.contains(&residual) {
+                    continue;
+                }
+                tried.push(residual);
+                self.residual[j] -= opt.units;
+                self.choice[depth] = Some((oi, j));
+                self.explore(depth + 1, value + opt.price, pooled_residual - opt.units);
+                self.choice[depth] = None;
+                self.residual[j] += opt.units;
+                if self.stopped {
+                    return;
+                }
             }
         }
         self.provider_orders[depth] = order;
-        // Skip-branch: the item loses.
-        self.explore(depth + 1, value, pooled_residual, residual, assignment);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::solver::solve_exhaustive;
-    use dauctioneer_types::{BidVector, UserBid};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn instance(users: &[(f64, f64)], caps: &[f64]) -> Instance {
-        let mut b = BidVector::builder(users.len(), 0);
-        for (i, (v, d)) in users.iter().enumerate() {
-            b = b.user_bid(i, UserBid::new(Money::from_f64(*v), Bw::from_f64(*d)));
-        }
-        let caps: Vec<Bw> = caps.iter().map(|c| Bw::from_f64(*c)).collect();
-        Instance::from_bids(&b.build(), &caps)
-    }
-
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(42)
-    }
-
-    #[test]
-    fn empty_instance() {
-        let inst = instance(&[], &[1.0]);
-        let (sol, stats) = solve_branch_bound(&inst, BranchBoundConfig::default(), &mut rng());
-        assert_eq!(sol.welfare, Money::ZERO);
-        assert!(stats.complete);
-    }
-
-    #[test]
-    fn beats_greedy_when_greedy_is_suboptimal() {
-        // Greedy (density order) takes the 0.6-demand item first and the
-        // 0.5-demand item no longer fits with the third; optimal picks
-        // differently. Construct: cap 1.0; items (v=1.01,d=0.6),
-        // (v=1.0,d=0.5), (v=1.0,d=0.5). Greedy: takes 0.6 (value .606),
-        // then one 0.5 does not fit (0.4 left) → welfare .606.
-        // Optimal: the two 0.5s → welfare 1.0.
-        let inst = instance(&[(1.01, 0.6), (1.0, 0.5), (1.0, 0.5)], &[1.0]);
-        let greedy = solve_greedy(&inst);
-        let (sol, stats) = solve_branch_bound(&inst, BranchBoundConfig::default(), &mut rng());
-        assert!(stats.complete);
-        assert!(sol.welfare > greedy.welfare, "bb {} vs greedy {}", sol.welfare, greedy.welfare);
-        assert_eq!(sol.welfare, Money::from_f64(1.0));
-    }
-
-    #[test]
-    fn matches_exhaustive_on_small_instances() {
-        type Case = (Vec<(f64, f64)>, Vec<f64>); // (user bids, capacities)
-        let cases: Vec<Case> = vec![
-            (vec![(1.2, 0.3), (1.1, 0.5), (0.9, 0.7), (0.8, 0.4)], vec![1.0]),
-            (vec![(1.2, 0.3), (1.1, 0.5), (0.9, 0.7), (0.8, 0.4)], vec![0.6, 0.6]),
-            (vec![(1.0, 0.9), (1.0, 0.9), (1.0, 0.9)], vec![1.0, 1.0]),
-            (vec![(1.25, 0.1), (0.76, 1.0), (1.0, 0.55), (0.9, 0.45), (0.8, 0.3)], vec![0.7, 0.8]),
-        ];
-        for (users, caps) in cases {
-            let inst = instance(&users, &caps);
-            let (sol, stats) = solve_branch_bound(&inst, BranchBoundConfig::default(), &mut rng());
-            let best = solve_exhaustive(&inst);
-            assert!(stats.complete);
-            assert_eq!(sol.welfare, best.welfare, "users {users:?} caps {caps:?}");
-            assert!(sol.is_feasible(&inst));
-            assert_eq!(sol.compute_welfare(&inst), sol.welfare);
-        }
-    }
-
-    #[test]
-    fn epsilon_stop_returns_near_optimal_quickly() {
-        let users: Vec<(f64, f64)> =
-            (0..14).map(|i| (1.25 - 0.03 * i as f64, 0.2 + 0.05 * (i % 5) as f64)).collect();
-        let inst = instance(&users, &[1.1, 0.9]);
-        let exact_cfg = BranchBoundConfig::default();
-        let (exact, exact_stats) = solve_branch_bound(&inst, exact_cfg, &mut rng());
-        let approx_cfg = BranchBoundConfig { epsilon_ppm: 100_000, ..exact_cfg }; // ε = 10%
-        let (approx, approx_stats) = solve_branch_bound(&inst, approx_cfg, &mut rng());
-        assert!(approx_stats.nodes <= exact_stats.nodes);
-        // (1−ε) guarantee relative to the *root bound*, which dominates the optimum.
-        let floor = Money::from_micro((exact.welfare.micro() as f64 * 0.9) as i64);
-        assert!(approx.welfare >= floor, "approx {} exact {}", approx.welfare, exact.welfare);
-    }
-
-    #[test]
-    fn node_cap_truncates_but_stays_feasible() {
-        let users: Vec<(f64, f64)> =
-            (0..18).map(|i| (1.2 - 0.02 * i as f64, 0.15 + 0.04 * (i % 7) as f64)).collect();
-        let inst = instance(&users, &[1.0, 1.0, 0.8]);
-        let cfg = BranchBoundConfig { max_nodes: 50, ..Default::default() };
-        let (sol, stats) = solve_branch_bound(&inst, cfg, &mut rng());
-        assert!(stats.nodes <= 50);
-        assert!(sol.is_feasible(&inst));
-        // The greedy incumbent survives as a floor.
-        assert!(sol.welfare >= solve_greedy(&inst).welfare);
-    }
-
-    #[test]
-    fn deterministic_for_equal_seeds_even_with_shuffling() {
-        let users: Vec<(f64, f64)> =
-            (0..12).map(|i| (1.2 - 0.03 * i as f64, 0.2 + 0.06 * (i % 4) as f64)).collect();
-        let inst = instance(&users, &[0.9, 0.7]);
-        let cfg = BranchBoundConfig { shuffle_providers: true, ..Default::default() };
-        let (a, sa) = solve_branch_bound(&inst, cfg, &mut StdRng::seed_from_u64(7));
-        let (b, sb) = solve_branch_bound(&inst, cfg, &mut StdRng::seed_from_u64(7));
-        assert_eq!(a, b);
-        assert_eq!(sa, sb);
-    }
-
-    #[test]
-    fn root_bound_dominates_solution() {
-        let users: Vec<(f64, f64)> = (0..8).map(|i| (1.0 + 0.01 * i as f64, 0.3)).collect();
-        let inst = instance(&users, &[1.0]);
-        let (sol, stats) = solve_branch_bound(&inst, BranchBoundConfig::default(), &mut rng());
-        assert!(stats.root_bound >= sol.welfare);
-    }
-
-    #[test]
-    fn oversized_item_is_never_assigned() {
-        let inst = instance(&[(2.0, 5.0), (1.0, 0.5)], &[1.0]);
-        let (sol, _) = solve_branch_bound(&inst, BranchBoundConfig::default(), &mut rng());
-        assert_eq!(sol.assignment[0], None);
-        assert_eq!(sol.assignment[1], Some(0));
+        // Skip-branch: the bidder loses.
+        self.explore(depth + 1, value, pooled_residual);
     }
 }

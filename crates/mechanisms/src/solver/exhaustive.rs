@@ -1,105 +1,62 @@
-//! Exhaustive enumeration — ground truth for tiny instances.
-//!
-//! Enumerates all `(m+1)ⁿ` assignments. Guarded to small `n`; exists so
-//! that property tests can compare the branch-and-bound solver against the
-//! true optimum.
+//! Exhaustive enumeration — ground truth for small instances, so that
+//! property tests can compare the branch-and-bound against the optimum.
 
-use dauctioneer_types::{Bw, Money};
+use dauctioneer_types::Money;
 
-use super::{Instance, Solution};
+use super::{Bidder, Instance, Solution};
 
-/// Maximum instance size accepted (larger inputs would enumerate too many
-/// assignments to be useful even in tests).
-pub const MAX_EXHAUSTIVE_ITEMS: usize = 12;
+/// Largest enumeration accepted, in leaves `Π(|optionsᵢ|·m + 1)`: 4¹², as
+/// for twelve single-good users on three providers.
+pub const MAX_EXHAUSTIVE_LEAVES: u64 = 1 << 24;
 
-/// Find the true optimum by enumeration.
+/// Find the true optimum by enumerating every `(option × provider |
+/// skip)` choice per bidder.
 ///
 /// # Panics
 ///
-/// Panics if the instance has more than [`MAX_EXHAUSTIVE_ITEMS`] items.
-pub fn solve_exhaustive(instance: &Instance) -> Solution {
+/// Panics if the instance has more than [`MAX_EXHAUSTIVE_LEAVES`] leaves.
+pub fn solve_exhaustive<B: Bidder>(instance: &Instance<B>) -> Solution {
+    let m = instance.capacities.len() as u64;
+    let leaves = instance
+        .bidders
+        .iter()
+        .fold(1u64, |acc, b| acc.saturating_mul(b.options().len() as u64 * m + 1));
     assert!(
-        instance.len() <= MAX_EXHAUSTIVE_ITEMS,
-        "exhaustive solver limited to {MAX_EXHAUSTIVE_ITEMS} items, got {}",
-        instance.len()
+        leaves <= MAX_EXHAUSTIVE_LEAVES,
+        "exhaustive solver limited to {MAX_EXHAUSTIVE_LEAVES} leaves, got {leaves}"
     );
     let mut best = Solution::empty(instance.len());
     let mut residual = instance.capacities.clone();
-    let mut assignment: Vec<Option<usize>> = vec![None; instance.len()];
-    recurse(instance, 0, Money::ZERO, &mut residual, &mut assignment, &mut best);
+    let mut choice: Vec<Option<(usize, usize)>> = vec![None; instance.len()];
+    recurse(instance, 0, Money::ZERO, &mut residual, &mut choice, &mut best);
     best
 }
 
-fn recurse(
-    instance: &Instance,
+fn recurse<B: Bidder>(
+    instance: &Instance<B>,
     depth: usize,
     value: Money,
-    residual: &mut [Bw],
-    assignment: &mut Vec<Option<usize>>,
+    residual: &mut [u64],
+    choice: &mut Vec<Option<(usize, usize)>>,
     best: &mut Solution,
 ) {
     if depth == instance.len() {
         if value > best.welfare {
-            *best = Solution { assignment: assignment.clone(), welfare: value };
+            *best = Solution { choice: choice.clone(), welfare: value };
         }
         return;
     }
-    let item = instance.items[depth];
-    for j in 0..residual.len() {
-        if residual[j] >= item.demand {
-            residual[j] = residual[j].saturating_sub(item.demand);
-            assignment[depth] = Some(j);
-            recurse(instance, depth + 1, value + item.value, residual, assignment, best);
-            assignment[depth] = None;
-            residual[j] += item.demand;
+    for (oi, opt) in instance.bidders[depth].options().iter().enumerate() {
+        for j in 0..residual.len() {
+            if residual[j] >= opt.units {
+                residual[j] -= opt.units;
+                choice[depth] = Some((oi, j));
+                recurse(instance, depth + 1, value + opt.price, residual, choice, best);
+                choice[depth] = None;
+                residual[j] += opt.units;
+            }
         }
     }
-    // Skip-branch: the item loses.
-    recurse(instance, depth + 1, value, residual, assignment, best);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dauctioneer_types::{BidVector, Money, UserBid};
-
-    fn instance(users: &[(f64, f64)], caps: &[f64]) -> Instance {
-        let mut b = BidVector::builder(users.len(), 0);
-        for (i, (v, d)) in users.iter().enumerate() {
-            b = b.user_bid(i, UserBid::new(Money::from_f64(*v), Bw::from_f64(*d)));
-        }
-        let caps: Vec<Bw> = caps.iter().map(|c| Bw::from_f64(*c)).collect();
-        Instance::from_bids(&b.build(), &caps)
-    }
-
-    #[test]
-    fn finds_known_optimum() {
-        // cap 1.0: best is the two 0.5-demand items (welfare 1.0), not the
-        // denser 0.6 item (welfare 0.606).
-        let inst = instance(&[(1.01, 0.6), (1.0, 0.5), (1.0, 0.5)], &[1.0]);
-        let sol = solve_exhaustive(&inst);
-        assert_eq!(sol.welfare, Money::from_f64(1.0));
-        assert!(sol.is_feasible(&inst));
-    }
-
-    #[test]
-    fn multiple_knapsacks_used() {
-        let inst = instance(&[(1.0, 0.8), (0.9, 0.8)], &[0.8, 0.8]);
-        let sol = solve_exhaustive(&inst);
-        assert_eq!(sol.welfare, Money::from_f64(1.0 * 0.8 + 0.9 * 0.8));
-    }
-
-    #[test]
-    fn empty_instance_is_fine() {
-        let inst = instance(&[], &[1.0]);
-        assert_eq!(solve_exhaustive(&inst).welfare, Money::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "exhaustive solver limited")]
-    fn rejects_large_instances() {
-        let users: Vec<(f64, f64)> = (0..13).map(|_| (1.0, 0.1)).collect();
-        let inst = instance(&users, &[1.0]);
-        let _ = solve_exhaustive(&inst);
-    }
+    // Skip-branch: the bidder loses.
+    recurse(instance, depth + 1, value, residual, choice, best);
 }

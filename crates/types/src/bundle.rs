@@ -40,12 +40,6 @@ impl BundleOption {
     pub fn is_valid(&self) -> bool {
         self.units > 0 && self.price.is_positive()
     }
-
-    /// Price per unit, rounded down to micro precision (the greedy
-    /// winner-determination density).
-    pub fn unit_price(&self) -> Money {
-        Money::from_micro(self.price.micro() / self.units as i64)
-    }
 }
 
 impl Encode for BundleOption {
@@ -133,13 +127,10 @@ mod tests {
     }
 
     #[test]
-    fn option_validity_and_density() {
+    fn option_validity() {
         assert!(opt(2, 1.0).is_valid());
         assert!(!opt(0, 1.0).is_valid());
         assert!(!opt(2, 0.0).is_valid());
-        assert_eq!(opt(4, 2.0).unit_price(), Money::from_f64(0.5));
-        // Rounds down at micro precision.
-        assert_eq!(opt(3, 1.0).unit_price(), Money::from_micro(333_333));
     }
 
     #[test]

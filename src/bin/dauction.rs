@@ -18,9 +18,8 @@
 //!   JSON a SIGUSR1 or a fail-stop journal error writes).
 //!
 //! ```text
-//! dauction [--auction double|standard] [--mechanism SPEC] [--n USERS] [--m PROVIDERS]
-//!          [--k COALITION] [--seed SEED] [--runtime threads|des] [--latency zero|community]
-//!          [--epsilon PPM] [--budget NODES]
+//! dauction [--mechanism SPEC] [--n USERS] [--m PROVIDERS] [--k COALITION] [--seed SEED]
+//!          [--runtime threads|des] [--latency zero|community]
 //! dauction serve [--mechanism SPEC] [--rate BIDS_PER_SEC] [--epochs E] [--epoch-bids N]
 //!          [--epoch-ms D] [--n USERS] [--m PROVIDERS] [--k COALITION] [--seed SEED]
 //!          [--transport inproc|tcp] [--shards S] [--chaos SPEC]
@@ -39,10 +38,12 @@
 //!
 //! `--mechanism` selects the clearing mechanism by spec:
 //! `double | standard[,eps=PPM] | combinatorial[,budget=NODES] |
-//! divisible[,beta=PRICE]`. In one-shot mode it supersedes `--auction`;
-//! in `serve` it decides what every epoch clears with, is stamped on
-//! every epoch outcome and journal seal, and `--recover` refuses a
-//! journal sealed under a different mechanism.
+//! divisible[,beta=PRICE]` (default `double`). In one-shot mode it is the
+//! only mechanism selector; in `serve` it decides what every epoch clears
+//! with, is stamped on every epoch outcome and journal seal, and
+//! `--recover` refuses a journal sealed under a different mechanism.
+//! Unknown `--runtime` and `--latency` values are usage errors (exit 2),
+//! like every malformed flag.
 //!
 //! `--chaos` injects seeded link faults into the persistent mesh; the
 //! spec is the `key=value` format of `FaultPlan` (e.g.
@@ -76,15 +77,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dauctioneer::core::{
-    run_session, DoubleAuctionProgram, DynProgram, FrameworkConfig, RunOptions,
-    StandardAuctionProgram, TransportKind,
+    run_session, DoubleAuctionProgram, DynProgram, FrameworkConfig, RunOptions, TransportKind,
 };
 use dauctioneer::market::{
     register_market_metrics, verify_log, EpochPolicy, FsyncPolicy, JournalConfig, MarketConfig,
     MarketService, MechanismSpec,
 };
-use dauctioneer::mechanisms::solver::BranchBoundConfig;
-use dauctioneer::mechanisms::{StandardAuction, StandardAuctionConfig};
 use dauctioneer::net::LatencyModel;
 use dauctioneer::sim::{run_timed_auction, LinkModel};
 use dauctioneer::telemetry::{FlightDump, MetricsServer, Registry};
@@ -95,31 +93,27 @@ use dauctioneer::workload::{
 
 #[derive(Debug, Clone)]
 struct Args {
-    auction: String,
-    mechanism: Option<String>,
+    mechanism: MechanismSpec,
     n: usize,
     m: usize,
     k: usize,
     seed: u64,
-    runtime: String,
-    latency: String,
-    epsilon_ppm: u32,
-    budget: u64,
+    /// `--runtime des`: the discrete-event simulator instead of threads.
+    des: bool,
+    /// `--latency community`: community-network links instead of zero.
+    community: bool,
 }
 
 impl Args {
     fn parse() -> Result<Args, String> {
         let mut args = Args {
-            auction: "double".into(),
-            mechanism: None,
+            mechanism: MechanismSpec::default(),
             n: 50,
             m: 3,
             k: 1,
             seed: 42,
-            runtime: "threads".into(),
-            latency: "zero".into(),
-            epsilon_ppm: 10_000,
-            budget: 200_000,
+            des: false,
+            community: false,
         };
         let argv: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
@@ -130,18 +124,25 @@ impl Args {
             }
             let value = argv.get(i + 1).ok_or_else(|| format!("missing value for {flag}"))?;
             match flag {
-                "--auction" => args.auction = value.clone(),
-                "--mechanism" => args.mechanism = Some(value.clone()),
+                "--mechanism" => args.mechanism = value.parse().map_err(|e| format!("{e}"))?,
                 "--n" => args.n = value.parse().map_err(|e| format!("--n: {e}"))?,
                 "--m" => args.m = value.parse().map_err(|e| format!("--m: {e}"))?,
                 "--k" => args.k = value.parse().map_err(|e| format!("--k: {e}"))?,
                 "--seed" => args.seed = value.parse().map_err(|e| format!("--seed: {e}"))?,
-                "--runtime" => args.runtime = value.clone(),
-                "--latency" => args.latency = value.clone(),
-                "--epsilon" => {
-                    args.epsilon_ppm = value.parse().map_err(|e| format!("--epsilon: {e}"))?
+                "--runtime" => {
+                    args.des = match value.as_str() {
+                        "threads" => false,
+                        "des" => true,
+                        other => return Err(format!("unknown runtime `{other}` (threads|des)")),
+                    }
                 }
-                "--budget" => args.budget = value.parse().map_err(|e| format!("--budget: {e}"))?,
+                "--latency" => {
+                    args.community = match value.as_str() {
+                        "zero" => false,
+                        "community" => true,
+                        other => return Err(format!("unknown latency `{other}` (zero|community)")),
+                    }
+                }
                 other => return Err(format!("unknown flag {other}\n{HELP}")),
             }
             i += 2;
@@ -150,9 +151,9 @@ impl Args {
     }
 }
 
-const HELP: &str = "usage: dauction [--auction double|standard] [--mechanism SPEC] [--n USERS] \
-[--m PROVIDERS] [--k COALITION] [--seed SEED] [--runtime threads|des] \
-[--latency zero|community] [--epsilon PPM] [--budget NODES]\n       dauction serve \
+const HELP: &str = "usage: dauction [--mechanism SPEC] [--n USERS] [--m PROVIDERS] \
+[--k COALITION] [--seed SEED] [--runtime threads|des] [--latency zero|community]\n       \
+dauction serve \
 [--mechanism SPEC] [--rate BIDS_PER_SEC] [--epochs E] \
 [--epoch-bids N] [--epoch-ms D] [--n USERS] [--m PROVIDERS] [--k COALITION] [--seed SEED] \
 [--transport inproc|tcp] [--shards S] [--deadline-ms D] [--chaos drop=P,dup=P,reorder=P,\
@@ -164,7 +165,7 @@ delay=P,delay-ms=A..B,corrupt=P,seed=S,hold-ms=H] [--journal PATH] \
 [--metrics-addr HOST:PORT]\n       dauction provider --id K --join HOST:PORT \
 [--mesh-listen HOST:PORT] [--heartbeat-ms D] [--backoff-base-ms D] [--backoff-cap-ms D] \
 [--reconnect-budget N]\n       dauction verify-log PATH\n       dauction flight-dump PATH\n\
-mechanism SPEC: double | standard[,eps=PPM] | combinatorial[,budget=NODES] | \
+mechanism SPEC (default double): double | standard[,eps=PPM] | combinatorial[,budget=NODES] | \
 divisible[,beta=PRICE]\n\
 --mesh-budget-ms D: budget of one provider-mesh bring-up (the first epoch's, and each rebuild \
 after a ⊥ or a roster change); epochs that reuse the mesh spend none of it";
@@ -218,61 +219,27 @@ fn main() {
         std::process::exit(2);
     }
 
-    // `--mechanism SPEC` supersedes the legacy `--auction` selector and
-    // reaches all four mechanisms through the same grammar `serve` uses.
-    let spec: Option<MechanismSpec> = match &args.mechanism {
-        Some(text) => match text.parse() {
-            Ok(spec) => Some(spec),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
-
     println!(
-        "dauction: {} auction, n={} users, m={} providers, k={} (p={})",
-        spec.as_ref().map_or(args.auction.as_str(), |s| s.name()),
+        "dauction: {}, n={} users, m={} providers, k={} (p={})",
+        args.mechanism.name(),
         args.n,
         args.m,
         args.k,
         args.m / (args.k + 1)
     );
 
-    let (outcome, elapsed_label, elapsed) = match (spec, args.auction.as_str()) {
-        (Some(MechanismSpec::Double), _) | (None, "double") => {
+    let (outcome, elapsed_label, elapsed) = match args.mechanism {
+        MechanismSpec::Double => {
             let bids = DoubleAuctionWorkload::new(args.n, args.m, args.seed).generate();
             let cfg = FrameworkConfig::new(args.m, args.k, args.n, args.m);
             run(&args, cfg, Arc::new(DoubleAuctionProgram::new()), vec![bids; args.m])
         }
-        (Some(spec), _) => {
+        spec => {
             let (bids, capacities) =
                 StandardAuctionWorkload::new(args.n, args.m, args.seed).generate();
             let program = DynProgram::new(spec.build_program(capacities));
             let cfg = FrameworkConfig::new(args.m, args.k, args.n, 0);
             run(&args, cfg, Arc::new(program), vec![bids; args.m])
-        }
-        (None, "standard") => {
-            let (bids, capacities) =
-                StandardAuctionWorkload::new(args.n, args.m, args.seed).generate();
-            let auction = StandardAuction::new(StandardAuctionConfig {
-                capacities,
-                solver: BranchBoundConfig {
-                    epsilon_ppm: args.epsilon_ppm,
-                    max_nodes: args.budget,
-                    shuffle_providers: true,
-                },
-            });
-            let cfg = FrameworkConfig::new(args.m, args.k, args.n, 0);
-            run(&args, cfg, Arc::new(StandardAuctionProgram::new(auction)), vec![bids; args.m])
-        }
-        (None, other) => {
-            eprintln!(
-                "unknown auction kind `{other}` (double|standard); \
-                       or use --mechanism SPEC"
-            );
-            std::process::exit(2);
         }
     };
 
@@ -997,31 +964,22 @@ fn run<P: dauctioneer::core::AllocatorProgram + 'static>(
     program: Arc<P>,
     collected: Vec<dauctioneer::types::BidVector>,
 ) -> (Outcome, &'static str, Duration) {
-    match args.runtime.as_str() {
-        "des" => {
-            let link = match args.latency.as_str() {
-                "community" => LinkModel::community_net(),
-                _ => LinkModel::instant(),
-            };
-            let report = run_timed_auction(&cfg, program, collected, link, args.seed);
-            (
-                report.unanimous(),
-                "virtual span (discrete-event, one CPU per provider)",
-                report.span.unwrap_or(Duration::ZERO),
-            )
-        }
-        _ => {
-            let latency = match args.latency.as_str() {
-                "community" => LatencyModel::CommunityNet,
-                _ => LatencyModel::Zero,
-            };
-            let report = run_session(
-                &cfg,
-                program,
-                collected,
-                &RunOptions { deadline: Duration::from_secs(600), latency, seed: args.seed },
-            );
-            (report.unanimous(), "wall-clock (threaded)", report.elapsed)
-        }
+    if args.des {
+        let link = if args.community { LinkModel::community_net() } else { LinkModel::instant() };
+        let report = run_timed_auction(&cfg, program, collected, link, args.seed);
+        (
+            report.unanimous(),
+            "virtual span (discrete-event, one CPU per provider)",
+            report.span.unwrap_or(Duration::ZERO),
+        )
+    } else {
+        let latency = if args.community { LatencyModel::CommunityNet } else { LatencyModel::Zero };
+        let report = run_session(
+            &cfg,
+            program,
+            collected,
+            &RunOptions { deadline: Duration::from_secs(600), latency, seed: args.seed },
+        );
+        (report.unanimous(), "wall-clock (threaded)", report.elapsed)
     }
 }
