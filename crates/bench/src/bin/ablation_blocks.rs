@@ -21,8 +21,8 @@ use std::time::Duration;
 
 use dauctioneer_bench::{fmt_secs, CommonArgs, Stats, Table};
 use dauctioneer_core::blocks::{encode_fixed, BidAgreement, CommonCoin, InputValidation};
-use dauctioneer_core::{Block, Distribution, DoubleAuctionProgram, FrameworkConfig, OutboxCtx};
-use dauctioneer_sim::{run_timed_auction, LinkModel};
+use dauctioneer_core::{Block, Distribution, DoubleAuctionProgram, FrameworkConfig};
+use dauctioneer_sim::{run_auction_sim, LinkModel, SchedulePolicy, SimRunner};
 use dauctioneer_types::ProviderId;
 use dauctioneer_workload::DoubleAuctionWorkload;
 use rand::rngs::StdRng;
@@ -31,57 +31,26 @@ use rand::SeedableRng;
 const M: usize = 8;
 const K: usize = 3;
 
-/// Run a set of blocks under the same virtual-clock model the figure
-/// benches use, and return the span (max completion over providers).
-fn timed_drive<B: Block>(mut blocks: Vec<B>, link: LinkModel, seed: u64) -> Duration {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    use std::time::Instant;
+/// The Fig. 4 link model the full framework and every partial stack run over.
+fn timed() -> SchedulePolicy {
+    SchedulePolicy::Timed(LinkModel::community_net())
+}
 
-    /// (arrival, sequence, from, to, payload) ordered by arrival time.
-    type InFlight = (Duration, u64, usize, usize, bytes::Bytes);
+/// Mean over `rounds` of the virtual span `span(r)` reports for round `r`.
+fn mean_span(rounds: usize, span: impl Fn(u64) -> Duration) -> f64 {
+    Stats::of(&(0..rounds as u64).map(span).collect::<Vec<_>>()).mean_s
+}
 
-    let m = blocks.len();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut clocks = vec![Duration::ZERO; m];
-    let mut heap: BinaryHeap<Reverse<InFlight>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    for i in 0..m {
-        let mut ctx = OutboxCtx::new(ProviderId(i as u32), m);
-        let t = Instant::now();
-        blocks[i].start(&mut ctx);
-        clocks[i] = t.elapsed();
-        for (to, payload) in ctx.drain() {
-            let arrival = clocks[i] + link.delay(payload.len(), &mut rng);
-            heap.push(Reverse((arrival, seq, i, to.index(), payload)));
-            seq += 1;
-        }
-    }
-    while let Some(Reverse((arrival, _, from, to, payload))) = heap.pop() {
-        if blocks.iter().all(|b| b.result().is_some()) {
-            break;
-        }
-        let begin = clocks[to].max(arrival);
-        let mut ctx = OutboxCtx::new(ProviderId(to as u32), m);
-        let t = Instant::now();
-        blocks[to].on_message(ProviderId(from as u32), &payload, &mut ctx);
-        clocks[to] = begin + t.elapsed();
-        for (dest, payload) in ctx.drain() {
-            let arrival = clocks[to] + link.delay(payload.len(), &mut rng);
-            heap.push(Reverse((arrival, seq, to, dest.index(), payload)));
-            seq += 1;
-        }
-    }
-    for b in &blocks {
-        assert!(b.result().is_some(), "block failed to decide");
-    }
-    clocks.into_iter().max().unwrap_or(Duration::ZERO)
+/// Span of one partial stack: the latest decision over its providers.
+fn stack_span<B: Block>(blocks: impl Iterator<Item = B>, seed: u64) -> Duration {
+    let mut sim = SimRunner::new(blocks.collect(), &[], timed(), seed);
+    sim.run(u64::MAX);
+    sim.span().expect("every provider decides")
 }
 
 fn main() {
     let args = CommonArgs::parse(3);
     let ns: Vec<usize> = if args.quick { vec![100, 500] } else { vec![100, 500, 1000] };
-    let link = LinkModel::community_net();
 
     eprintln!("ablation A1: per-block share of the distributed double auction (m={M}, k={K})");
     let mut table = Table::new(
@@ -90,80 +59,38 @@ fn main() {
     );
     for &n in &ns {
         let bids = DoubleAuctionWorkload::new(n, M, 0).generate();
-
-        let agreement = Stats::of(
-            &(0..args.rounds)
-                .map(|r| {
-                    let blocks: Vec<BidAgreement> = (0..M)
-                        .map(|i| {
-                            BidAgreement::new(
-                                ProviderId(i as u32),
-                                M,
-                                &bids,
-                                &mut StdRng::seed_from_u64(r as u64 * 100 + i as u64),
-                            )
-                        })
-                        .collect();
-                    timed_drive(blocks, link, r as u64)
-                })
-                .collect::<Vec<_>>(),
-        );
-
-        let validation = Stats::of(
-            &(0..args.rounds)
-                .map(|r| {
-                    let input = encode_fixed(&bids);
-                    let blocks: Vec<InputValidation> = (0..M)
-                        .map(|i| {
-                            InputValidation::new(ProviderId(i as u32), M, input.clone(), false)
-                        })
-                        .collect();
-                    timed_drive(blocks, link, r as u64)
-                })
-                .collect::<Vec<_>>(),
-        );
-
-        let coin = Stats::of(
-            &(0..args.rounds)
-                .map(|r| {
-                    let blocks: Vec<CommonCoin> = (0..M)
-                        .map(|i| {
-                            CommonCoin::new(
-                                ProviderId(i as u32),
-                                M,
-                                Distribution::UniformUnit,
-                                &mut StdRng::seed_from_u64(r as u64 * 100 + i as u64),
-                            )
-                        })
-                        .collect();
-                    timed_drive(blocks, link, r as u64)
-                })
-                .collect::<Vec<_>>(),
-        );
-
-        let full = Stats::of(
-            &(0..args.rounds)
-                .map(|r| {
-                    let cfg = FrameworkConfig::new(M, K, n, M);
-                    let report = run_timed_auction(
-                        &cfg,
-                        Arc::new(DoubleAuctionProgram::new()),
-                        vec![bids.clone(); M],
-                        link,
-                        r as u64,
-                    );
-                    assert!(!report.unanimous().is_abort());
-                    report.span.expect("decided")
-                })
-                .collect::<Vec<_>>(),
-        );
+        let rng = |r: u64, i: usize| StdRng::seed_from_u64(r * 100 + i as u64);
+        let agreement = mean_span(args.rounds, |r| {
+            let blocks =
+                (0..M).map(|i| BidAgreement::new(ProviderId(i as u32), M, &bids, &mut rng(r, i)));
+            stack_span(blocks, r)
+        });
+        let validation = mean_span(args.rounds, |r| {
+            let input = encode_fixed(&bids);
+            let blocks =
+                (0..M).map(|i| InputValidation::new(ProviderId(i as u32), M, input.clone(), false));
+            stack_span(blocks, r)
+        });
+        let coin = mean_span(args.rounds, |r| {
+            let uniform = Distribution::UniformUnit;
+            let blocks =
+                (0..M).map(|i| CommonCoin::new(ProviderId(i as u32), M, uniform, &mut rng(r, i)));
+            stack_span(blocks, r)
+        });
+        let full = mean_span(args.rounds, |r| {
+            let cfg = FrameworkConfig::new(M, K, n, M);
+            let program = Arc::new(DoubleAuctionProgram::new());
+            let report = run_auction_sim(&cfg, program, vec![bids.clone(); M], &[], timed(), r);
+            assert!(!report.unanimous().is_abort());
+            report.span.expect("decided")
+        });
 
         table.row(vec![
             n.to_string(),
-            fmt_secs(agreement.mean_s),
-            fmt_secs(validation.mean_s),
-            fmt_secs(coin.mean_s),
-            fmt_secs(full.mean_s),
+            fmt_secs(agreement),
+            fmt_secs(validation),
+            fmt_secs(coin),
+            fmt_secs(full),
         ]);
         eprint!(".");
     }

@@ -19,7 +19,7 @@ use dauctioneer_core::{DoubleAuctionProgram, FrameworkConfig};
 use dauctioneer_mechanisms::solver::{
     solve_branch_bound, solve_greedy, BranchBoundConfig, Instance,
 };
-use dauctioneer_sim::{run_timed_auction, LinkModel};
+use dauctioneer_sim::{run_auction_sim, LinkModel, SchedulePolicy};
 use dauctioneer_types::{BidVector, Bw, Money, UserBid};
 use dauctioneer_workload::{DoubleAuctionWorkload, StandardAuctionWorkload};
 use rand::rngs::StdRng;
@@ -56,11 +56,12 @@ fn main() {
                     .map(|r| {
                         let cfg =
                             FrameworkConfig::new(8, 3, n, 8).with_hash_only_validation(hash_only);
-                        let report = run_timed_auction(
+                        let report = run_auction_sim(
                             &cfg,
                             Arc::new(DoubleAuctionProgram::new()),
                             vec![bids.clone(); 8],
-                            LinkModel::community_net(),
+                            &[],
+                            SchedulePolicy::Timed(LinkModel::community_net()),
                             r as u64,
                         );
                         assert!(!report.unanimous().is_abort());

@@ -10,8 +10,8 @@
 //! well under a second even at n = 1000.
 //!
 //! Times for the distributed series are virtual-clock spans from the
-//! discrete-event runtime over the community-network link model (see
-//! `dauctioneer-sim::des` and `docs/ARCHITECTURE.md`, "One engine, three
+//! simulator's `Timed` schedule over the community-network link model
+//! (see `dauctioneer-sim` and `docs/ARCHITECTURE.md`, "One engine, two
 //! runtimes, two transports", for why this substitutes the paper's Guifi
 //! testbed). Usage:
 //!
@@ -25,7 +25,7 @@ use std::time::Duration;
 use dauctioneer_bench::{fmt_secs, time_once, CommonArgs, Stats, Table};
 use dauctioneer_core::{DoubleAuctionProgram, FrameworkConfig};
 use dauctioneer_mechanisms::{DoubleAuction, Mechanism, SharedRng};
-use dauctioneer_sim::{run_timed_auction, LinkModel};
+use dauctioneer_sim::{run_auction_sim, LinkModel, SchedulePolicy};
 use dauctioneer_workload::DoubleAuctionWorkload;
 
 /// The paper's §6.2 series: (label, k, providers simulating).
@@ -69,15 +69,16 @@ fn main() {
                     let bids =
                         DoubleAuctionWorkload::new(n, AUCTION_PROVIDERS, r as u64).generate();
                     let cfg = FrameworkConfig::new(m, k, n, AUCTION_PROVIDERS);
-                    let report = run_timed_auction(
+                    let report = run_auction_sim(
                         &cfg,
                         Arc::new(DoubleAuctionProgram::new()),
                         vec![bids; m],
-                        LinkModel::community_net(),
+                        &[],
+                        SchedulePolicy::Timed(LinkModel::community_net()),
                         1000 + r as u64,
                     );
                     assert!(!report.unanimous().is_abort(), "honest run aborted (n={n}, k={k})");
-                    last_msgs = report.messages;
+                    last_msgs = report.delivered;
                     last_bytes = report.bytes;
                     report.span.expect("all providers decided")
                 })

@@ -26,7 +26,7 @@ use dauctioneer_bench::{fmt_secs, time_once, CommonArgs, Stats, Table};
 use dauctioneer_core::{FrameworkConfig, StandardAuctionProgram};
 use dauctioneer_mechanisms::solver::BranchBoundConfig;
 use dauctioneer_mechanisms::{Mechanism, SharedRng, StandardAuction, StandardAuctionConfig};
-use dauctioneer_sim::{run_timed_auction, LinkModel};
+use dauctioneer_sim::{run_auction_sim, LinkModel, SchedulePolicy};
 use dauctioneer_types::Bw;
 use dauctioneer_workload::StandardAuctionWorkload;
 
@@ -88,11 +88,12 @@ fn main() {
                         StandardAuctionWorkload::new(n, M, r as u64).generate();
                     let auction = auction_for(capacities, n);
                     let cfg = FrameworkConfig::new(M, k, n, 0);
-                    let report = run_timed_auction(
+                    let report = run_auction_sim(
                         &cfg,
                         Arc::new(StandardAuctionProgram::new(auction)),
                         vec![bids; M],
-                        LinkModel::community_net(),
+                        &[],
+                        SchedulePolicy::Timed(LinkModel::community_net()),
                         2000 + r as u64,
                     );
                     assert!(!report.unanimous().is_abort(), "honest run aborted (n={n}, k={k})");

@@ -1,30 +1,30 @@
 //! Adversarial provider strategies: the deviations the paper's
-//! k-resilience argument must defeat, as [`Transport`] wrappers.
+//! k-resilience argument must defeat, in one vocabulary for every
+//! driver.
 //!
 //! `dauctioneer-net`'s chaos plane sabotages *links*; this module
 //! sabotages *providers*. An [`AdversaryKind`] transforms one
 //! provider's outgoing message stream — going silent mid-protocol,
 //! sending late, equivocating (conflicting values to different peers),
-//! or emitting garbage frames — while the provider's own
+//! corrupting, starving one peer, replaying, or emitting garbage frames
+//! — while the provider's own
 //! [`SessionEngine`](crate::engine::SessionEngine) runs the honest
 //! protocol underneath. That is exactly the §3 threat shape: the
 //! adversary controls what leaves a deviating provider, not what the
 //! honest majority computes.
 //!
-//! Strategies compose with link chaos: the worker pool wraps every
-//! endpoint as `AdversaryTransport<ChaosTransport<T>>` (see
+//! The transform is written once, [`AdversaryKind::deviate`], and both
+//! drivers call it: [`AdversaryTransport`] on every threaded or socket
+//! endpoint, and `dauctioneer-sim`'s runner on every simulated send. Both
+//! take the same `&[Adversary]` roster. Strategies compose with link
+//! chaos: the worker pool wraps every endpoint as
+//! `AdversaryTransport<ChaosTransport<T>>` (see
 //! [`SessionPool::new_with_faults`](crate::pool::SessionPool::new_with_faults)),
 //! so a run can feature both a lossy network and a deviating provider.
-//! The required end state, asserted by the chaos suite: every such run
-//! terminates in either the fault-free honest outcome or the
-//! paper-mandated ⊥-abort — never a hang, never a divergent clearing.
-//!
-//! Deviation at this layer is the transport-backed sibling of the
-//! simulator's message-level [`Behavior`]s (`dauctioneer-sim`), which
-//! drive the same strategies through the deterministic turn-based
-//! runtime for the equilibrium tests.
-//!
-//! [`Behavior`]: ../../dauctioneer_sim/behavior/trait.Behavior.html
+//! The required end state, asserted by the chaos suite and the
+//! equilibrium tests: every such run terminates in either the fault-free
+//! honest outcome or the paper-mandated ⊥-abort — never a hang, never a
+//! divergent clearing.
 
 use std::time::Duration;
 
@@ -46,20 +46,24 @@ pub enum AdversaryKind {
         /// Messages allowed out before the silence.
         after: usize,
     },
-    /// A slow provider: every send blocks for `delay` first, stalling
-    /// its whole protocol loop. Nothing is ever lost — this stays
-    /// within the model's fair asynchronous schedule (every message is
-    /// eventually delivered), so modest delays must still clear; a
-    /// delay that pushes the session past its deadline reads ⊥ like
-    /// any other external abort.
+    /// A slow provider: every send is held back by `delay`. Nothing is
+    /// ever lost — this stays within the model's fair asynchronous
+    /// schedule (every message is eventually delivered), so modest
+    /// delays must still clear; a delay that pushes the session past its
+    /// deadline reads ⊥ like any other external abort. The transport
+    /// blocks the sender's loop for it; the simulator advances the
+    /// sender's virtual clock.
     Late {
         /// Added delay per outgoing message.
         delay: Duration,
     },
     /// Send conflicting values to different peers: copies addressed to
-    /// the highest-id honest peer get one payload byte flipped, so that
-    /// peer's view of this provider diverges from everyone else's.
-    Equivocator,
+    /// `victim` get their last payload byte flipped, so the victim's view
+    /// of this provider diverges from everyone else's.
+    Equivocator {
+        /// The peer that receives the altered copies.
+        victim: ProviderId,
+    },
     /// Replace every `period`-th outgoing message with a garbage frame
     /// (junk bytes, no valid session tag): the real message is withheld
     /// *and* the peer's parser is exercised. `period` is clamped to at
@@ -68,13 +72,75 @@ pub enum AdversaryKind {
         /// Replace every `period`-th message.
         period: usize,
     },
+    /// Flip a byte of every outgoing payload — the shape a wrong (or
+    /// dishonest) task computation takes on the wire.
+    Corrupt,
+    /// Selective withholding: never send anything to `victim`.
+    DropTo {
+        /// The starved peer.
+        victim: ProviderId,
+    },
+    /// Send every message twice. Channels deliver exactly once, so a
+    /// duplicate can only come from a deviating sender; blocks detect it
+    /// as a protocol violation.
+    Replay,
 }
 
 impl AdversaryKind {
-    /// `true` for the pass-through strategy.
-    pub fn is_honest(&self) -> bool {
-        matches!(self, AdversaryKind::Honest)
+    /// The send-side transform: hand `emit` what a provider following
+    /// this strategy actually sends for its `n`-th (0-based) outgoing
+    /// message, `payload` to `to` — nothing, one message or two.
+    /// [`AdversaryKind::Late`] passes through here, because lateness is a
+    /// matter of time, which each driver models for itself.
+    pub fn deviate(
+        &self,
+        n: usize,
+        to: ProviderId,
+        payload: Bytes,
+        mut emit: impl FnMut(ProviderId, Bytes),
+    ) {
+        match *self {
+            AdversaryKind::Honest | AdversaryKind::Late { .. } => emit(to, payload),
+            AdversaryKind::Silent { after } => {
+                if n < after {
+                    emit(to, payload);
+                }
+            }
+            AdversaryKind::Equivocator { victim } if to == victim => {
+                emit(to, flip_last(payload, 0xFF));
+            }
+            AdversaryKind::Equivocator { .. } => emit(to, payload),
+            AdversaryKind::GarbageFrames { period } => {
+                if (n + 1) % period.max(1) == 0 {
+                    // Junk that is not even a valid session frame; the
+                    // real message is withheld.
+                    emit(to, Bytes::copy_from_slice(&[0xDE, 0xAD, (n & 0xFF) as u8]));
+                } else {
+                    emit(to, payload);
+                }
+            }
+            AdversaryKind::Corrupt => emit(to, flip_last(payload, 0x55)),
+            AdversaryKind::DropTo { victim } => {
+                if to != victim {
+                    emit(to, payload);
+                }
+            }
+            AdversaryKind::Replay => {
+                emit(to, payload.clone());
+                emit(to, payload);
+            }
+        }
     }
+}
+
+/// `payload` with its last byte XORed with `mask`; empty payloads pass.
+fn flip_last(payload: Bytes, mask: u8) -> Bytes {
+    let mut altered = payload.to_vec();
+    match altered.last_mut() {
+        Some(last) => *last ^= mask,
+        None => return payload,
+    }
+    Bytes::from(altered)
 }
 
 /// One deviating provider in a run: who, and how.
@@ -126,22 +192,6 @@ impl<T: Transport> AdversaryTransport<T> {
     pub fn new(inner: T, kind: AdversaryKind) -> AdversaryTransport<T> {
         AdversaryTransport { inner, kind, sent: 0 }
     }
-
-    /// The wrapped strategy.
-    pub fn kind(&self) -> AdversaryKind {
-        self.kind
-    }
-
-    /// The highest-id peer that is not this provider — the equivocation
-    /// victim (every participant can compute it, no coordination).
-    fn victim(&self) -> ProviderId {
-        let last = ProviderId(self.inner.num_providers().saturating_sub(1) as u32);
-        if last == self.inner.me() {
-            ProviderId(last.0.saturating_sub(1))
-        } else {
-            last
-        }
-    }
 }
 
 impl<T: Transport> Transport for AdversaryTransport<T> {
@@ -154,40 +204,17 @@ impl<T: Transport> Transport for AdversaryTransport<T> {
     }
 
     fn send(&mut self, to: ProviderId, payload: Bytes) {
-        let n = self.sent;
-        self.sent += 1;
         match self.kind {
             AdversaryKind::Honest => self.inner.send(to, payload),
-            AdversaryKind::Silent { after } => {
-                if n < after {
-                    self.inner.send(to, payload);
+            kind => {
+                if let AdversaryKind::Late { delay } = kind {
+                    // Slow, not lossy: stall the provider's loop, then send.
+                    std::thread::sleep(delay);
                 }
-            }
-            AdversaryKind::Late { delay } => {
-                // Slow, not lossy: stall the provider's loop, then send.
-                std::thread::sleep(delay);
-                self.inner.send(to, payload);
-            }
-            AdversaryKind::Equivocator => {
-                let payload = if to == self.victim() && !payload.is_empty() {
-                    let mut altered = payload.to_vec();
-                    let last = altered.len() - 1;
-                    altered[last] ^= 0xFF;
-                    Bytes::from(altered)
-                } else {
-                    payload
-                };
-                self.inner.send(to, payload);
-            }
-            AdversaryKind::GarbageFrames { period } => {
-                if (n + 1) % period.max(1) == 0 {
-                    // Junk that is not even a valid session frame; the
-                    // real message is withheld.
-                    let junk = [0xDE, 0xAD, (n & 0xFF) as u8];
-                    self.inner.send(to, Bytes::copy_from_slice(&junk));
-                } else {
-                    self.inner.send(to, payload);
-                }
+                let n = self.sent;
+                self.sent += 1;
+                let inner = &mut self.inner;
+                kind.deviate(n, to, payload, |to, payload| inner.send(to, payload));
             }
         }
     }
@@ -206,6 +233,71 @@ mod tests {
         ThreadedHub::new(m, LatencyModel::Zero, 1).take_endpoints()
     }
 
+    fn msg() -> Bytes {
+        Bytes::from_static(b"payload")
+    }
+
+    /// Everything `kind` emits for `count` consecutive sends of `msg()` to `to`.
+    fn emitted(kind: AdversaryKind, to: ProviderId, count: usize) -> Vec<(ProviderId, Bytes)> {
+        let mut out = Vec::new();
+        for n in 0..count {
+            kind.deviate(n, to, msg(), |to, payload| out.push((to, payload)));
+        }
+        out
+    }
+
+    #[test]
+    fn honest_and_late_pass_through() {
+        for kind in [AdversaryKind::Honest, AdversaryKind::Late { delay: Duration::from_secs(9) }] {
+            assert_eq!(emitted(kind, ProviderId(1), 2), vec![(ProviderId(1), msg()); 2]);
+        }
+    }
+
+    #[test]
+    fn silent_stops_after_budget() {
+        assert_eq!(emitted(AdversaryKind::Silent { after: 2 }, ProviderId(1), 4).len(), 2);
+        assert!(emitted(AdversaryKind::Silent { after: 0 }, ProviderId(1), 4).is_empty());
+    }
+
+    #[test]
+    fn equivocator_alters_only_the_victim_copy() {
+        let kind = AdversaryKind::Equivocator { victim: ProviderId(2) };
+        assert_eq!(emitted(kind, ProviderId(1), 1), vec![(ProviderId(1), msg())]);
+        let dirty = emitted(kind, ProviderId(2), 1);
+        assert_ne!(dirty[0].1, msg());
+        assert_eq!(dirty[0].1.len(), msg().len());
+    }
+
+    #[test]
+    fn corrupt_alters_every_payload() {
+        let out = emitted(AdversaryKind::Corrupt, ProviderId(1), 3);
+        assert_eq!(out.len(), 3);
+        assert!(out.iter().all(|(to, p)| *to == ProviderId(1) && *p != msg() && p.len() == 7));
+    }
+
+    #[test]
+    fn drop_to_starves_the_victim_only() {
+        let kind = AdversaryKind::DropTo { victim: ProviderId(0) };
+        assert!(emitted(kind, ProviderId(0), 3).is_empty());
+        assert_eq!(emitted(kind, ProviderId(1), 3).len(), 3);
+    }
+
+    #[test]
+    fn replay_duplicates_every_message() {
+        assert_eq!(
+            emitted(AdversaryKind::Replay, ProviderId(1), 1),
+            vec![(ProviderId(1), msg()); 2]
+        );
+    }
+
+    #[test]
+    fn garbage_frames_replace_every_period_th_message() {
+        let out = emitted(AdversaryKind::GarbageFrames { period: 2 }, ProviderId(1), 4);
+        let junk: Vec<_> = out.iter().filter(|(_, p)| *p != msg()).collect();
+        assert_eq!(junk.len(), 2);
+        assert!(junk.iter().all(|(_, p)| p.len() < 7), "junk must not parse as a session frame");
+    }
+
     #[test]
     fn honest_is_a_pass_through() {
         let mut eps = mesh(2);
@@ -218,7 +310,7 @@ mod tests {
     }
 
     #[test]
-    fn silent_stops_after_budget() {
+    fn transport_counts_sends_across_calls() {
         let mut eps = mesh(2);
         let peer = eps.remove(1);
         let mut silent = AdversaryTransport::new(eps.remove(0), AdversaryKind::Silent { after: 2 });
@@ -250,56 +342,13 @@ mod tests {
     }
 
     #[test]
-    fn equivocator_alters_only_the_victim_copy() {
-        let mut eps = mesh(3);
-        let v = eps.remove(2);
-        let clean_peer = eps.remove(1);
-        let mut equiv = AdversaryTransport::new(eps.remove(0), AdversaryKind::Equivocator);
-        assert_eq!(equiv.victim(), ProviderId(2));
-        equiv.send(ProviderId(1), Bytes::from_static(b"value"));
-        equiv.send(ProviderId(2), Bytes::from_static(b"value"));
-        let (_, clean) = clean_peer.recv_timeout(Duration::from_secs(1)).unwrap();
-        let (_, dirty) = v.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert_eq!(&clean[..], b"value");
-        assert_ne!(&dirty[..], b"value");
-        assert_eq!(dirty.len(), clean.len());
-    }
-
-    #[test]
-    fn highest_provider_equivocates_against_its_predecessor() {
-        let eps = mesh(3);
-        let t =
-            AdversaryTransport::new(eps.into_iter().nth(2).unwrap(), AdversaryKind::Equivocator);
-        assert_eq!(t.victim(), ProviderId(1), "the victim is never the deviator itself");
-    }
-
-    #[test]
-    fn garbage_frames_replace_every_period_th_message() {
-        let mut eps = mesh(2);
-        let peer = eps.remove(1);
-        let mut garbage =
-            AdversaryTransport::new(eps.remove(0), AdversaryKind::GarbageFrames { period: 2 });
-        for _ in 0..4 {
-            garbage.send(ProviderId(1), Bytes::from_static(b"genuine!"));
-        }
-        let mut junk = 0;
-        for _ in 0..4 {
-            let (_, payload) = peer.recv_timeout(Duration::from_secs(1)).unwrap();
-            if &payload[..] != b"genuine!" {
-                junk += 1;
-                assert!(payload.len() < 8, "junk must not even parse as a session frame");
-            }
-        }
-        assert_eq!(junk, 2);
-    }
-
-    #[test]
     fn roster_lookup_defaults_to_honest_and_last_wins() {
+        let replay = AdversaryKind::Replay;
         let roster = [
             Adversary::new(ProviderId(1), AdversaryKind::Silent { after: 0 }),
-            Adversary::new(ProviderId(1), AdversaryKind::Equivocator),
+            Adversary::new(ProviderId(1), replay),
         ];
         assert_eq!(strategy_for(&roster, ProviderId(0)), AdversaryKind::Honest);
-        assert_eq!(strategy_for(&roster, ProviderId(1)), AdversaryKind::Equivocator);
+        assert_eq!(strategy_for(&roster, ProviderId(1)), replay);
     }
 }

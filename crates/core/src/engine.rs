@@ -1,17 +1,15 @@
 //! The shared per-provider protocol loop: one [`SessionEngine`] under
 //! every runtime.
 //!
-//! Historically each runtime — the threaded runtime
-//! ([`crate::runtime`]), the deterministic turn-based simulator
-//! (`dauctioneer-sim`'s `SimRunner`) and the virtual-clock DES
-//! (`dauctioneer-sim`'s `run_timed_auction`) — re-implemented the same
-//! provider loop: construct the [`Auctioneer`] with the provider's local
-//! seed, start it, frame every outgoing message with the session tag,
-//! unframe and session-filter every incoming message, dispatch to the
-//! auctioneer, and map deadlines/disconnects to the external ⊥ of §3.2.
-//! The paper runs the *same* protocol blocks regardless of deployment, so
-//! the repo now does too: that loop lives here, once, and the runtimes
-//! are thin drivers that differ only in how messages move.
+//! The provider loop — construct the [`Auctioneer`] with the provider's
+//! local seed, start it, frame every outgoing message with the session
+//! tag, unframe and session-filter every incoming message, dispatch to
+//! the auctioneer, and map deadlines/disconnects to the external ⊥ of
+//! §3.2 — lives here, once. The paper runs the *same* protocol blocks
+//! regardless of deployment, and so do both runtimes: the threaded
+//! runtime ([`crate::runtime`]) and `dauctioneer-sim`'s `SimRunner`,
+//! whose schedules cover both the turn-based game model and virtual time.
+//! They are thin drivers that differ only in how messages move.
 //!
 //! * [`SessionEngine`] — wraps one provider's [`Auctioneer`] with
 //!   session-tag framing, foreign-session filtering, and external abort.

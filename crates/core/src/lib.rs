@@ -34,13 +34,14 @@
 //! * [`engine::SessionEngine`] — the shared per-provider protocol loop
 //!   (session framing, dispatch, external ⊥) that every runtime drives:
 //!   the threaded [`runtime::run_session`], and `dauctioneer-sim`'s
-//!   turn-based and virtual-clock backends.
+//!   simulator (turn-based and virtual-time schedules).
 //! * [`batch::run_batch`] — N concurrent sessions multiplexed over one
 //!   shared provider mesh, with throughput reporting.
 //! * [`adversary`] — adversarial provider strategies (silent, late,
-//!   equivocating, garbage-sending) as transport wrappers, composing
-//!   with `dauctioneer-net`'s seeded link-fault chaos plane so the
-//!   k-resilience claims are testable end to end.
+//!   equivocating, garbage-sending, corrupting, starving, replaying), one
+//!   transform shared by the transport wrapper and the simulator,
+//!   composing with `dauctioneer-net`'s seeded link-fault chaos plane so
+//!   the k-resilience claims are testable end to end.
 //!
 //! ## Quick start
 //!

@@ -1,7 +1,7 @@
 //! The threaded runtime: one OS thread per provider, real message passing.
 //!
 //! This is the workspace's stand-in for the paper's deployment on Guifi
-//! nodes (`docs/ARCHITECTURE.md`, "One engine, three runtimes, two
+//! nodes (`docs/ARCHITECTURE.md`, "One engine, two runtimes, two
 //! transports"): provider threads give real CPU parallelism for
 //! the computation-bound standard auction, and injected link latency
 //! reproduces the communication-bound regime of the double auction. A

@@ -502,7 +502,7 @@ mod tests {
         let cfg = MarketConfig::new(3, 1, 8, 0).with_chaos(FaultPlan::seeded(1).with_drop(2.0));
         assert!(matches!(cfg.validate(), Err(MarketError::Chaos(_))));
         let cfg =
-            MarketConfig::new(3, 1, 8, 0).with_adversary(ProviderId(3), AdversaryKind::Equivocator);
+            MarketConfig::new(3, 1, 8, 0).with_adversary(ProviderId(3), AdversaryKind::Replay);
         assert!(matches!(
             cfg.validate(),
             Err(MarketError::AdversaryOutOfRange { provider: 3, m: 3 })

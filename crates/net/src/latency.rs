@@ -5,7 +5,7 @@
 //! threaded transport injects delays drawn from a [`LatencyModel`] so that
 //! the benchmark reproduces the paper's communication-dominated regime
 //! (Fig. 4) on a single host; the model is the documented substitution for
-//! the physical testbed (`docs/ARCHITECTURE.md`, "One engine, three
+//! the physical testbed (`docs/ARCHITECTURE.md`, "One engine, two
 //! runtimes, two transports").
 
 use std::time::Duration;

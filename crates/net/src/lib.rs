@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates its prototype on Guifi.net community-network nodes
 //! with ØMQ as the messaging layer. This crate is the workspace's
-//! substitute substrate (see `docs/ARCHITECTURE.md`, "One engine, three
+//! substitute substrate (see `docs/ARCHITECTURE.md`, "One engine, two
 //! runtimes, two transports"): an abstraction for reliable point-to-point
 //! messaging between the `m` providers, with the transport
 //! concern pulled out so the rest of the system is transport-agnostic:

@@ -1,137 +1,168 @@
-//! The deterministic turn-based simulator.
+//! The simulator: one deterministic message pump on virtual clocks.
 //!
-//! [`SimRunner`] is a generic message pump for any set of protocol
-//! [`Block`]s; full auction sessions ([`run_auction_sim`]) drive
-//! [`SessionEngine`]s, so session framing, dispatch and seeding are the
-//! shared `dauctioneer-core::engine` code — the same loop the threaded
-//! runtime and the virtual-clock DES run.
+//! [`SimRunner`] drives any set of protocol [`Block`]s; full auction
+//! sessions ([`run_auction_sim`]) drive [`SessionEngine`]s, so session
+//! framing, dispatch and seeding are the shared `dauctioneer-core::engine`
+//! code — the same loop the threaded runtime runs.
+//!
+//! The paper's testbed gives every provider its own CPU (§6.1). A host
+//! with fewer cores cannot reproduce that with threads, so every provider
+//! here owns a **virtual clock**: an event (start or delivery) begins at
+//! `max(clock, arrival)` and ends after its *measured* CPU time, and a
+//! message sent at the end of an event arrives after its link delay.
+//! Under the turn-based schedules links are instant and the schedule
+//! alone orders delivery; under [`SchedulePolicy::Timed`] the earliest
+//! arrival is delivered first, which is the discrete-event simulation.
+//! A session's *span* is its latest decision time — the paper's
+//! client-observed completion time. The protocol cannot observe the
+//! clocks, so outcomes never depend on them.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use dauctioneer_core::engine::{unanimous, SessionEngine};
-use dauctioneer_core::{AllocatorProgram, Block, BlockResult, FrameworkConfig, OutboxCtx};
+use dauctioneer_core::{
+    strategy_for, Adversary, AdversaryKind, AllocatorProgram, Block, FrameworkConfig, OutboxCtx,
+};
 use dauctioneer_types::{BidVector, Outcome, ProviderId};
 
-use crate::behavior::{Behavior, Honest};
 use crate::schedule::{SchedulePolicy, ScheduleState};
 
-/// One in-flight message.
-#[derive(Debug, Clone)]
-struct InFlight {
-    from: ProviderId,
-    to: ProviderId,
-    payload: Bytes,
+/// One in-flight message and its virtual arrival time.
+pub(crate) struct InFlight {
+    pub(crate) from: ProviderId,
+    pub(crate) to: ProviderId,
+    pub(crate) payload: Bytes,
+    pub(crate) arrival: Duration,
 }
 
 /// Drives a set of protocol blocks (one per provider) under a schedule,
-/// with optional deviation behaviors, until every block decided, no
-/// message is pending, or the step budget is exhausted.
+/// with each provider's outgoing messages transformed by its
+/// [`AdversaryKind`], until every block decided, no message is pending,
+/// or the step budget is exhausted.
 ///
-/// Everything is deterministic: same blocks + same policy ⇒ same
-/// execution, which is what lets the deviation tests make exact claims.
+/// Turn-based schedules are deterministic: same blocks + same policy ⇒
+/// same execution, which is what lets the deviation tests make exact
+/// claims.
 pub struct SimRunner<B: Block> {
     agents: Vec<B>,
-    behaviors: Vec<Box<dyn Behavior>>,
+    adversaries: Vec<AdversaryKind>,
+    sent: Vec<usize>,
     pending: VecDeque<InFlight>,
     schedule: ScheduleState,
+    clocks: Vec<Duration>,
+    decided_at: Vec<Option<Duration>>,
     delivered: u64,
+    bytes: u64,
     started: bool,
 }
 
 impl<B: Block> SimRunner<B> {
-    /// Create a runner over `agents` (index = provider id), all honest.
-    pub fn new(agents: Vec<B>, policy: SchedulePolicy) -> SimRunner<B> {
+    /// A runner over `agents` (index = provider id) with the deviations
+    /// of `adversaries`; `seed` seeds the link delays of
+    /// [`SchedulePolicy::Timed`].
+    pub fn new(
+        agents: Vec<B>,
+        adversaries: &[Adversary],
+        policy: SchedulePolicy,
+        seed: u64,
+    ) -> SimRunner<B> {
         let m = agents.len();
         SimRunner {
             agents,
-            behaviors: (0..m).map(|_| Box::new(Honest) as Box<dyn Behavior>).collect(),
+            adversaries: (0..m).map(|j| strategy_for(adversaries, ProviderId(j as u32))).collect(),
+            sent: vec![0; m],
             pending: VecDeque::new(),
-            schedule: ScheduleState::new(policy),
+            schedule: ScheduleState::new(policy, seed),
+            clocks: vec![Duration::ZERO; m],
+            decided_at: vec![None; m],
             delivered: 0,
+            bytes: 0,
             started: false,
-        }
-    }
-
-    /// Replace provider `i`'s behavior (deviation injection).
-    pub fn set_behavior(&mut self, i: usize, behavior: Box<dyn Behavior>) {
-        self.behaviors[i] = behavior;
-    }
-
-    /// Number of messages delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    fn m(&self) -> usize {
-        self.agents.len()
-    }
-
-    fn collect_sends(&mut self, from: usize, ctx: &mut OutboxCtx) {
-        for (to, payload) in ctx.drain() {
-            for (to, payload) in self.behaviors[from].on_send(to, payload) {
-                if to.index() < self.m() && to.index() != from {
-                    self.pending.push_back(InFlight { from: ProviderId(from as u32), to, payload });
-                }
-            }
         }
     }
 
     /// Run until quiescence (or `max_steps` deliveries). Returns `true`
     /// if the run quiesced (no pending messages or all agents decided).
     pub fn run(&mut self, max_steps: u64) -> bool {
-        let m = self.m();
         if !self.started {
             self.started = true;
-            for i in 0..m {
-                let mut ctx = OutboxCtx::new(ProviderId(i as u32), m);
-                self.agents[i].start(&mut ctx);
-                self.collect_sends(i, &mut ctx);
+            for j in 0..self.agents.len() {
+                self.event(j, None);
             }
         }
         while self.delivered < max_steps {
-            if self.pending.is_empty() {
+            if self.pending.is_empty() || self.agents.iter().all(|a| a.result().is_some()) {
                 return true;
             }
-            if self.agents.iter().all(|a| a.result().is_some()) {
-                return true;
-            }
-            let pending = &self.pending;
-            let idx = self.schedule.pick(pending.len(), |i| pending[i].to);
+            let idx = self.schedule.pick(&self.pending);
             let msg = self.pending.remove(idx).expect("index in range");
             self.delivered += 1;
-            let to = msg.to.index();
-            let mut ctx = OutboxCtx::new(msg.to, m);
-            self.agents[to].on_message(msg.from, &msg.payload, &mut ctx);
-            self.collect_sends(to, &mut ctx);
+            self.bytes += msg.payload.len() as u64;
+            self.event(msg.to.index(), Some(msg));
         }
         self.pending.is_empty()
     }
 
-    /// Per-agent results (None = undecided).
-    pub fn results(&self) -> Vec<Option<&BlockResult<B::Output>>> {
-        self.agents.iter().map(|a| a.result()).collect()
+    /// The latest decision time, or `None` while some agent is undecided.
+    pub fn span(&self) -> Option<Duration> {
+        self.decided_at.iter().try_fold(Duration::ZERO, |latest, t| t.map(|t| latest.max(t)))
     }
 
-    /// Access an agent.
-    pub fn agent(&self, i: usize) -> &B {
-        &self.agents[i]
+    /// Start provider `j` (`msg` is `None`) or deliver `msg` to it, on its
+    /// virtual clock, and queue what it sends.
+    fn event(&mut self, j: usize, msg: Option<InFlight>) {
+        let (m, me, kind) = (self.agents.len(), ProviderId(j as u32), self.adversaries[j]);
+        let mut ctx = OutboxCtx::new(me, m);
+        let begin = msg.as_ref().map_or(self.clocks[j], |msg| self.clocks[j].max(msg.arrival));
+        let cpu = Instant::now();
+        match msg {
+            None => self.agents[j].start(&mut ctx),
+            Some(msg) => self.agents[j].on_message(msg.from, &msg.payload, &mut ctx),
+        }
+        self.clocks[j] = begin + cpu.elapsed();
+        if self.decided_at[j].is_none() && self.agents[j].result().is_some() {
+            self.decided_at[j] = Some(self.clocks[j]);
+        }
+        for (to, payload) in ctx.drain() {
+            // Lateness holds each send back on the sender's clock; only
+            // `Timed` delivers by the clocks, so elsewhere it moves times only.
+            if let AdversaryKind::Late { delay } = kind {
+                self.clocks[j] += delay;
+            }
+            let n = self.sent[j];
+            self.sent[j] += 1;
+            kind.deviate(n, to, payload, |to, payload| {
+                if to.index() < m && to != me {
+                    let arrival = self.clocks[j] + self.schedule.link_delay(payload.len());
+                    self.pending.push_back(InFlight { from: me, to, payload, arrival });
+                }
+            });
+        }
     }
 }
 
 /// Report of a simulated auction session.
 #[derive(Debug, Clone)]
-pub struct AuctionSimReport {
+pub struct SimReport {
     /// Outcome at each provider; `None` means the provider never decided
     /// (possible only under deviations that withhold messages — the
     /// external mechanism of §3.2 treats it as ⊥).
     pub outcomes: Vec<Option<Outcome>>,
+    /// Virtual time at which each provider decided.
+    pub decision_times: Vec<Option<Duration>>,
+    /// Latest decision time — the session's completion time as a client
+    /// would observe it. `None` if some provider never decided.
+    pub span: Option<Duration>,
     /// Messages delivered before quiescence.
     pub delivered: u64,
+    /// Payload bytes delivered before quiescence.
+    pub bytes: u64,
 }
 
-impl AuctionSimReport {
+impl SimReport {
     /// The session outcome per Definition 1: the pair if *every* provider
     /// decided on the same pair, otherwise ⊥.
     pub fn unanimous(&self) -> Outcome {
@@ -141,50 +172,51 @@ impl AuctionSimReport {
     /// Outcomes of the providers *not* in `coalition` — what the honest
     /// majority observed.
     pub fn honest_unanimous(&self, coalition: &[usize]) -> Outcome {
-        let honest: Vec<Option<Outcome>> = self
-            .outcomes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !coalition.contains(i))
-            .map(|(_, o)| o.clone())
-            .collect();
-        AuctionSimReport { outcomes: honest, delivered: self.delivered }.unanimous()
+        unanimous(
+            self.outcomes
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !coalition.contains(i))
+                .map(|(_, o)| o.as_ref()),
+        )
     }
 }
 
-/// Convenience: run a full auction session in the simulator.
+/// Run a full auction session in the simulator.
 ///
-/// `collected[j]` is provider `j`'s view of the bids; `behaviors[j]`
-/// (when provided) replaces provider `j`'s honest message behavior; the
-/// session's [`SessionEngine`]s come from [`SessionEngine::roster`], so
-/// seeding and session framing are identical to the other runtimes.
+/// `collected[j]` is provider `j`'s view of the bids; `adversaries` names
+/// the deviating providers, as for the threaded runtimes; the session's
+/// [`SessionEngine`]s come from [`SessionEngine::roster`], so seeding and
+/// session framing are identical to the other runtimes.
 pub fn run_auction_sim<P: AllocatorProgram + 'static>(
     cfg: &FrameworkConfig,
     program: Arc<P>,
     collected: Vec<BidVector>,
-    behaviors: Vec<Option<Box<dyn Behavior>>>,
+    adversaries: &[Adversary],
     policy: SchedulePolicy,
     seed: u64,
-) -> AuctionSimReport {
-    let agents: Vec<SessionEngine<P>> = SessionEngine::roster(cfg, &program, collected, seed);
-    let mut runner = SimRunner::new(agents, policy);
-    for (j, behavior) in behaviors.into_iter().enumerate() {
-        if let Some(b) = behavior {
-            runner.set_behavior(j, b);
-        }
-    }
+) -> SimReport {
+    let agents = SessionEngine::roster(cfg, &program, collected, seed);
+    // Link draws decorrelated from the providers' local seeds.
+    let mut runner = SimRunner::new(agents, adversaries, policy, seed ^ 0x9E37_79B9_7F4A_7C15);
     // Generous budget; protocol rounds are O(m² · blocks).
     let quiesced = runner.run(10_000_000);
     debug_assert!(quiesced, "step budget too small");
-    let outcomes = (0..runner.m()).map(|i| runner.agent(i).outcome()).collect();
-    AuctionSimReport { outcomes, delivered: runner.delivered() }
+    SimReport {
+        outcomes: runner.agents.iter().map(SessionEngine::outcome).collect(),
+        span: runner.span(),
+        decision_times: runner.decided_at,
+        delivered: runner.delivered,
+        bytes: runner.bytes,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::behavior::{CorruptPayloads, Equivocate, Mute};
+    use crate::LinkModel;
     use dauctioneer_core::DoubleAuctionProgram;
+    use dauctioneer_net::LatencyModel;
     use dauctioneer_types::{Bw, Money, ProviderAsk, UserBid};
 
     fn cfg(m: usize, k: usize) -> FrameworkConfig {
@@ -201,60 +233,68 @@ mod tests {
             .build()
     }
 
+    fn run(m: usize, k: usize, adversaries: &[Adversary], policy: SchedulePolicy) -> SimReport {
+        let program = Arc::new(DoubleAuctionProgram::new());
+        run_auction_sim(&cfg(m, k), program, vec![bids(); m], adversaries, policy, 1)
+    }
+
+    fn one(provider: u32, kind: AdversaryKind) -> [Adversary; 1] {
+        [Adversary::new(ProviderId(provider), kind)]
+    }
+
     #[test]
-    fn honest_simulation_agrees() {
-        let cfg = cfg(3, 1);
-        let report = run_auction_sim(
-            &cfg,
-            Arc::new(DoubleAuctionProgram::new()),
-            vec![bids(); 3],
-            vec![None, None, None],
-            SchedulePolicy::Fifo,
-            1,
-        );
-        let outcome = report.unanimous();
-        assert!(!outcome.is_abort());
+    fn honest_simulation_agrees_and_reports_its_traffic_and_span() {
+        let report = run(3, 1, &[], SchedulePolicy::Fifo);
+        assert!(!report.unanimous().is_abort());
         assert!(report.delivered > 0);
+        assert!(report.bytes > report.delivered, "messages carry payloads");
+        assert_eq!(report.span, report.decision_times.iter().flatten().max().copied());
     }
 
     #[test]
     fn outcome_is_schedule_independent() {
         // Ex post: the decided pair must be identical under every fair
         // schedule (the coin material depends only on the providers'
-        // committed randomness, not on delivery order).
-        let cfg = cfg(3, 1);
-        let run = |policy| {
-            run_auction_sim(
-                &cfg,
-                Arc::new(DoubleAuctionProgram::new()),
-                vec![bids(); 3],
-                vec![None, None, None],
-                policy,
-                7,
-            )
-            .unanimous()
-        };
-        let fifo = run(SchedulePolicy::Fifo);
+        // committed randomness, not on delivery order), virtual time
+        // included.
+        let fifo = run(3, 1, &[], SchedulePolicy::Fifo).unanimous();
         assert!(!fifo.is_abort());
         for seed in 0..5 {
-            assert_eq!(run(SchedulePolicy::SeededRandom(seed)), fifo);
+            assert_eq!(run(3, 1, &[], SchedulePolicy::SeededRandom(seed)).unanimous(), fifo);
         }
-        assert_eq!(run(SchedulePolicy::DelayProvider { victim: ProviderId(2), seed: 3 }), fifo);
+        let starve = SchedulePolicy::DelayProvider { victim: ProviderId(2), seed: 3 };
+        assert_eq!(run(3, 1, &[], starve).unanimous(), fifo);
+        let timed = SchedulePolicy::Timed(LinkModel::community_net());
+        assert_eq!(run(3, 1, &[], timed).unanimous(), fifo);
+    }
+
+    #[test]
+    fn latency_dominates_span_for_cheap_computation() {
+        let fast = run(3, 1, &[], SchedulePolicy::Timed(LinkModel::instant()));
+        let slow_link =
+            LinkModel { latency: LatencyModel::ConstantMicros(5_000), bytes_per_sec: None };
+        let slow = run(3, 1, &[], SchedulePolicy::Timed(slow_link));
+        // Identical outcome, very different virtual span.
+        assert_eq!(fast.unanimous(), slow.unanimous());
+        let (fast, slow) = (fast.span.unwrap(), slow.span.unwrap());
+        // At least 3 protocol round trips of 5 ms each.
+        assert!(slow > fast + Duration::from_millis(10), "fast {fast:?} slow {slow:?}");
+    }
+
+    #[test]
+    fn a_late_provider_stretches_the_timed_span_but_still_clears() {
+        let timed = || SchedulePolicy::Timed(LinkModel::instant());
+        let on_time = run(3, 1, &[], timed());
+        let late =
+            run(3, 1, &one(2, AdversaryKind::Late { delay: Duration::from_millis(2) }), timed());
+        assert_eq!(late.unanimous(), on_time.unanimous());
+        assert!(late.span.unwrap() >= Duration::from_millis(10), "{:?}", late.span);
     }
 
     #[test]
     fn equivocating_provider_forces_abort_not_divergence() {
-        let cfg = cfg(3, 1);
-        let mut behaviors: Vec<Option<Box<dyn Behavior>>> = vec![None, None, None];
-        behaviors[0] = Some(Box::new(Equivocate { victim: ProviderId(1) }));
-        let report = run_auction_sim(
-            &cfg,
-            Arc::new(DoubleAuctionProgram::new()),
-            vec![bids(); 3],
-            behaviors,
-            SchedulePolicy::Fifo,
-            1,
-        );
+        let equivocate = one(0, AdversaryKind::Equivocator { victim: ProviderId(1) });
+        let report = run(3, 1, &equivocate, SchedulePolicy::Fifo);
         // Resilience to collusive influence: honest providers output the
         // honest pair or ⊥ — never a *different* accepted pair.
         let honest_outcome = report.honest_unanimous(&[0]);
@@ -262,69 +302,27 @@ mod tests {
     }
 
     #[test]
-    fn corrupting_provider_forces_abort() {
-        let cfg = cfg(3, 1);
-        let mut behaviors: Vec<Option<Box<dyn Behavior>>> = vec![None, None, None];
-        behaviors[2] = Some(Box::new(CorruptPayloads::default()));
-        let report = run_auction_sim(
-            &cfg,
-            Arc::new(DoubleAuctionProgram::new()),
-            vec![bids(); 3],
-            behaviors,
-            SchedulePolicy::SeededRandom(4),
-            2,
-        );
-        assert!(report.unanimous().is_abort());
-    }
-
-    #[test]
-    fn replaying_provider_forces_abort() {
-        use crate::behavior::Replay;
-        let cfg = cfg(3, 1);
-        let mut behaviors: Vec<Option<Box<dyn Behavior>>> = vec![None, None, None];
-        behaviors[1] = Some(Box::new(Replay));
-        let report = run_auction_sim(
-            &cfg,
-            Arc::new(DoubleAuctionProgram::new()),
-            vec![bids(); 3],
-            behaviors,
-            SchedulePolicy::Fifo,
-            6,
-        );
+    fn corrupting_and_replaying_providers_force_abort() {
+        let corrupt = run(3, 1, &one(2, AdversaryKind::Corrupt), SchedulePolicy::SeededRandom(4));
+        assert!(corrupt.unanimous().is_abort());
         // Duplicate round messages are a detectable protocol violation.
-        assert!(report.unanimous().is_abort());
+        assert!(run(3, 1, &one(1, AdversaryKind::Replay), SchedulePolicy::Fifo)
+            .unanimous()
+            .is_abort());
     }
 
     #[test]
     fn full_paper_configuration_m8_k3() {
         // The largest configuration of §6: eight providers tolerating a
         // three-member coalition.
-        let cfg = FrameworkConfig::new(8, 3, 3, 2);
-        let report = run_auction_sim(
-            &cfg,
-            Arc::new(DoubleAuctionProgram::new()),
-            vec![bids(); 8],
-            (0..8).map(|_| None).collect(),
-            SchedulePolicy::SeededRandom(4),
-            12,
-        );
+        let report = run(8, 3, &[], SchedulePolicy::SeededRandom(4));
         assert!(!report.unanimous().is_abort());
         assert_eq!(report.outcomes.len(), 8);
     }
 
     #[test]
     fn muted_provider_stalls_but_never_diverges() {
-        let cfg = cfg(3, 1);
-        let mut behaviors: Vec<Option<Box<dyn Behavior>>> = vec![None, None, None];
-        behaviors[1] = Some(Box::new(Mute::new(0)));
-        let report = run_auction_sim(
-            &cfg,
-            Arc::new(DoubleAuctionProgram::new()),
-            vec![bids(); 3],
-            behaviors,
-            SchedulePolicy::Fifo,
-            3,
-        );
+        let report = run(3, 1, &one(1, AdversaryKind::Silent { after: 0 }), SchedulePolicy::Fifo);
         // Nobody can decide a pair without the mute provider's messages;
         // per §3.2 the external mechanism aborts. No provider may hold an
         // accepted pair.
@@ -335,5 +333,6 @@ mod tests {
             );
         }
         assert!(report.unanimous().is_abort());
+        assert_eq!(report.span, None, "an undecided provider leaves no span");
     }
 }

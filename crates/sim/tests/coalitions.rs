@@ -8,11 +8,9 @@
 
 use std::sync::Arc;
 
-use dauctioneer_core::{DoubleAuctionProgram, FrameworkConfig};
+use dauctioneer_core::{Adversary, AdversaryKind, DoubleAuctionProgram, FrameworkConfig};
 use dauctioneer_sim::utility::provider_utility;
-use dauctioneer_sim::{
-    run_auction_sim, Behavior, CorruptPayloads, DropTo, Equivocate, Mute, SchedulePolicy,
-};
+use dauctioneer_sim::{run_auction_sim, SchedulePolicy};
 use dauctioneer_types::{BidVector, Outcome, ProviderId};
 use dauctioneer_workload::DoubleAuctionWorkload;
 
@@ -33,7 +31,7 @@ fn honest(seed: u64) -> Outcome {
         &cfg(),
         Arc::new(DoubleAuctionProgram::new()),
         vec![bids(seed); M],
-        (0..M).map(|_| None).collect(),
+        &[],
         SchedulePolicy::SeededRandom(seed),
         seed,
     )
@@ -43,17 +41,17 @@ fn honest(seed: u64) -> Outcome {
 fn with_coalition(
     seed: u64,
     coalition: &[usize],
-    make: impl Fn(usize) -> Box<dyn Behavior>,
+    make: impl Fn(usize) -> AdversaryKind,
 ) -> Outcome {
-    let mut behaviors: Vec<Option<Box<dyn Behavior>>> = (0..M).map(|_| None).collect();
-    for &member in coalition {
-        behaviors[member] = Some(make(member));
-    }
+    let adversaries: Vec<Adversary> = coalition
+        .iter()
+        .map(|&member| Adversary::new(ProviderId(member as u32), make(member)))
+        .collect();
     let report = run_auction_sim(
         &cfg(),
         Arc::new(DoubleAuctionProgram::new()),
         vec![bids(seed); M],
-        behaviors,
+        &adversaries,
         SchedulePolicy::SeededRandom(seed),
         seed,
     );
@@ -74,7 +72,7 @@ fn two_equivocators_cannot_steer() {
         let outcome = with_coalition(seed, &[0, 1], |member| {
             // Coordinated: each member equivocates toward a different
             // honest victim.
-            Box::new(Equivocate { victim: ProviderId((member as u32 + 2) % M as u32) })
+            AdversaryKind::Equivocator { victim: ProviderId((member as u32 + 2) % M as u32) }
         });
         assert!(
             outcome.is_abort() || outcome == baseline,
@@ -87,11 +85,11 @@ fn two_equivocators_cannot_steer() {
 fn mixed_strategy_coalition_cannot_steer() {
     for seed in 0..3u64 {
         let baseline = honest(seed);
-        let outcome = with_coalition(seed, &[1, 3], |member| -> Box<dyn Behavior> {
+        let outcome = with_coalition(seed, &[1, 3], |member| {
             if member == 1 {
-                Box::new(CorruptPayloads::default())
+                AdversaryKind::Corrupt
             } else {
-                Box::new(DropTo { victim: ProviderId(0) })
+                AdversaryKind::DropTo { victim: ProviderId(0) }
             }
         });
         assert!(
@@ -104,7 +102,7 @@ fn mixed_strategy_coalition_cannot_steer() {
 #[test]
 fn silent_coalition_only_stalls() {
     for seed in 0..2u64 {
-        let outcome = with_coalition(seed, &[2, 4], |_| Box::new(Mute::new(0)));
+        let outcome = with_coalition(seed, &[2, 4], |_| AdversaryKind::Silent { after: 0 });
         // Withholding can deny progress (⊥ via the external abort), but
         // never forges an accepted pair.
         assert!(outcome.is_abort());
@@ -117,8 +115,8 @@ fn coalition_members_never_profit() {
         let b = bids(seed);
         let baseline = honest(seed);
         let coalition = [0usize, 1usize];
-        let outcome = with_coalition(seed, &coalition, |member| {
-            Box::new(Equivocate { victim: ProviderId((member as u32 + 3) % M as u32) })
+        let outcome = with_coalition(seed, &coalition, |member| AdversaryKind::Equivocator {
+            victim: ProviderId((member as u32 + 3) % M as u32),
         });
         for &member in &coalition {
             let true_cost = b.provider_ask(ProviderId(member as u32)).unit_cost();
@@ -141,8 +139,8 @@ fn larger_coalition_than_k_can_force_abort_but_not_forge() {
     // conflicting copies, hence ⊥, not acceptance.
     for seed in 0..2u64 {
         let baseline = honest(seed);
-        let outcome = with_coalition(seed, &[0, 1, 2], |member| {
-            Box::new(Equivocate { victim: ProviderId(((member + 1) % M) as u32) })
+        let outcome = with_coalition(seed, &[0, 1, 2], |member| AdversaryKind::Equivocator {
+            victim: ProviderId(((member + 1) % M) as u32),
         });
         assert!(
             outcome.is_abort() || outcome == baseline,

@@ -22,13 +22,13 @@
 
 use std::sync::Arc;
 
-use dauctioneer_core::{DoubleAuctionProgram, DynProgram, FrameworkConfig, StandardAuctionProgram};
+use dauctioneer_core::{
+    Adversary, AdversaryKind, DoubleAuctionProgram, DynProgram, FrameworkConfig,
+    StandardAuctionProgram,
+};
 use dauctioneer_crypto::sha256;
 use dauctioneer_mechanisms::{StandardAuction, StandardAuctionConfig};
-use dauctioneer_sim::{
-    run_auction_sim, run_timed_auction, Behavior, CorruptPayloads, DropTo, Equivocate, LinkModel,
-    Mute, Replay, SchedulePolicy,
-};
+use dauctioneer_sim::{run_auction_sim, LinkModel, SchedulePolicy};
 use dauctioneer_types::codec::Encode;
 use dauctioneer_types::{BidVector, Outcome, ProviderId};
 use dauctioneer_workload::{DoubleAuctionWorkload, StandardAuctionWorkload};
@@ -62,17 +62,16 @@ const DEVIATIONS: [(&str, Deviation); 7] = [
 ];
 
 /// Provider 0's deviation in an `m`-provider session.
-fn behaviors(deviation: Deviation, m: usize) -> Vec<Option<Box<dyn Behavior>>> {
-    let mut behaviors: Vec<Option<Box<dyn Behavior>>> = (0..m).map(|_| None).collect();
-    behaviors[0] = match deviation {
-        Deviation::None => None,
-        Deviation::Equivocate => Some(Box::new(Equivocate { victim: ProviderId(1) })),
-        Deviation::Corrupt => Some(Box::new(CorruptPayloads::default())),
-        Deviation::Mute(after) => Some(Box::new(Mute::new(after))),
-        Deviation::DropTo => Some(Box::new(DropTo { victim: ProviderId(m as u32 - 1) })),
-        Deviation::Replay => Some(Box::new(Replay)),
+fn adversaries(deviation: Deviation, m: usize) -> Vec<Adversary> {
+    let kind = match deviation {
+        Deviation::None => return Vec::new(),
+        Deviation::Equivocate => AdversaryKind::Equivocator { victim: ProviderId(1) },
+        Deviation::Corrupt => AdversaryKind::Corrupt,
+        Deviation::Mute(after) => AdversaryKind::Silent { after },
+        Deviation::DropTo => AdversaryKind::DropTo { victim: ProviderId(m as u32 - 1) },
+        Deviation::Replay => AdversaryKind::Replay,
     };
-    behaviors
+    vec![Adversary::new(ProviderId(0), kind)]
 }
 
 fn schedules(m: usize) -> Vec<(String, SchedulePolicy)> {
@@ -127,14 +126,15 @@ fn turn_based(
     deviation: Deviation,
 ) -> String {
     let (cfg, program, bids) = session(program, m, k);
-    let report =
-        run_auction_sim(&cfg, program, vec![bids; m], behaviors(deviation, m), policy, SEED);
+    let adversaries = adversaries(deviation, m);
+    let report = run_auction_sim(&cfg, program, vec![bids; m], &adversaries, policy, SEED);
     format!("d={} | {}", report.delivered, render_outcomes(&report.outcomes))
 }
 
 fn timed(program: Program, m: usize, k: usize) -> String {
     let (cfg, program, bids) = session(program, m, k);
-    let report = run_timed_auction(&cfg, program, vec![bids; m], LinkModel::community_net(), SEED);
+    let timed = SchedulePolicy::Timed(LinkModel::community_net());
+    let report = run_auction_sim(&cfg, program, vec![bids; m], &[], timed, SEED);
     render_outcomes(&report.outcomes)
 }
 

@@ -9,7 +9,7 @@ use dauctioneer_mechanisms::baselines::standard_welfare;
 use dauctioneer_mechanisms::props::{feasibility_violations, rationality_violations};
 use dauctioneer_mechanisms::solver::{solve_exhaustive, Instance};
 use dauctioneer_mechanisms::{StandardAuction, StandardAuctionConfig};
-use dauctioneer_sim::{run_timed_auction, LinkModel};
+use dauctioneer_sim::{run_auction_sim, LinkModel, SchedulePolicy};
 use dauctioneer_workload::StandardAuctionWorkload;
 
 #[test]
@@ -17,11 +17,12 @@ fn timed_standard_auction_agrees_at_p2() {
     let (bids, capacities) = StandardAuctionWorkload::new(8, 2, 4).generate();
     let auction = StandardAuction::new(StandardAuctionConfig::exact(capacities.clone()));
     let cfg = FrameworkConfig::new(4, 1, 8, 0);
-    let report = run_timed_auction(
+    let report = run_auction_sim(
         &cfg,
         Arc::new(StandardAuctionProgram::new(auction)),
         vec![bids.clone(); 4],
-        LinkModel::community_net(),
+        &[],
+        SchedulePolicy::Timed(LinkModel::community_net()),
         11,
     );
     let outcome = report.unanimous();
@@ -38,27 +39,21 @@ fn timed_standard_auction_agrees_at_p2() {
 
 #[test]
 fn timed_outcome_equals_untimed_outcome() {
-    use dauctioneer_sim::{run_auction_sim, SchedulePolicy};
     let (bids, capacities) = StandardAuctionWorkload::new(6, 2, 2).generate();
     let auction = StandardAuction::new(StandardAuctionConfig::exact(capacities));
     let program = Arc::new(StandardAuctionProgram::new(auction));
     let cfg = FrameworkConfig::new(3, 1, 6, 0);
 
-    let timed = run_timed_auction(
+    let timed = run_auction_sim(
         &cfg,
         Arc::clone(&program),
         vec![bids.clone(); 3],
-        LinkModel::community_net(),
+        &[],
+        SchedulePolicy::Timed(LinkModel::community_net()),
         21,
     );
-    let untimed = run_auction_sim(
-        &cfg,
-        program,
-        vec![bids; 3],
-        vec![None, None, None],
-        SchedulePolicy::SeededRandom(5),
-        21,
-    );
+    let untimed =
+        run_auction_sim(&cfg, program, vec![bids; 3], &[], SchedulePolicy::SeededRandom(5), 21);
     // The virtual clock must not influence what is decided.
     assert_eq!(timed.unanimous(), untimed.unanimous());
 }
@@ -68,14 +63,15 @@ fn traffic_accounting_is_consistent() {
     let (bids, capacities) = StandardAuctionWorkload::new(5, 2, 7).generate();
     let auction = StandardAuction::new(StandardAuctionConfig::exact(capacities));
     let cfg = FrameworkConfig::new(3, 1, 5, 0);
-    let report = run_timed_auction(
+    let report = run_auction_sim(
         &cfg,
         Arc::new(StandardAuctionProgram::new(auction)),
         vec![bids; 3],
-        LinkModel::instant(),
+        &[],
+        SchedulePolicy::Timed(LinkModel::instant()),
         3,
     );
     assert!(!report.unanimous().is_abort());
-    assert!(report.messages > 0);
-    assert!(report.bytes > report.messages, "messages carry payloads");
+    assert!(report.delivered > 0);
+    assert!(report.bytes > report.delivered, "messages carry payloads");
 }

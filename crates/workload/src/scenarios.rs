@@ -192,7 +192,7 @@ pub fn chaos_suite() -> Vec<ChaosScenario> {
         ChaosScenario {
             name: "equivocator",
             plan: None,
-            adversary: Some(AdversaryKind::Equivocator),
+            adversary: Some(AdversaryKind::Equivocator { victim: ProviderId(0) }),
             expect: Expectation::HonestOrAbort,
         },
         ChaosScenario {
@@ -210,7 +210,7 @@ pub fn chaos_suite() -> Vec<ChaosScenario> {
                     .with_delay(0.1, Duration::from_millis(1), Duration::from_millis(5))
                     .with_corrupt(0.02),
             ),
-            adversary: Some(AdversaryKind::Equivocator),
+            adversary: Some(AdversaryKind::Equivocator { victim: ProviderId(0) }),
             expect: Expectation::HonestOrAbort,
         },
     ]

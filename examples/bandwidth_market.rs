@@ -4,7 +4,7 @@
 //! Eight gateway owners (the community members with Internet uplinks)
 //! jointly run the auctioneer for a double auction over their uplink
 //! bandwidth, under the §6.2 workload, with realistic community-network
-//! link latencies simulated by the discrete-event runtime.
+//! link latencies on the simulator's virtual clock (`SchedulePolicy::Timed`).
 //!
 //! ```text
 //! cargo run --release --example bandwidth_market
@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use dauctioneer::core::{DoubleAuctionProgram, FrameworkConfig};
 use dauctioneer::mechanisms::baselines::double_welfare;
-use dauctioneer::sim::{run_timed_auction, LinkModel};
+use dauctioneer::sim::{run_auction_sim, LinkModel, SchedulePolicy};
 use dauctioneer::types::ProviderId;
 use dauctioneer::workload::DoubleAuctionWorkload;
 
@@ -32,11 +32,12 @@ fn main() {
     let bids = DoubleAuctionWorkload::new(households, gateways, 2024).generate();
     let cfg = FrameworkConfig::new(simulators, k, households, gateways);
 
-    let report = run_timed_auction(
+    let report = run_auction_sim(
         &cfg,
         Arc::new(DoubleAuctionProgram::new()),
         vec![bids.clone(); simulators],
-        LinkModel::community_net(),
+        &[],
+        SchedulePolicy::Timed(LinkModel::community_net()),
         7,
     );
 
@@ -51,7 +52,7 @@ fn main() {
         "auction cleared in {:?} (virtual time over community-network links)",
         report.span.expect("all gateways decided")
     );
-    println!("traffic: {} messages, {} bytes across the mesh", report.messages, report.bytes);
+    println!("traffic: {} messages, {} bytes across the mesh", report.delivered, report.bytes);
     println!(
         "{} of {households} households receive bandwidth; social welfare = {}",
         winners.len(),

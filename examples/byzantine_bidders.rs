@@ -17,8 +17,8 @@
 
 use std::sync::Arc;
 
-use dauctioneer::core::{DoubleAuctionProgram, FrameworkConfig};
-use dauctioneer::sim::{run_auction_sim, Behavior, Equivocate, SchedulePolicy};
+use dauctioneer::core::{Adversary, AdversaryKind, DoubleAuctionProgram, FrameworkConfig};
+use dauctioneer::sim::{run_auction_sim, SchedulePolicy};
 use dauctioneer::types::{BidVector, Bw, Money, ProviderAsk, ProviderId, UserBid, UserId};
 
 fn base_bids(valuation_of_user0: f64) -> BidVector {
@@ -44,7 +44,7 @@ fn main() {
         &cfg,
         Arc::clone(&program),
         views,
-        vec![None, None, None],
+        &[],
         SchedulePolicy::SeededRandom(1),
         11,
     );
@@ -65,7 +65,7 @@ fn main() {
         &cfg,
         Arc::clone(&program),
         views,
-        vec![None, None, None],
+        &[],
         SchedulePolicy::SeededRandom(2),
         22,
     );
@@ -76,13 +76,13 @@ fn main() {
     //    provider 0. Detection ⇒ ⊥ ⇒ deviator utility 0.
     println!("— scenario 3: provider 2 equivocates at the protocol level —");
     let views: Vec<BidVector> = (0..m).map(|_| base_bids(1.1)).collect();
-    let behaviors: Vec<Option<Box<dyn Behavior>>> =
-        vec![None, None, Some(Box::new(Equivocate { victim: ProviderId(0) }))];
+    let equivocator =
+        Adversary::new(ProviderId(2), AdversaryKind::Equivocator { victim: ProviderId(0) });
     let report = run_auction_sim(
         &cfg,
         Arc::clone(&program),
         views,
-        behaviors,
+        &[equivocator],
         SchedulePolicy::SeededRandom(3),
         33,
     );

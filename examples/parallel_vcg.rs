@@ -15,7 +15,7 @@ use std::time::Instant;
 use dauctioneer::core::{FrameworkConfig, StandardAuctionProgram};
 use dauctioneer::mechanisms::solver::BranchBoundConfig;
 use dauctioneer::mechanisms::{Mechanism, SharedRng, StandardAuction, StandardAuctionConfig};
-use dauctioneer::sim::{run_timed_auction, LinkModel};
+use dauctioneer::sim::{run_auction_sim, LinkModel, SchedulePolicy};
 use dauctioneer::workload::StandardAuctionWorkload;
 
 fn main() {
@@ -44,11 +44,12 @@ fn main() {
     // Distributed runs: the payment solves spread across provider groups.
     for (k, label) in [(3usize, "p=2 (k=3)"), (1usize, "p=4 (k=1)")] {
         let cfg = FrameworkConfig::new(m, k, n, 0);
-        let report = run_timed_auction(
+        let report = run_auction_sim(
             &cfg,
             Arc::new(StandardAuctionProgram::new(auction.clone())),
             vec![bids.clone(); m],
-            LinkModel::community_net(),
+            &[],
+            SchedulePolicy::Timed(LinkModel::community_net()),
             42,
         );
         let outcome = report.unanimous();

@@ -84,7 +84,7 @@ use dauctioneer::market::{
     MarketService, MechanismSpec,
 };
 use dauctioneer::net::LatencyModel;
-use dauctioneer::sim::{run_timed_auction, LinkModel};
+use dauctioneer::sim::{run_auction_sim, LinkModel, SchedulePolicy};
 use dauctioneer::telemetry::{FlightDump, MetricsServer, Registry};
 use dauctioneer::types::{Outcome, ProviderId, UserId};
 use dauctioneer::workload::{
@@ -966,7 +966,8 @@ fn run<P: dauctioneer::core::AllocatorProgram + 'static>(
 ) -> (Outcome, &'static str, Duration) {
     if args.des {
         let link = if args.community { LinkModel::community_net() } else { LinkModel::instant() };
-        let report = run_timed_auction(&cfg, program, collected, link, args.seed);
+        let timed = SchedulePolicy::Timed(link);
+        let report = run_auction_sim(&cfg, program, collected, &[], timed, args.seed);
         (
             report.unanimous(),
             "virtual span (discrete-event, one CPU per provider)",

@@ -29,6 +29,15 @@ fn one_shot_clears_the_combinatorial_mechanism() {
 }
 
 #[test]
+fn one_shot_des_runtime_reports_a_virtual_span() {
+    let (out, stderr) = dauction(&["--runtime", "des", "--latency", "community", "--n", "20"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(stdout.contains("virtual span"), "stdout: {stdout}");
+    assert!(stdout.contains("outcome: agreed"), "stdout: {stdout}");
+}
+
+#[test]
 fn one_shot_rejects_unknown_runtime_and_latency() {
     for args in [["--runtime", "bogus"], ["--latency", "bogus"]] {
         let (out, stderr) = dauction(&args);

@@ -18,10 +18,6 @@ use dauctioneer::sim::{run_auction_sim, SchedulePolicy};
 use dauctioneer::types::{BidVector, Bw, Money, Outcome, ProviderAsk, UserBid};
 use dauctioneer::workload::{DoubleAuctionWorkload, StandardAuctionWorkload};
 
-fn no_behaviors(m: usize) -> Vec<Option<Box<dyn dauctioneer::sim::Behavior>>> {
-    (0..m).map(|_| None).collect()
-}
-
 /// The double auction is deterministic, so the distributed outcome must
 /// *equal* the centralised one — the strongest form of Definition 1.
 #[test]
@@ -34,7 +30,7 @@ fn distributed_double_auction_equals_centralised() {
             &cfg,
             Arc::new(DoubleAuctionProgram::new()),
             vec![bids.clone(); m],
-            no_behaviors(m),
+            &[],
             SchedulePolicy::SeededRandom(seed),
             seed,
         );
@@ -62,7 +58,7 @@ fn distributed_standard_auction_is_exact_and_rational() {
             &cfg,
             Arc::new(StandardAuctionProgram::new(auction)),
             vec![bids.clone(); m],
-            no_behaviors(m),
+            &[],
             SchedulePolicy::Fifo,
             seed * 100,
         );
@@ -93,7 +89,7 @@ fn sessions_are_reproducible() {
             &cfg,
             Arc::new(DoubleAuctionProgram::new()),
             vec![bids.clone(); m],
-            no_behaviors(m),
+            &[],
             SchedulePolicy::SeededRandom(5),
             77,
         )
@@ -126,7 +122,7 @@ fn consistent_bids_survive_equivocating_bidders() {
         &cfg,
         Arc::new(DoubleAuctionProgram::new()),
         views,
-        no_behaviors(m),
+        &[],
         SchedulePolicy::SeededRandom(3),
         123,
     );

@@ -13,12 +13,11 @@
 //!    utilities are non-negative in these auctions).
 
 use std::sync::Arc;
+use std::time::Duration;
 
-use dauctioneer::core::{DoubleAuctionProgram, FrameworkConfig};
+use dauctioneer::core::{Adversary, AdversaryKind, DoubleAuctionProgram, FrameworkConfig};
 use dauctioneer::sim::utility::provider_utility;
-use dauctioneer::sim::{
-    run_auction_sim, Behavior, CorruptPayloads, DropTo, Equivocate, Mute, SchedulePolicy,
-};
+use dauctioneer::sim::{run_auction_sim, LinkModel, SchedulePolicy};
 use dauctioneer::types::{BidVector, Money, Outcome, ProviderId, UserId};
 use dauctioneer::workload::DoubleAuctionWorkload;
 
@@ -40,47 +39,62 @@ fn honest_outcome(seed: u64) -> Outcome {
         &cfg(),
         Arc::new(DoubleAuctionProgram::new()),
         vec![workload(seed); M],
-        (0..M).map(|_| None).collect(),
+        &[],
         SchedulePolicy::SeededRandom(seed),
         seed,
     );
     report.unanimous()
 }
 
-fn run_with_deviation(seed: u64, deviator: usize, behavior: Box<dyn Behavior>) -> Outcome {
-    let mut behaviors: Vec<Option<Box<dyn Behavior>>> = (0..M).map(|_| None).collect();
-    behaviors[deviator] = Some(behavior);
+fn run_with_deviation(
+    seed: u64,
+    deviator: usize,
+    kind: AdversaryKind,
+    policy: SchedulePolicy,
+) -> Outcome {
     let report = run_auction_sim(
         &cfg(),
         Arc::new(DoubleAuctionProgram::new()),
         vec![workload(seed); M],
-        behaviors,
-        SchedulePolicy::SeededRandom(seed),
+        &[Adversary::new(ProviderId(deviator as u32), kind)],
+        policy,
         seed,
     );
     // What matters for influence is what the honest providers accept.
     report.honest_unanimous(&[deviator])
 }
 
-/// Every message-level deviation class: the honest providers' outcome is
-/// either the honest outcome or ⊥ — never a different accepted pair.
+/// Every deviation primitive, under a seeded-random schedule and under
+/// virtual time: the honest providers' outcome is either the honest
+/// outcome or ⊥ — never a different accepted pair. Lateness stays within
+/// the model's fair schedule, so it must clear.
 #[test]
 fn deviations_cannot_steer_the_outcome() {
+    let deviations = [
+        AdversaryKind::Silent { after: 0 },
+        AdversaryKind::Silent { after: 3 },
+        AdversaryKind::Late { delay: Duration::from_millis(3) },
+        AdversaryKind::GarbageFrames { period: 3 },
+        AdversaryKind::Replay,
+        AdversaryKind::Corrupt,
+        AdversaryKind::DropTo { victim: ProviderId(2) },
+        AdversaryKind::Equivocator { victim: ProviderId(1) },
+    ];
     for seed in 0..4u64 {
         let honest = honest_outcome(seed);
         assert!(!honest.is_abort(), "baseline must succeed (seed {seed})");
-        let deviations: Vec<(&str, Box<dyn Behavior>)> = vec![
-            ("equivocate", Box::new(Equivocate { victim: ProviderId(1) })),
-            ("corrupt", Box::new(CorruptPayloads::default())),
-            ("mute", Box::new(Mute::new(3))),
-            ("drop-to", Box::new(DropTo { victim: ProviderId(2) })),
-        ];
-        for (name, behavior) in deviations {
-            let outcome = run_with_deviation(seed, 0, behavior);
-            assert!(
-                outcome.is_abort() || outcome == honest,
-                "deviation `{name}` steered the outcome (seed {seed})"
-            );
+        for kind in deviations {
+            let timed = SchedulePolicy::Timed(LinkModel::community_net());
+            for policy in [SchedulePolicy::SeededRandom(seed), timed] {
+                let outcome = run_with_deviation(seed, 0, kind, policy.clone());
+                assert!(
+                    outcome.is_abort() || outcome == honest,
+                    "{kind:?} steered the outcome under {policy:?} (seed {seed})"
+                );
+                if let AdversaryKind::Late { .. } = kind {
+                    assert_eq!(outcome, honest, "lateness must clear under {policy:?}");
+                }
+            }
         }
     }
 }
@@ -99,10 +113,12 @@ fn deviating_never_raises_provider_utility() {
                 honest_utility >= Money::ZERO,
                 "honest provider utility must be individually rational"
             );
+            let victim = ProviderId(((deviator + 1) % M) as u32);
             let deviant = run_with_deviation(
                 seed,
                 deviator,
-                Box::new(Equivocate { victim: ProviderId(((deviator + 1) % M) as u32) }),
+                AdversaryKind::Equivocator { victim },
+                SchedulePolicy::SeededRandom(seed),
             );
             let deviant_utility =
                 provider_utility(ProviderId(deviator as u32), true_cost, &deviant);
@@ -144,7 +160,7 @@ fn lying_about_collected_bids_cannot_dictate_the_agreement() {
             &cfg(),
             Arc::new(DoubleAuctionProgram::new()),
             collected,
-            (0..M).map(|_| None).collect(),
+            &[],
             SchedulePolicy::SeededRandom(seed),
             seed,
         );
@@ -181,7 +197,7 @@ fn outcome_is_invariant_under_starvation_schedules() {
             &cfg(),
             Arc::new(DoubleAuctionProgram::new()),
             vec![workload(seed); M],
-            (0..M).map(|_| None).collect(),
+            &[],
             SchedulePolicy::DelayProvider { victim: ProviderId(victim as u32), seed: 9 },
             seed,
         );

@@ -50,7 +50,7 @@ proptest! {
             &cfg,
             Arc::new(DoubleAuctionProgram::new()),
             vec![bids.clone(); m],
-            (0..m).map(|_| None).collect(),
+            &[],
             SchedulePolicy::SeededRandom(schedule_seed),
             local_seed,
         );
@@ -89,7 +89,7 @@ proptest! {
             &cfg,
             Arc::new(DoubleAuctionProgram::new()),
             views,
-            (0..m).map(|_| None).collect(),
+            &[],
             SchedulePolicy::SeededRandom(schedule_seed),
             schedule_seed,
         );
