@@ -11,8 +11,8 @@
 //!
 //! Times for the distributed series are virtual-clock spans from the
 //! simulator's `Timed` schedule over the community-network link model
-//! (see `dauctioneer-sim` and `docs/ARCHITECTURE.md`, "One engine, two
-//! runtimes, two transports", for why this substitutes the paper's Guifi
+//! (see `dauctioneer-sim` and `docs/ARCHITECTURE.md`, "One engine, one
+//! threaded driver, one simulator", for why this substitutes the paper's Guifi
 //! testbed). Usage:
 //!
 //! ```text

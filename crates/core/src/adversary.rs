@@ -19,8 +19,8 @@
 //! take the same `&[Adversary]` roster. Strategies compose with link
 //! chaos: the worker pool wraps every endpoint as
 //! `AdversaryTransport<ChaosTransport<T>>` (see
-//! [`SessionPool::new_with_faults`](crate::pool::SessionPool::new_with_faults)),
-//! so a run can feature both a lossy network and a deviating provider.
+//! [`SessionPool::start`](crate::pool::SessionPool::start)), so a run can
+//! feature both a lossy network and a deviating provider.
 //! The required end state, asserted by the chaos suite and the
 //! equilibrium tests: every such run terminates in either the fault-free
 //! honest outcome or the paper-mandated ⊥-abort — never a hang, never a

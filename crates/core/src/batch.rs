@@ -5,11 +5,10 @@
 //! **many** (one per resource pool, region, or time slot — the regime of
 //! large-scale double-auction deployments like Gao et al.'s D2D trading).
 //! Because every frame already carries its session tag, `m` providers can
-//! run any number of concurrent sessions over the *same*
-//! [`ThreadedHub`] mesh: each provider thread drives one
-//! [`SessionEngine`] per session and routes incoming frames by tag
-//! ([`drive_multi`]), and a straggler of one session can never perturb
-//! another.
+//! run any number of concurrent sessions over the *same* mesh: each
+//! provider thread drives one [`SessionEngine`] per session and routes
+//! incoming frames by tag ([`drive_multi`]), and a straggler of one
+//! session can never perturb another.
 //!
 //! [`run_batch`] is the entry point; [`BatchReport`] makes throughput
 //! (sessions per second) a first-class measured quantity, reported by the
@@ -18,17 +17,15 @@
 //! [`run_batch_with`] adds two independent scaling knobs via
 //! [`BatchConfig`]: **sharding** — sessions partitioned across `N`
 //! independent meshes by a stable hash of the session tag, each shard
-//! with its own `m` provider threads ([`ShardedHub`]) — and the
-//! **transport** each mesh is built on: in-process channels or real
-//! loopback TCP sockets ([`TransportKind`]). The same batch API drives
-//! either backend, and outcomes are transport-independent by
+//! with its own `m` provider threads — and the **transport** each mesh is
+//! built on: in-process channels or real loopback TCP sockets
+//! ([`TransportKind`]). Outcomes are transport-independent by
 //! construction.
 //!
-//! Since the continuous market service arrived, a batch is implemented
-//! as exactly **one epoch of a persistent [`SessionPool`]**
-//! ([`crate::pool`]): build the mesh, spawn the workers, clear the
-//! sessions, shut down. `dauctioneer-market`'s long-lived daemon runs
-//! the same pool through many epochs without respawning anything.
+//! A batch of any size, one included, is exactly **one epoch of a
+//! [`SessionPool`]**: bring the pool and its mesh up, clear the sessions,
+//! shut down. `dauctioneer-market`'s long-lived daemon runs the same pool
+//! through many epochs without respawning anything.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -49,7 +46,6 @@
 //! assert!(report.sessions_per_sec() > 0.0);
 //! ```
 //!
-//! [`ThreadedHub`]: dauctioneer_net::ThreadedHub
 //! [`SessionEngine`]: crate::engine::SessionEngine
 //! [`drive_multi`]: crate::engine::drive_multi
 
@@ -57,15 +53,13 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dauctioneer_net::{
-    shard_for, ChaosTransport, FaultPlan, MuxMesh, ShardedHub, ThreadedHub, TrafficSnapshot,
-};
+use dauctioneer_net::{shard_for, FaultPlan, TrafficSnapshot};
 use dauctioneer_types::{BidVector, Outcome, ProviderId, SessionId};
 
-use crate::adversary::{strategy_for, Adversary, AdversaryKind, AdversaryTransport};
+use crate::adversary::{Adversary, AdversaryKind};
 use crate::allocator::AllocatorProgram;
 use crate::config::FrameworkConfig;
-use crate::engine::{drive, unanimous, SessionEngine, Transport};
+use crate::engine::unanimous;
 use crate::pool::SessionPool;
 use crate::runtime::RunOptions;
 
@@ -77,17 +71,20 @@ pub enum TransportKind {
     /// link latency.
     ///
     /// [`ThreadedHub`]: dauctioneer_net::ThreadedHub
+    /// [`ShardedHub`]: dauctioneer_net::ShardedHub
     /// [`LatencyModel`]: dauctioneer_net::LatencyModel
     #[default]
     InProc,
     /// Real loopback TCP sockets ([`MuxMesh`]): every frame crosses the
     /// kernel network stack, deployment-shaped. All shards of the batch
     /// share **one** socket mesh (one connection per provider pair, one
-    /// reader/coalescing-writer thread pair per peer), with the shard id
-    /// folded into the wire tag — so `shards` adds worker parallelism
-    /// without multiplying connections or I/O threads. Link latency is
-    /// whatever the sockets really impose, so modelled latency must be
+    /// reactor thread), with the shard id folded into the wire tag — so
+    /// `shards` adds worker parallelism without multiplying connections
+    /// or I/O threads. Link latency is whatever the sockets really
+    /// impose, so modelled latency must be
     /// [`LatencyModel::Zero`][dauctioneer_net::LatencyModel::Zero].
+    ///
+    /// [`MuxMesh`]: dauctioneer_net::MuxMesh
     Tcp,
 }
 
@@ -107,8 +104,8 @@ pub struct BatchConfig {
     /// The message substrate each shard's mesh is built on.
     pub transport: TransportKind,
     /// Seeded link-fault injection applied to every endpoint
-    /// ([`ChaosTransport`], salted per shard). `None` (and the benign
-    /// plan) is an exact pass-through.
+    /// ([`ChaosTransport`](dauctioneer_net::ChaosTransport), salted per
+    /// shard). `None` (and the benign plan) is an exact pass-through.
     pub chaos: Option<FaultPlan>,
     /// Providers running an adversarial strategy instead of the honest
     /// protocol (everyone unlisted is honest).
@@ -226,8 +223,8 @@ impl BatchReport {
 ///
 /// # Panics
 ///
-/// Panics if the configuration is invalid, a session's `collected` length
-/// is not `cfg.m`, or two sessions share a tag.
+/// Panics if a session's `collected` length is not `cfg.m`, two sessions
+/// share a tag, or — for a non-empty batch — the configuration is invalid.
 pub fn run_batch<P: AllocatorProgram + 'static>(
     cfg: &FrameworkConfig,
     program: Arc<P>,
@@ -247,10 +244,10 @@ pub fn run_batch<P: AllocatorProgram + 'static>(
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`run_batch`], and additionally if
-/// `batch.transport` is [`TransportKind::Tcp`] while `options.latency` is
-/// a non-zero model (real sockets impose their own latency; the two
-/// cannot compose).
+/// Panics under the same conditions as [`run_batch`], and wherever
+/// [`SessionPool::start`] fails or panics: notably if `batch.transport`
+/// is [`TransportKind::Tcp`] while `options.latency` is a non-zero model
+/// (real sockets impose their own latency; the two cannot compose).
 pub fn run_batch_with<P: AllocatorProgram + 'static>(
     cfg: &FrameworkConfig,
     program: Arc<P>,
@@ -258,23 +255,11 @@ pub fn run_batch_with<P: AllocatorProgram + 'static>(
     options: &RunOptions,
     batch: &BatchConfig,
 ) -> BatchReport {
-    cfg.validate().expect("invalid framework configuration");
     let mut tags = HashSet::new();
     for spec in &sessions {
         assert_eq!(spec.collected.len(), cfg.m, "one collected vector per provider per session");
         assert!(tags.insert(spec.session), "duplicate session tag {} in batch", spec.session);
     }
-
-    // A batch of one needs none of the multi-session scaffolding: no
-    // sharding decision, no worker pool with its control/reply channels —
-    // just `m` provider threads driving one engine each over one mesh.
-    // This is the `run_session` path, so its constant cost is paid by
-    // every single-session caller in the workspace.
-    if sessions.len() == 1 {
-        let spec = sessions.into_iter().next().expect("one session");
-        return run_singleton(cfg, program, spec, options, batch);
-    }
-
     let shards = batch.shards.max(1);
     let n_sessions = sessions.len();
     let session_ids: Vec<SessionId> = sessions.iter().map(|s| s.session).collect();
@@ -288,80 +273,36 @@ pub fn run_batch_with<P: AllocatorProgram + 'static>(
         shard_specs[s].push(spec);
         shard_slots[s].push(idx);
     }
+    // Compact away empty shards: meshes and worker threads are built only
+    // for shards that drew sessions (a socket mesh lane and m workers are
+    // far too expensive to bring up for a shard that clears nothing).
+    shard_slots.retain(|slots| !slots.is_empty());
+    shard_specs.retain(|specs| !specs.is_empty());
 
     let start = Instant::now();
-    let deadline = options.deadline;
-
-    // Compact away empty shards: transports and worker threads are built
-    // only for shards that drew sessions (a socket mesh — m listeners,
-    // m(m−1)/2 connections, a reactor thread — is far too expensive to
-    // bring up for a shard that clears nothing).
-    let mut compact_specs: Vec<Vec<BatchSession>> = Vec::new();
-    let mut compact_slots: Vec<Vec<usize>> = Vec::new();
-    for (specs, slots) in shard_specs.into_iter().zip(shard_slots) {
-        if !specs.is_empty() {
-            compact_specs.push(specs);
-            compact_slots.push(slots);
-        }
-    }
-
     // `shard_columns[s][j]` = provider j's outcomes for occupied shard
-    // s's sessions, in that shard's session order. A batch is exactly one
-    // epoch of a persistent `SessionPool` — the continuous market service
-    // runs many epochs over one pool; this runs one and shuts down.
-    let (shard_columns, traffic): (Vec<Vec<Vec<Outcome>>>, TrafficSnapshot) =
-        if compact_specs.is_empty() {
-            (Vec::new(), TrafficSnapshot::default())
-        } else {
-            match batch.transport {
-                TransportKind::InProc => {
-                    let mut hub =
-                        ShardedHub::new(cfg.m, compact_specs.len(), options.latency, options.seed);
-                    let pool = SessionPool::new_with_faults(
-                        cfg,
-                        &program,
-                        hub.take_endpoints(),
-                        batch.chaos,
-                        &batch.adversaries,
-                    );
-                    let columns = pool.run_epoch(compact_specs, deadline);
-                    pool.shutdown();
-                    let traffic = hub.traffic_snapshot();
-                    (columns, traffic)
-                }
-                TransportKind::Tcp => {
-                    assert!(
-                        options.latency.is_zero(),
-                        "modelled link latency cannot be injected into real TCP sockets; \
-                             use TransportKind::InProc for latency experiments"
-                    );
-                    // One multiplexed mesh, one lane per occupied shard:
-                    // the shards stay logically independent (distinct tag
-                    // namespaces, separate worker threads) but share one
-                    // socket per provider pair and one reader/writer
-                    // thread pair per peer — O(m) I/O threads however
-                    // many shards are in play.
-                    let mut mesh = MuxMesh::loopback(cfg.m, compact_specs.len())
-                        .expect("bring up multiplexed loopback TCP mesh");
-                    let pool = SessionPool::new_with_faults(
-                        cfg,
-                        &program,
-                        mesh.take_lane_endpoints(),
-                        batch.chaos,
-                        &batch.adversaries,
-                    );
-                    let columns = pool.run_epoch(compact_specs, deadline);
-                    pool.shutdown();
-                    let traffic = mesh.metrics().snapshot();
-                    (columns, traffic)
-                }
-            }
-        };
+    // s's sessions, in that shard's session order.
+    let (shard_columns, traffic) = if shard_specs.is_empty() {
+        (Vec::new(), TrafficSnapshot::default())
+    } else {
+        let occupied = BatchConfig { shards: shard_specs.len(), ..batch.clone() };
+        let pool =
+            SessionPool::start(cfg, &program, &occupied, options.latency, options.seed, None)
+                .unwrap_or_else(|err| panic!("batch mesh bring-up failed: {err}"));
+        let metrics = pool.traffic_metrics();
+        let columns = pool.run_epoch(shard_specs, options.deadline);
+        pool.shutdown();
+        let mut traffic = TrafficSnapshot::default();
+        for m in &metrics {
+            traffic.merge(&m.snapshot());
+        }
+        (columns, traffic)
+    };
     let elapsed = start.elapsed();
 
     // Reassemble per-session reports in input order.
     let mut outcomes: Vec<Vec<Outcome>> = vec![vec![Outcome::Abort; cfg.m]; n_sessions];
-    for (columns, slots) in shard_columns.iter().zip(&compact_slots) {
+    for (columns, slots) in shard_columns.iter().zip(&shard_slots) {
         for (j, column) in columns.iter().enumerate() {
             for (pos, &slot) in slots.iter().enumerate() {
                 outcomes[slot][j] = column[pos].clone();
@@ -374,102 +315,6 @@ pub fn run_batch_with<P: AllocatorProgram + 'static>(
         .map(|(session, outcomes)| BatchSessionReport { session, outcomes })
         .collect();
     BatchReport { sessions, elapsed, traffic }
-}
-
-/// The singleton fast path of [`run_batch_with`]: one session, `m`
-/// scoped provider threads, no pool. Fault injection composes exactly as
-/// in the pooled path (chaos salted with the session's shard index —
-/// which is 0, since one session occupies one shard), so outcomes and
-/// chaos traces are identical to the scaffolded run, only cheaper.
-fn run_singleton<P: AllocatorProgram + 'static>(
-    cfg: &FrameworkConfig,
-    program: Arc<P>,
-    spec: BatchSession,
-    options: &RunOptions,
-    batch: &BatchConfig,
-) -> BatchReport {
-    if let Some(plan) = &batch.chaos {
-        plan.validate().expect("invalid fault plan");
-    }
-    for adversary in &batch.adversaries {
-        assert!(
-            adversary.provider.index() < cfg.m,
-            "adversary names provider {} but the mesh has only {} providers",
-            adversary.provider,
-            cfg.m
-        );
-    }
-    let start = Instant::now();
-    let (outcomes, traffic) = match batch.transport {
-        TransportKind::InProc => {
-            let mut hub = ThreadedHub::new(cfg.m, options.latency, options.seed);
-            let endpoints = hub.take_endpoints();
-            let outcomes = drive_singleton(cfg, &program, &spec, endpoints, options, batch);
-            let traffic = hub.metrics().snapshot();
-            (outcomes, traffic)
-        }
-        TransportKind::Tcp => {
-            assert!(
-                options.latency.is_zero(),
-                "modelled link latency cannot be injected into real TCP sockets; \
-                     use TransportKind::InProc for latency experiments"
-            );
-            let mut mesh = MuxMesh::loopback(cfg.m, 1).expect("bring up loopback TCP mesh");
-            let mut lanes = mesh.take_lane_endpoints();
-            let outcomes = drive_singleton(cfg, &program, &spec, lanes.remove(0), options, batch);
-            let traffic = mesh.metrics().snapshot();
-            (outcomes, traffic)
-        }
-    };
-    let elapsed = start.elapsed();
-    BatchReport {
-        sessions: vec![BatchSessionReport { session: spec.session, outcomes }],
-        elapsed,
-        traffic,
-    }
-}
-
-/// Drive one session's `m` providers on scoped threads over
-/// already-built endpoints, with the chaos/adversary stack applied per
-/// provider. A panicked provider thread reads as ⊥, mirroring the
-/// pooled path's dead-worker semantics.
-fn drive_singleton<P, T>(
-    cfg: &FrameworkConfig,
-    program: &Arc<P>,
-    spec: &BatchSession,
-    endpoints: Vec<T>,
-    options: &RunOptions,
-    batch: &BatchConfig,
-) -> Vec<Outcome>
-where
-    P: AllocatorProgram + 'static,
-    T: Transport + Send,
-{
-    let plan = batch.chaos.unwrap_or_else(FaultPlan::none);
-    let session_cfg = cfg.clone().with_session(spec.session);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .zip(spec.collected.iter().cloned())
-            .enumerate()
-            .map(|(j, (endpoint, bids))| {
-                let me = ProviderId(j as u32);
-                let mut transport = AdversaryTransport::new(
-                    ChaosTransport::with_salt(endpoint, plan, 0),
-                    strategy_for(&batch.adversaries, me),
-                );
-                let mut engine = SessionEngine::new(
-                    session_cfg.clone(),
-                    me,
-                    Arc::clone(program),
-                    bids,
-                    spec.seed + j as u64 + 1,
-                );
-                scope.spawn(move || drive(&mut engine, &mut transport, options.deadline))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap_or(Outcome::Abort)).collect()
-    })
 }
 
 #[cfg(test)]

@@ -1,15 +1,16 @@
 //! The shared per-provider protocol loop: one [`SessionEngine`] under
-//! every runtime.
+//! every driver.
 //!
 //! The provider loop — construct the [`Auctioneer`] with the provider's
 //! local seed, start it, frame every outgoing message with the session
 //! tag, unframe and session-filter every incoming message, dispatch to
 //! the auctioneer, and map deadlines/disconnects to the external ⊥ of
 //! §3.2 — lives here, once. The paper runs the *same* protocol blocks
-//! regardless of deployment, and so do both runtimes: the threaded
-//! runtime ([`crate::runtime`]) and `dauctioneer-sim`'s `SimRunner`,
+//! regardless of deployment, and so do both drivers: the threaded
+//! [`SessionPool`](crate::pool::SessionPool), behind every in-process
+//! session, batch and market epoch, and `dauctioneer-sim`'s `SimRunner`,
 //! whose schedules cover both the turn-based game model and virtual time.
-//! They are thin drivers that differ only in how messages move.
+//! They differ only in how messages move.
 //!
 //! * [`SessionEngine`] — wraps one provider's [`Auctioneer`] with
 //!   session-tag framing, foreign-session filtering, and external abort.
@@ -17,13 +18,13 @@
 //!   can drive a whole session.
 //! * [`SessionEngine::roster`] — builds the engines for all `m`
 //!   providers with the canonical per-provider seed fan-out
-//!   (`seed + j + 1`), shared by every runtime.
-//! * [`Transport`] — the minimal blocking point-to-point interface; the
-//!   generic [`drive`]/[`drive_multi`] loops run one or many engines
-//!   over any transport with deadline → ⊥ handling. [`drive_multi`] is
-//!   what lets many concurrent sessions share one transport: the session
-//!   tag in each frame routes the message to its engine, and frames for
-//!   unknown (stale or future) sessions are dropped.
+//!   (`seed + j + 1`), shared by every driver.
+//! * [`Transport`] and [`drive_multi`] — the blocking point-to-point
+//!   interface and the loop a pool worker runs over it: many concurrent
+//!   sessions share one transport, the session tag in each frame routes
+//!   it to its engine, frames for unknown (stale or future) sessions are
+//!   dropped, and a deadline or a lost transport pins ⊥. [`drive`] is the
+//!   one-engine form a deployed provider process runs.
 //! * [`unanimous`] — Definition 1, in one place: the agreed pair iff
 //!   *every* provider decided the same valid pair, else ⊥.
 
@@ -230,14 +231,14 @@ impl<T: Transport> Ctx for TransportCtx<'_, T> {
 const DEADLINE_POLL: Duration = Duration::from_millis(100);
 
 /// Drive one engine over a blocking transport until it decides or the
-/// deadline passes (→ ⊥). This is the whole provider loop of the
-/// threaded runtime.
+/// deadline passes (→ ⊥).
 pub fn drive<P, T>(engine: &mut SessionEngine<P>, transport: &mut T, deadline: Duration) -> Outcome
 where
     P: AllocatorProgram,
     T: Transport,
 {
     drive_multi(std::slice::from_mut(engine), transport, deadline)
+        .0
         .pop()
         .expect("one engine, one outcome")
 }
@@ -247,25 +248,12 @@ where
 /// (undecided sessions → ⊥). Incoming frames are routed to the engine
 /// whose session tag matches; frames for unknown sessions are dropped.
 ///
-/// Returns one outcome per engine, in input order.
+/// Returns one outcome per engine, in input order, and *when* each
+/// engine decided, as an offset from loop entry (`None` = never decided
+/// before the deadline → its outcome is the forced ⊥). The telemetry
+/// plane turns these into per-session span blocks; they cost one
+/// `Instant::elapsed` per decision.
 pub fn drive_multi<P, T>(
-    engines: &mut [SessionEngine<P>],
-    transport: &mut T,
-    deadline: Duration,
-) -> Vec<Outcome>
-where
-    P: AllocatorProgram,
-    T: Transport,
-{
-    drive_multi_timed(engines, transport, deadline).0
-}
-
-/// [`drive_multi`] that also reports *when* each engine decided, as an
-/// offset from loop entry (`None` = never decided before the deadline →
-/// its outcome is the forced ⊥). The telemetry plane turns these into
-/// per-session span blocks; the cost over plain [`drive_multi`] is one
-/// `Instant::elapsed` per decision, so there is no untimed fast path.
-pub fn drive_multi_timed<P, T>(
     engines: &mut [SessionEngine<P>],
     transport: &mut T,
     deadline: Duration,

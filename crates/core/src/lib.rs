@@ -32,9 +32,10 @@
 //!   Clarke-pivot VCG auction. [`DynProgram`] erases any of them behind
 //!   `Arc<dyn AllocatorProgram>` for runtime mechanism selection.
 //! * [`engine::SessionEngine`] — the shared per-provider protocol loop
-//!   (session framing, dispatch, external ⊥) that every runtime drives:
-//!   the threaded [`runtime::run_session`], and `dauctioneer-sim`'s
-//!   simulator (turn-based and virtual-time schedules).
+//!   (session framing, dispatch, external ⊥) that every driver runs: the
+//!   threaded [`SessionPool`] (behind [`runtime::run_session`] and
+//!   [`batch::run_batch`]), and `dauctioneer-sim`'s simulator
+//!   (turn-based and virtual-time schedules).
 //! * [`batch::run_batch`] — N concurrent sessions multiplexed over one
 //!   shared provider mesh, with throughput reporting.
 //! * [`adversary`] — adversarial provider strategies (silent, late,
@@ -96,7 +97,7 @@ pub use batch::{
 pub use block::{Block, BlockResult, Ctx, OutboxCtx, SubSlot, TaggedCtx};
 pub use config::{ConfigError, FrameworkConfig};
 pub use distribution::Distribution;
-pub use engine::{drive, drive_multi, drive_multi_timed, unanimous, SessionEngine, Transport};
+pub use engine::{drive, drive_multi, unanimous, SessionEngine, Transport};
 pub use pool::SessionPool;
 pub use runtime::{run_session, RunOptions, SessionReport};
 pub use submission::{BidCollector, SubmissionOutcome};

@@ -1,16 +1,16 @@
-//! Persistent provider worker pool: long-lived threads and meshes that
-//! outlive any single batch.
+//! Persistent provider worker pool: the one threaded driver of
+//! in-process sessions, with long-lived threads and meshes that outlive
+//! any single batch.
 //!
-//! [`crate::batch`] answers "clear these N sessions once"; a continuous
-//! market service must answer "clear *epoch after epoch* of sessions over
-//! the same infrastructure". Respawning a mesh (and, for TCP, its
-//! listeners, connections, and reader/writer threads) plus `m` provider
-//! threads per epoch would make epoch latency a function of bring-up cost
-//! instead of protocol cost. A [`SessionPool`] therefore spawns its
-//! worker threads **once**, hands each worker its transport endpoint
-//! **once**, and then feeds the workers work orders over control
-//! channels: each call to [`SessionPool::run_epoch`] drives one batch of
-//! sessions through [`drive_multi_timed`] on the existing threads.
+//! A continuous market service must clear *epoch after epoch* of sessions
+//! over the same infrastructure. Respawning a mesh (and, for TCP, its
+//! listeners, connections and reactor thread) plus `m` provider threads
+//! per epoch would make epoch latency a function of bring-up cost instead
+//! of protocol cost. [`SessionPool::start`] therefore brings up the mesh
+//! and spawns the worker threads **once**, hands each worker its
+//! transport endpoint **once**, and then feeds the workers work orders
+//! over control channels: each call to [`SessionPool::run_epoch`] drives
+//! one batch of sessions through [`drive_multi`] on the existing threads.
 //!
 //! Session-tag framing makes the reuse safe: a straggler frame of epoch
 //! *e* still sitting in an endpoint's inbox when epoch *e+1* starts
@@ -18,22 +18,27 @@
 //! it — exactly the isolation the engine already guarantees for
 //! concurrent sessions, extended across time.
 //!
-//! The pool is transport-agnostic (anything implementing [`Transport`]),
-//! and [`crate::batch::run_batch_with`] is now a thin wrapper: build a
-//! mesh, build a pool over it, run **one** epoch, shut down.
+//! The pool is the only code that turns a [`TransportKind`] into a mesh.
+//! The market daemon runs one pool for its whole life; a one-shot batch
+//! ([`crate::batch::run_batch_with`]), and with it a single session, is
+//! one epoch of a pool that then shuts down.
 
-use std::sync::Arc;
+use std::io;
+use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, ThreadId};
 use std::time::Duration;
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
-use dauctioneer_net::{ChaosMetrics, ChaosTransport, FaultPlan};
+use dauctioneer_net::{
+    ChaosMetrics, ChaosTransport, FaultPlan, LatencyModel, MuxMesh, ShardedHub, TrafficMetrics,
+};
 use dauctioneer_types::{BidVector, Outcome, ProviderId, SessionId};
 
 use crate::adversary::{strategy_for, Adversary, AdversaryTransport};
 use crate::allocator::AllocatorProgram;
+use crate::batch::{BatchConfig, TransportKind};
 use crate::config::FrameworkConfig;
-use crate::engine::{drive_multi_timed, SessionEngine, Transport};
+use crate::engine::{drive_multi, SessionEngine, Transport};
 
 /// One epoch's worth of work for a single provider worker.
 struct WorkOrder {
@@ -49,6 +54,14 @@ struct WorkOrder {
     reply: Sender<(ThreadId, Vec<Outcome>, Vec<Option<Duration>>)>,
 }
 
+/// The mesh a pool brought up itself. It must outlive the workers: a
+/// hub's drop joins its delayer thread, which runs until every endpoint
+/// is gone.
+enum Mesh {
+    InProc(ShardedHub),
+    Tcp(MuxMesh),
+}
+
 /// A persistent pool of provider worker threads over long-lived
 /// transports.
 ///
@@ -59,13 +72,9 @@ struct WorkOrder {
 /// roster recorded at spawn time, so a regression that quietly respawned
 /// workers per epoch would panic rather than pass unnoticed. Workers
 /// block on their control channel between epochs and exit when the pool
-/// shuts down (dropping their endpoints, which tears the mesh down
-/// drain-then-shutdown style for TCP).
-///
-/// The pool deliberately does **not** own the mesh objects themselves
-/// (hubs need to stay alive only as long as their endpoints, which the
-/// workers own); callers keep the mesh — and its traffic counters —
-/// alive alongside the pool and drop it after [`SessionPool::shutdown`].
+/// shuts down, dropping their endpoints. A mesh the pool brought up
+/// itself ([`SessionPool::start`]) is dropped only after that, so a TCP
+/// mesh drains every queued frame before its sockets close.
 pub struct SessionPool {
     /// `controls[s][j]` feeds shard `s`'s provider-`j` worker.
     controls: Vec<Vec<Sender<WorkOrder>>>,
@@ -73,6 +82,8 @@ pub struct SessionPool {
     ids: Vec<Vec<ThreadId>>,
     handles: Vec<JoinHandle<()>>,
     m: usize,
+    /// Behind a lock only so the pool stays `Sync`: endpoints are not.
+    mesh: Mutex<Option<Mesh>>,
 }
 
 impl std::fmt::Debug for SessionPool {
@@ -86,8 +97,70 @@ impl std::fmt::Debug for SessionPool {
 }
 
 impl SessionPool {
-    /// Spawn the workers: one thread per provider per shard, each taking
-    /// ownership of its endpoint in `shard_endpoints[s][j]`.
+    /// Bring up `batch.shards` (at least one) meshes of `cfg.m` providers
+    /// over `batch.transport` and spawn the workers over them.
+    ///
+    /// In process that is a [`ShardedHub`] with `latency` and `seed`
+    /// (shard `s` samples from `seed + s`); over TCP it is one loopback
+    /// [`MuxMesh`] with a lane per shard. Every endpoint is wrapped in a
+    /// [`ChaosTransport`] executing `batch.chaos` (salted by its shard
+    /// index, so shards don't suffer lock-stepped faults; counted into
+    /// `chaos_metrics` when given) and an [`AdversaryTransport`] running
+    /// the strategy `batch.adversaries` assigns to its provider. Without
+    /// chaos or adversaries both wrappers are exact pass-throughs.
+    ///
+    /// # Errors
+    ///
+    /// Real TCP sockets with a non-zero modelled `latency` (they impose
+    /// their own), or a socket-level failure bringing the TCP mesh up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration or the chaos plan is invalid, or an
+    /// adversary names a provider `>= m` (local programming errors; the
+    /// market service validates its operator input before this point).
+    pub fn start<P: AllocatorProgram + 'static>(
+        cfg: &FrameworkConfig,
+        program: &Arc<P>,
+        batch: &BatchConfig,
+        latency: LatencyModel,
+        seed: u64,
+        chaos_metrics: Option<ChaosMetrics>,
+    ) -> io::Result<SessionPool> {
+        let shards = batch.shards.max(1);
+        let (chaos, adversaries) = (batch.chaos, batch.adversaries.as_slice());
+        let (mut pool, mesh) = match batch.transport {
+            TransportKind::InProc => {
+                let mut hub = ShardedHub::new(cfg.m, shards, latency, seed);
+                let endpoints = hub.take_endpoints();
+                let pool =
+                    SessionPool::spawn(cfg, program, endpoints, chaos, adversaries, chaos_metrics);
+                (pool, Mesh::InProc(hub))
+            }
+            TransportKind::Tcp if !latency.is_zero() => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "modelled link latency cannot be injected into real TCP sockets; \
+                     use TransportKind::InProc for latency experiments",
+                ))
+            }
+            TransportKind::Tcp => {
+                let mut mesh = MuxMesh::loopback(cfg.m, shards)?;
+                let endpoints = mesh.take_lane_endpoints();
+                let pool =
+                    SessionPool::spawn(cfg, program, endpoints, chaos, adversaries, chaos_metrics);
+                (pool, Mesh::Tcp(mesh))
+            }
+        };
+        pool.mesh = Mutex::new(Some(mesh));
+        Ok(pool)
+    }
+
+    /// Spawn the workers over endpoints the caller built and keeps alive:
+    /// one thread per provider per shard, each taking ownership of its
+    /// endpoint in `shard_endpoints[s][j]`, behind the same (honest,
+    /// pass-through) chaos and adversary wrappers as
+    /// [`SessionPool::start`].
     ///
     /// # Panics
     ///
@@ -102,54 +175,12 @@ impl SessionPool {
         P: AllocatorProgram + 'static,
         T: Transport + Send + 'static,
     {
-        SessionPool::new_with_faults(cfg, program, shard_endpoints, None, &[])
+        SessionPool::spawn(cfg, program, shard_endpoints, None, &[], None)
     }
 
-    /// [`SessionPool::new`] with the chaos plane threaded in: every
-    /// endpoint is wrapped in a [`ChaosTransport`] executing `chaos`
-    /// (salted by its shard index, so shards don't suffer lock-stepped
-    /// faults) and an [`AdversaryTransport`] running the strategy the
-    /// `adversaries` roster assigns to its provider. With `chaos: None`
-    /// and an empty roster both wrappers are exact pass-throughs and
-    /// this is [`SessionPool::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`SessionPool::new`], plus an
-    /// invalid `chaos` plan or an adversary naming a provider `>= m`
-    /// (both local programming errors; the market service validates its
-    /// operator input before reaching this point).
-    pub fn new_with_faults<P, T>(
-        cfg: &FrameworkConfig,
-        program: &Arc<P>,
-        shard_endpoints: Vec<Vec<T>>,
-        chaos: Option<FaultPlan>,
-        adversaries: &[Adversary],
-    ) -> SessionPool
-    where
-        P: AllocatorProgram + 'static,
-        T: Transport + Send + 'static,
-    {
-        SessionPool::new_with_faults_metrics(
-            cfg,
-            program,
-            shard_endpoints,
-            chaos,
-            adversaries,
-            None,
-        )
-    }
-
-    /// [`SessionPool::new_with_faults`] with a [`ChaosMetrics`] handle
-    /// cloned into every chaos wrapper, so fault injections by the
-    /// worker-owned transports are countable from outside the pool
-    /// while the run is live (the scrape endpoint's view).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`SessionPool::new_with_faults`].
-    pub fn new_with_faults_metrics<P, T>(
+    /// Validate, wrap every endpoint in the chaos/adversary stack, and
+    /// spawn one worker per endpoint.
+    fn spawn<P, T>(
         cfg: &FrameworkConfig,
         program: &Arc<P>,
         shard_endpoints: Vec<Vec<T>>,
@@ -161,9 +192,9 @@ impl SessionPool {
         P: AllocatorProgram + 'static,
         T: Transport + Send + 'static,
     {
-        if let Some(plan) = &chaos {
-            plan.validate().expect("invalid fault plan");
-        }
+        cfg.validate().expect("invalid framework configuration");
+        let plan = chaos.unwrap_or_else(FaultPlan::none);
+        plan.validate().expect("invalid fault plan");
         for adversary in adversaries {
             assert!(
                 adversary.provider.index() < cfg.m,
@@ -172,41 +203,6 @@ impl SessionPool {
                 cfg.m
             );
         }
-        let plan = chaos.unwrap_or_else(FaultPlan::none);
-        let wrapped: Vec<Vec<_>> = shard_endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(s, endpoints)| {
-                endpoints
-                    .into_iter()
-                    .enumerate()
-                    .map(|(j, endpoint)| {
-                        let mut chaos = ChaosTransport::with_salt(endpoint, plan, s as u64);
-                        if let Some(metrics) = &chaos_metrics {
-                            chaos = chaos.with_metrics(metrics.clone());
-                        }
-                        AdversaryTransport::new(
-                            chaos,
-                            strategy_for(adversaries, ProviderId(j as u32)),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        SessionPool::spawn(cfg, program, wrapped)
-    }
-
-    /// The shared spawn path: workers over already-wrapped transports.
-    fn spawn<P, T>(
-        cfg: &FrameworkConfig,
-        program: &Arc<P>,
-        shard_endpoints: Vec<Vec<T>>,
-    ) -> SessionPool
-    where
-        P: AllocatorProgram + 'static,
-        T: Transport + Send + 'static,
-    {
-        cfg.validate().expect("invalid framework configuration");
         let m = cfg.m;
         let mut controls = Vec::with_capacity(shard_endpoints.len());
         let mut ids = Vec::with_capacity(shard_endpoints.len());
@@ -215,14 +211,20 @@ impl SessionPool {
             assert_eq!(endpoints.len(), m, "shard {s}: one endpoint per provider");
             let mut shard_controls = Vec::with_capacity(m);
             let mut shard_ids = Vec::with_capacity(m);
-            for (j, mut endpoint) in endpoints.into_iter().enumerate() {
+            for (j, endpoint) in endpoints.into_iter().enumerate() {
+                let me = ProviderId(j as u32);
+                let mut chaos = ChaosTransport::with_salt(endpoint, plan, s as u64);
+                if let Some(metrics) = &chaos_metrics {
+                    chaos = chaos.with_metrics(metrics.clone());
+                }
+                let mut transport = AdversaryTransport::new(chaos, strategy_for(adversaries, me));
                 let (tx, rx): (Sender<WorkOrder>, Receiver<WorkOrder>) = unbounded();
                 let cfg = cfg.clone();
                 let program = Arc::clone(program);
                 let handle = std::thread::Builder::new()
                     .name(format!("market-worker-{s}-{j}"))
                     .spawn(move || {
-                        let me = std::thread::current().id();
+                        let id = std::thread::current().id();
                         // The worker loop: one iteration per epoch, until
                         // every control sender is gone (pool shutdown).
                         while let Ok(order) = rx.recv() {
@@ -232,7 +234,7 @@ impl SessionPool {
                                 .map(|(session, bids, seed)| {
                                     SessionEngine::new(
                                         cfg.clone().with_session(session),
-                                        ProviderId(j as u32),
+                                        me,
                                         Arc::clone(&program),
                                         bids,
                                         seed,
@@ -240,8 +242,8 @@ impl SessionPool {
                                 })
                                 .collect();
                             let (outcomes, decided_at) =
-                                drive_multi_timed(&mut engines, &mut endpoint, order.deadline);
-                            let _ = order.reply.send((me, outcomes, decided_at));
+                                drive_multi(&mut engines, &mut transport, order.deadline);
+                            let _ = order.reply.send((id, outcomes, decided_at));
                         }
                     })
                     .expect("spawn pool worker thread");
@@ -252,7 +254,7 @@ impl SessionPool {
             controls.push(shard_controls);
             ids.push(shard_ids);
         }
-        SessionPool { controls, ids, handles, m }
+        SessionPool { controls, ids, handles, m, mesh: Mutex::new(None) }
     }
 
     /// Number of shards the pool drives.
@@ -278,14 +280,25 @@ impl SessionPool {
         &self.ids
     }
 
+    /// Traffic counters of the mesh the pool brought up, one handle per
+    /// in-process shard or one for the whole TCP mesh; they keep counting
+    /// for the life of the pool. Empty for a pool over caller-built
+    /// endpoints ([`SessionPool::new`]), whose caller holds the mesh.
+    pub fn traffic_metrics(&self) -> Vec<TrafficMetrics> {
+        match &*self.mesh.lock().expect("no thread panics holding the mesh lock") {
+            Some(Mesh::InProc(hub)) => hub.shard_metrics(),
+            Some(Mesh::Tcp(mesh)) => vec![mesh.metrics()],
+            None => Vec::new(),
+        }
+    }
+
     /// Drive one epoch: `shard_specs[s]` are the sessions shard `s`
     /// clears this epoch (empty shards are skipped entirely). Blocks
     /// until every worker has finished its sessions.
     ///
     /// Returns `columns[s][j][i]` = provider `j`'s outcome for shard
     /// `s`'s `i`-th session (an empty shard yields an empty column list).
-    /// A worker that died reads as ⊥ for all of its sessions, mirroring
-    /// the one-shot batch semantics for a panicked provider thread.
+    /// A worker that died reads as ⊥ for all of its sessions.
     ///
     /// # Panics
     ///
@@ -319,7 +332,7 @@ impl SessionPool {
     ) -> (Vec<Vec<Vec<Outcome>>>, Vec<Vec<Vec<Option<Duration>>>>) {
         assert_eq!(shard_specs.len(), self.controls.len(), "one spec list per shard");
         // Dispatch every shard before collecting any reply, so shards run
-        // concurrently exactly as in the one-shot batch path.
+        // concurrently.
         type Replies = Vec<Receiver<(ThreadId, Vec<Outcome>, Vec<Option<Duration>>)>>;
         let mut pending: Vec<Option<(Replies, usize)>> = Vec::with_capacity(shard_specs.len());
         for (shard_controls, specs) in self.controls.iter().zip(shard_specs) {
@@ -386,16 +399,18 @@ impl SessionPool {
         (columns, timings)
     }
 
-    /// Stop the workers and join them. Dropping the pool does the same;
-    /// the explicit form exists so callers can sequence "workers gone,
-    /// endpoints dropped" *before* dropping the mesh that carried them.
+    /// Stop the workers and join them, then drop the pool's own mesh.
+    /// Dropping the pool does the same; the explicit form exists so a
+    /// caller over its own endpoints can sequence "workers gone, endpoints
+    /// dropped" *before* dropping the mesh that carried them.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
 
     fn shutdown_in_place(&mut self) {
         // Dropping every control sender disconnects the workers' recv
-        // loops; they drop their endpoints and exit.
+        // loops; they drop their endpoints and exit. The pool's own mesh
+        // is a field, so it drops after this, with the pool.
         self.controls.clear();
         for handle in self.handles.drain(..) {
             let _ = handle.join();

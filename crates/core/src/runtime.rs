@@ -1,8 +1,9 @@
-//! The threaded runtime: one OS thread per provider, real message passing.
+//! One threaded session: one OS thread per provider, real message
+//! passing.
 //!
 //! This is the workspace's stand-in for the paper's deployment on Guifi
-//! nodes (`docs/ARCHITECTURE.md`, "One engine, two runtimes, two
-//! transports"): provider threads give real CPU parallelism for
+//! nodes (`docs/ARCHITECTURE.md`, "One engine, one threaded driver, one
+//! simulator"): provider threads give real CPU parallelism for
 //! the computation-bound standard auction, and injected link latency
 //! reproduces the communication-bound regime of the double auction. A
 //! session runs every provider's [`SessionEngine`] to completion (or a
@@ -10,12 +11,14 @@
 //! reports per-provider outcomes, wall-clock time, and traffic counters.
 //!
 //! The per-provider protocol loop (session framing, dispatch, ⊥
-//! handling) lives in [`crate::engine`], shared with the simulator
-//! backends, and the mesh/thread scaffolding lives in [`crate::batch`]:
-//! a session is simply a batch of one, so this module is only the
-//! single-session report shape.
+//! handling) lives in [`crate::engine`], shared with the simulator, and
+//! the threads and mesh belong to the one threaded driver,
+//! [`SessionPool`]: a session is a batch of one ([`crate::batch`]), which
+//! is one pool epoch, so this module is only the single-session report
+//! shape.
 //!
 //! [`SessionEngine`]: crate::engine::SessionEngine
+//! [`SessionPool`]: crate::pool::SessionPool
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -142,7 +142,7 @@ fn concurrent_sessions_are_isolated_under_injected_stragglers() {
                         )
                     })
                     .collect();
-                drive_multi(&mut engines, &mut endpoint, Duration::from_secs(30))
+                drive_multi(&mut engines, &mut endpoint, Duration::from_secs(30)).0
             })
         })
         .collect();

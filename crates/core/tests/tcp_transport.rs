@@ -28,7 +28,9 @@ fn one_lane(m: usize) -> Vec<MuxEndpoint> {
 }
 
 /// Run one session with every provider on its own thread over a TCP
-/// mesh, returning each provider's outcome.
+/// mesh, returning each provider's outcome. Every provider keeps its
+/// endpoint until all have decided: a closed peer connection reads as
+/// `Disconnected` to a session still running.
 fn run_over_tcp(cfg: &FrameworkConfig, valuation: f64, seed: u64) -> Vec<Outcome> {
     let endpoints = one_lane(cfg.m);
     let engines = SessionEngine::roster(
@@ -41,10 +43,11 @@ fn run_over_tcp(cfg: &FrameworkConfig, valuation: f64, seed: u64) -> Vec<Outcome
         .into_iter()
         .zip(endpoints)
         .map(|(mut engine, mut endpoint)| {
-            std::thread::spawn(move || drive(&mut engine, &mut endpoint, DEADLINE))
+            std::thread::spawn(move || (drive(&mut engine, &mut endpoint, DEADLINE), endpoint))
         })
         .collect();
-    handles.into_iter().map(|h| h.join().unwrap()).collect()
+    let decided: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    decided.into_iter().map(|(outcome, _)| outcome).collect()
 }
 
 #[test]
@@ -93,11 +96,14 @@ fn concurrent_sessions_stay_isolated_on_a_shared_socket_mesh() {
                         )
                     })
                     .collect();
-                drive_multi(&mut engines, &mut endpoint, DEADLINE)
+                (drive_multi(&mut engines, &mut endpoint, DEADLINE).0, endpoint)
             })
         })
         .collect();
-    let per_provider: Vec<Vec<Outcome>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    // Endpoints close only once every provider is done (as in `run_over_tcp`).
+    let decided: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let per_provider: Vec<Vec<Outcome>> =
+        decided.into_iter().map(|(outcomes, _)| outcomes).collect();
 
     for (s, &(session, valuation, seed)) in sessions.iter().enumerate() {
         let multiplexed = unanimous(per_provider.iter().map(|outcomes| Some(&outcomes[s])));

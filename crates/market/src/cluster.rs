@@ -90,11 +90,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use dauctioneer_core::{drive, unanimous, DoubleAuctionProgram, FrameworkConfig, SessionEngine};
 use dauctioneer_net::{
     Backoff, LivenessConfig, LivenessMetrics, LivenessTracker, MeshOptions, MuxEndpoint, PeerState,
-    RecvError, Transport,
 };
 use dauctioneer_telemetry::AbortReason;
 use dauctioneer_types::{
@@ -1183,9 +1181,10 @@ impl Life<'_> {
         // A kept mesh may have lost a connection since the last epoch:
         // under an unchanged roster and no `ResetMesh`, that peer is dead
         // or has discarded its side and would not answer a dial either.
-        // `WholeMesh` ends such a session in ⊥ at its first quiet moment,
+        // The endpoint reads `Disconnected` once a peer is lost, so such a
+        // session ends in ⊥ as soon as its queued frames are drained,
         // which discards the mesh here and orders the rebuild there.
-        let outcome = drive(&mut engine, &mut WholeMesh(&mut mesh.endpoint), self.deadline);
+        let outcome = drive(&mut engine, &mut mesh.endpoint, self.deadline);
         if outcome.is_abort() {
             self.mesh = None;
         }
@@ -1211,43 +1210,6 @@ impl Life<'_> {
             .ok()?
             .remove(0);
         Some(Mesh { endpoint, roster })
-    }
-}
-
-/// How often a session waiting on a quiet mesh re-checks that the mesh
-/// is still whole.
-const PEER_POLL: Duration = Duration::from_millis(10);
-
-/// A [`MuxEndpoint`] as the paper's protocol needs it: all `m`
-/// providers or nothing. The endpoint alone reports
-/// [`RecvError::Disconnected`] only when *every* peer is gone; a session
-/// that lost *one* can only ever end in ⊥, so this view reports the
-/// first loss as the disconnect — once the lane has nothing left to
-/// deliver — and `drive` leaves by detection instead of by deadline.
-struct WholeMesh<'a>(&'a mut MuxEndpoint);
-
-impl Transport for WholeMesh<'_> {
-    fn me(&self) -> ProviderId {
-        self.0.me()
-    }
-
-    fn num_providers(&self) -> usize {
-        self.0.num_providers()
-    }
-
-    fn send(&mut self, to: ProviderId, payload: Bytes) {
-        self.0.send(to, payload);
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<(ProviderId, Bytes), RecvError> {
-        match self.0.recv_timeout(timeout.min(PEER_POLL)) {
-            // Frames queued ahead of the loss are still delivered first
-            // (the ordering `MuxEndpoint::all_peers_open` documents).
-            Err(RecvError::Timeout) if !self.0.all_peers_open() => {
-                self.0.try_recv().ok_or(RecvError::Disconnected)
-            }
-            other => other,
-        }
     }
 }
 

@@ -9,11 +9,9 @@ use std::time::{Duration, Instant};
 
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use dauctioneer_core::{
-    unanimous, AllocatorProgram, BatchSession, BidCollector, SessionPool, TransportKind,
+    unanimous, AllocatorProgram, BatchConfig, BatchSession, BidCollector, SessionPool,
 };
-use dauctioneer_net::{
-    shard_for, ChaosMetrics, ChaosStats, MuxMesh, ShardedHub, TrafficMetrics, TrafficSnapshot,
-};
+use dauctioneer_net::{shard_for, ChaosMetrics, ChaosStats, TrafficMetrics, TrafficSnapshot};
 use dauctioneer_telemetry::{
     AbortReason, EpochTrace, FlightLevel, FlightRecorder, Histogram, TraceRing,
 };
@@ -113,18 +111,6 @@ pub struct RecoveryReport {
     pub next_epoch: u64,
     /// Torn-tail bytes truncated from the journal file.
     pub dropped_bytes: u64,
-}
-
-/// The persistent mesh a market runs over, kept alive for the life of
-/// the scheduler and torn down only after the pool's workers are gone.
-/// The fields exist purely for their ownership (Drop order), never read.
-/// The TCP flavour is **one** multiplexed mesh with a lane per shard —
-/// one socket per provider pair for the whole market, however many
-/// shards clear concurrently.
-#[allow(dead_code)]
-enum Mesh {
-    InProc(ShardedHub),
-    Tcp(MuxMesh),
 }
 
 /// The telemetry plumbing one market shares across its scheduler,
@@ -338,7 +324,6 @@ impl MarketService {
         program: Arc<P>,
     ) -> Result<MarketService, MarketError> {
         config.validate()?;
-        let shards = config.shards.max(1);
         let framework = config.framework();
         let telemetry = Telemetry::new(&config);
         // Provenance: stamped on every outcome and sealed into the
@@ -376,36 +361,19 @@ impl MarketService {
         };
 
         // The one and only transport/thread bring-up of the service's
-        // life: every epoch reuses this mesh and these workers.
-        let (mesh, metrics, pool) = match config.transport {
-            TransportKind::InProc => {
-                let mut hub = ShardedHub::new(config.m, shards, config.latency, config.seed);
-                let metrics = hub.shard_metrics();
-                let pool = SessionPool::new_with_faults_metrics(
-                    &framework,
-                    &program,
-                    hub.take_endpoints(),
-                    config.chaos,
-                    &config.adversaries,
-                    Some(telemetry.chaos.clone()),
-                );
-                (Mesh::InProc(hub), metrics, pool)
-            }
-            TransportKind::Tcp => {
-                let mut mesh = MuxMesh::loopback(config.m, shards)
-                    .map_err(|e| MarketError::Transport(e.to_string()))?;
-                let metrics = vec![mesh.metrics()];
-                let pool = SessionPool::new_with_faults_metrics(
-                    &framework,
-                    &program,
-                    mesh.take_lane_endpoints(),
-                    config.chaos,
-                    &config.adversaries,
-                    Some(telemetry.chaos.clone()),
-                );
-                (Mesh::Tcp(mesh), metrics, pool)
-            }
+        // life: every epoch reuses this mesh and these workers. Over TCP
+        // it is one multiplexed mesh with a lane per shard.
+        let mesh = BatchConfig {
+            shards: config.shards,
+            transport: config.transport,
+            chaos: config.chaos,
+            adversaries: config.adversaries.clone(),
         };
+        let chaos = Some(telemetry.chaos.clone());
+        let pool =
+            SessionPool::start(&framework, &program, &mesh, config.latency, config.seed, chaos)
+                .map_err(|e| MarketError::Transport(e.to_string()))?;
+        let metrics = pool.traffic_metrics();
 
         let queue = Arc::new(IngressQueue::new(config.ingress_capacity, config.backpressure));
         let stats = Arc::new(StatsShared::new(pool.threads_spawned(), mechanism));
@@ -513,7 +481,6 @@ impl MarketService {
                         queue,
                         stats,
                         pool,
-                        mesh,
                         outcomes_tx,
                         subscribed,
                         journal,
@@ -681,7 +648,6 @@ fn run_scheduler(
     queue: Arc<IngressQueue>,
     stats: Arc<StatsShared>,
     pool: SessionPool,
-    mesh: Mesh,
     outcomes_tx: Sender<EpochOutcome>,
     subscribed: Arc<AtomicBool>,
     journal: Option<Arc<Journal>>,
@@ -899,7 +865,6 @@ fn run_scheduler(
     }
     // Workers joined (and their endpoints dropped) before the mesh goes.
     Arc::try_unwrap(pool).expect("all clearers joined").shutdown();
-    drop(mesh);
 }
 
 /// Closed epochs a shard's clearer may be behind before the scheduler

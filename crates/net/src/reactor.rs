@@ -76,8 +76,8 @@ pub(crate) struct NodeSpec {
     pub streams: Vec<Option<TcpStream>>,
     /// Inbound frame sinks, one per lane: the lane id is folded into
     /// every frame's tag and inbound frames are demultiplexed by it.
-    /// Dropped by the reactor once the node's last read side dies, so
-    /// receivers observe `Disconnected`.
+    /// Dropped by the reactor once the node loses its first connection,
+    /// so receivers observe `Disconnected`.
     pub lanes: Vec<Sender<(ProviderId, Bytes)>>,
     /// The node's traffic counters (shared mesh-wide for loopback).
     pub metrics: TrafficMetrics,
@@ -229,13 +229,11 @@ struct Conn {
 #[derive(Debug)]
 struct NodeState {
     me: ProviderId,
-    /// Dropped once the last read side dies, so lane receivers observe
-    /// `Disconnected` exactly like the old reader-thread teardown.
+    /// Dropped when the first connection loses a side, so lane receivers
+    /// observe `Disconnected` once their inboxes are drained.
     lanes: Option<Vec<Sender<(ProviderId, Bytes)>>>,
     metrics: TrafficMetrics,
     conn_keys: Vec<usize>,
-    /// Connections whose read side is still open.
-    read_live: usize,
     /// Connections whose write side is not yet shut.
     write_live: usize,
     /// Cleared when the first connection loses a side ([`NodeIo::peers_open`]).
@@ -300,10 +298,10 @@ pub(crate) fn spawn(specs: Vec<NodeSpec>) -> io::Result<(Arc<ReactorHandle>, Vec
         let peers_open = Arc::new(AtomicBool::new(true));
         nodes.push(NodeState {
             me: spec.me,
-            lanes: Some(spec.lanes),
+            // A node with no connections delivers Disconnected at once.
+            lanes: (live > 0).then_some(spec.lanes),
             metrics: spec.metrics,
             conn_keys,
-            read_live: live,
             write_live: live,
             peers_open: Arc::clone(&peers_open),
             closing: false,
@@ -314,14 +312,6 @@ pub(crate) fn spawn(specs: Vec<NodeSpec>) -> io::Result<(Arc<ReactorHandle>, Vec
             closer: NodeCloser { node: node_idx, shared: Arc::clone(&shared) },
             peers_open,
         });
-    }
-
-    // A node with no live connections delivers Disconnected immediately,
-    // matching the threaded design (its lane senders never existed).
-    for node in &mut nodes {
-        if node.read_live == 0 {
-            node.lanes = None;
-        }
     }
 
     let reactor = Reactor {
@@ -494,7 +484,7 @@ impl Reactor {
     /// (our write half may still be flushing).
     fn close_read(&mut self, key: usize, mut conn: Conn) {
         conn.read_open = false;
-        self.retire_read(conn.node);
+        self.lose_peer(conn.node);
         if conn.write_shut {
             let _ = self.shared.poller.delete(&conn.stream);
             // conn drops here: fully closed.
@@ -509,24 +499,22 @@ impl Reactor {
     fn kill_conn(&mut self, conn: Conn) {
         let _ = conn.stream.shutdown(Shutdown::Both);
         let _ = self.shared.poller.delete(&conn.stream);
-        if conn.read_open {
-            self.retire_read(conn.node);
-        }
+        self.lose_peer(conn.node);
         if !conn.write_shut {
             self.nodes[conn.node].write_live -= 1;
             self.maybe_ack(conn.node);
         }
     }
 
-    fn retire_read(&mut self, node_idx: usize) {
+    /// A connection lost a side: the mesh is no longer whole, and a
+    /// session needs every provider. Drop the lane senders, so every
+    /// endpoint's recv sees Disconnected once its inbox is drained, and
+    /// clear the whole-mesh flag. Frames already read off the connection
+    /// were routed before this.
+    fn lose_peer(&mut self, node_idx: usize) {
         let node = &mut self.nodes[node_idx];
-        node.read_live -= 1;
+        node.lanes = None;
         node.peers_open.store(false, Ordering::Release);
-        if node.read_live == 0 {
-            // Last peer gone: drop the lane senders so every endpoint's
-            // recv sees Disconnected once its inbox is drained.
-            node.lanes = None;
-        }
     }
 
     /// Flush this connection: refill the coalescing buffer from the ring
@@ -592,8 +580,8 @@ impl Reactor {
         conn.write_shut = true;
         let node_idx = conn.node;
         self.nodes[node_idx].write_live -= 1;
-        // Our own close ends here too; nobody is left to read the flag.
-        self.nodes[node_idx].peers_open.store(false, Ordering::Release);
+        // Our own close ends here too; nobody is left to read the lanes.
+        self.lose_peer(node_idx);
         if conn.read_open {
             let want = Interest { readable: true, writable: false };
             self.set_interest(&mut conn, want);

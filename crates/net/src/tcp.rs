@@ -57,9 +57,10 @@
 //! a provider's last lane endpoint blocks until the reactor has flushed
 //! every queued frame of the node to the kernel and half-closed its
 //! sockets (FIN *after* the data). Peers observe EOF, and their own
-//! [`MuxEndpoint::recv_timeout`] reports [`RecvError::Disconnected`]
-//! once every connection is gone — which the engine's drive loops map to
-//! the external ⊥ of §3.2.
+//! [`MuxEndpoint::recv_timeout`] reports [`RecvError::Disconnected`] as
+//! soon as that one connection is gone and the frames it delivered are
+//! drained — a session needs all `m` providers, so the engine's drive
+//! loops map the first loss to the external ⊥ of §3.2.
 //!
 //! # Example
 //!
@@ -544,11 +545,10 @@ impl MuxEndpoint {
     /// `true` while every peer connection of this node is still open in
     /// both directions; `false` from the moment any peer's EOF, reset or
     /// dead write side is observed, and for good — a mesh never heals, it
-    /// is replaced. Lanes only see [`RecvError::Disconnected`] once
-    /// *every* peer is gone; a protocol that needs all `m` providers
-    /// reads this to leave a doomed session at the first loss instead.
-    /// Frames read off a connection before its loss was observed are
-    /// already in the lane inboxes when this turns `false`.
+    /// is replaced. From that moment every lane reads
+    /// [`RecvError::Disconnected`] once its inbox is drained; frames read
+    /// off a connection before its loss was observed are already in the
+    /// lane inboxes when this turns `false`.
     pub fn all_peers_open(&self) -> bool {
         self.core.peers_open.load(Ordering::Acquire)
     }
@@ -589,8 +589,11 @@ impl MuxEndpoint {
     /// # Errors
     ///
     /// [`RecvError::Timeout`] if nothing arrived in time,
-    /// [`RecvError::Disconnected`] once every peer connection is gone
-    /// and the lane inbox is drained.
+    /// [`RecvError::Disconnected`] once any peer connection is lost and
+    /// the lane inbox is drained: the mesh is no longer whole, so no
+    /// session on it can decide. The frames a lost peer sent before it
+    /// went are delivered first; frames other peers send afterwards are
+    /// dropped.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<(ProviderId, Bytes), RecvError> {
         match self.inbox.recv_timeout(timeout) {
             Ok((from, payload)) => {

@@ -42,7 +42,9 @@ fn main() {
 
     // One thread per provider, as on real hardware: build the engine,
     // drive it over the socket endpoint until it decides (or the
-    // deadline forces ⊥).
+    // deadline forces ⊥). Each thread hands its endpoint back instead of
+    // closing it: a closed connection would cut short a peer still
+    // finishing the session.
     let engines =
         SessionEngine::roster(&cfg, &Arc::new(DoubleAuctionProgram::new()), vec![bids; m], 42);
     let handles: Vec<_> = engines
@@ -51,13 +53,13 @@ fn main() {
         .map(|(mut engine, mut endpoint)| {
             std::thread::spawn(move || {
                 let outcome = drive(&mut engine, &mut endpoint, Duration::from_secs(60));
-                (engine.me(), outcome)
+                ((engine.me(), outcome), endpoint)
             })
         })
         .collect();
 
-    let outcomes: Vec<_> =
-        handles.into_iter().map(|h| h.join().expect("provider thread")).collect();
+    let (outcomes, _endpoints): (Vec<_>, Vec<_>) =
+        handles.into_iter().map(|h| h.join().expect("provider thread")).unzip();
     let snapshot = metrics.snapshot();
     println!(
         "session finished: {} messages, {} bytes over TCP",

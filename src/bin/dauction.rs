@@ -119,8 +119,8 @@ impl Args {
         let mut i = 0;
         while i < argv.len() {
             let flag = argv[i].as_str();
-            if flag == "--help" || flag == "-h" {
-                return Err(HELP.to_string());
+            if is_help(flag) {
+                print_usage(HELP);
             }
             let value = argv.get(i + 1).ok_or_else(|| format!("missing value for {flag}"))?;
             match flag {
@@ -169,6 +169,17 @@ mechanism SPEC (default double): double | standard[,eps=PPM] | combinatorial[,bu
 divisible[,beta=PRICE]\n\
 --mesh-budget-ms D: budget of one provider-mesh bring-up (the first epoch's, and each rebuild \
 after a ⊥ or a roster change); epochs that reuse the mesh spend none of it";
+
+/// `--help` or `-h`, accepted by every entry point.
+fn is_help(flag: &str) -> bool {
+    flag == "--help" || flag == "-h"
+}
+
+/// Print `usage` to stdout and exit 0: asking for help is not an error.
+fn print_usage(usage: &str) -> ! {
+    println!("{usage}");
+    std::process::exit(0)
+}
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -305,8 +316,8 @@ fn coordinator_main(argv: &[String]) -> Result<i32, String> {
     let mut i = 0;
     while i < argv.len() {
         let flag = argv[i].as_str();
-        if flag == "--help" || flag == "-h" {
-            return Err(HELP.to_string());
+        if is_help(flag) {
+            print_usage(HELP);
         }
         let value = argv.get(i + 1).ok_or_else(|| format!("missing value for {flag}"))?;
         match flag {
@@ -432,8 +443,8 @@ fn provider_main(argv: &[String]) -> Result<i32, String> {
     let mut i = 0;
     while i < argv.len() {
         let flag = argv[i].as_str();
-        if flag == "--help" || flag == "-h" {
-            return Err(HELP.to_string());
+        if is_help(flag) {
+            print_usage(HELP);
         }
         let value = argv.get(i + 1).ok_or_else(|| format!("missing value for {flag}"))?;
         match flag {
@@ -493,10 +504,14 @@ fn provider_main(argv: &[String]) -> Result<i32, String> {
 /// summary and exits 0 on success; prints the first divergence (which
 /// seal, which fault) and exits 1 on tamper or a torn tail.
 fn verify_log_main(argv: &[String]) -> i32 {
+    const USAGE: &str = "usage: dauction verify-log PATH";
     let [path] = argv else {
-        eprintln!("usage: dauction verify-log PATH");
+        eprintln!("{USAGE}");
         return 2;
     };
+    if is_help(path) {
+        print_usage(USAGE);
+    }
     match verify_log(std::path::Path::new(path)) {
         Ok(summary) => {
             println!(
@@ -521,10 +536,14 @@ fn verify_log_main(argv: &[String]) -> i32 {
 /// written on SIGUSR1 or by a fail-stop journal error) and pretty-print
 /// it one event per line. Exits 1 on an unreadable or malformed dump.
 fn flight_dump_main(argv: &[String]) -> i32 {
+    const USAGE: &str = "usage: dauction flight-dump PATH";
     let [path] = argv else {
-        eprintln!("usage: dauction flight-dump PATH");
+        eprintln!("{USAGE}");
         return 2;
     };
+    if is_help(path) {
+        print_usage(USAGE);
+    }
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => {
@@ -628,8 +647,8 @@ fn serve_main(argv: &[String]) -> Result<(), String> {
     let mut i = 0;
     while i < argv.len() {
         let flag = argv[i].as_str();
-        if flag == "--help" || flag == "-h" {
-            return Err(HELP.to_string());
+        if is_help(flag) {
+            print_usage(HELP);
         }
         // Boolean flag: takes no value.
         if flag == "--recover" {

@@ -1,6 +1,7 @@
 //! The one-shot CLI: `--mechanism` selects what clears, and an invalid
 //! configuration or flag value is a usage error (exit 2, typed message),
-//! never a panic backtrace or a silent default.
+//! never a panic backtrace or a silent default. Asking for `--help` is
+//! not an error: every entry point prints its usage and exits 0.
 
 use std::process::{Command, Output};
 
@@ -44,5 +45,24 @@ fn one_shot_rejects_unknown_runtime_and_latency() {
         assert_eq!(out.status.code(), Some(2), "{args:?} stderr: {stderr}");
         assert!(stderr.contains("bogus"), "{args:?} stderr: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?} stderr: {stderr}");
+    }
+}
+
+#[test]
+fn help_prints_usage_and_exits_zero() {
+    let entry_points: [(&[&str], &str); 6] = [
+        (&["--help"], "usage: dauction"),
+        (&["serve", "--help"], "dauction serve"),
+        (&["coordinator", "-h"], "dauction coordinator"),
+        (&["provider", "--help"], "dauction provider"),
+        (&["verify-log", "--help"], "usage: dauction verify-log PATH"),
+        (&["flight-dump", "-h"], "usage: dauction flight-dump PATH"),
+    ];
+    for (args, usage) in entry_points {
+        let (out, stderr) = dauction(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{args:?} stderr: {stderr}");
+        assert!(stdout.contains(usage), "{args:?} stdout: {stdout}");
+        assert!(stderr.is_empty(), "{args:?} stderr: {stderr}");
     }
 }
