@@ -6,7 +6,11 @@
 //!
 //! * bid agreement alone (consensus over the bid streams),
 //! * + input validation,
-//! * full framework (validation + coin + allocator).
+//! * the common coin alone,
+//! * full framework: the paper's pipeline, validation + coin + allocator
+//!   (the double auction under [`WithCoin`]),
+//! * framework (no coin): the pipeline as shipped — the double auction
+//!   reads no shared randomness, so its allocator skips the coin.
 //!
 //! This quantifies the paper's claim that the emulation overhead is
 //! dominated by the bid agreement's data exchange, not by the allocator
@@ -19,9 +23,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dauctioneer_bench::{fmt_secs, CommonArgs, Stats, Table};
+use dauctioneer_bench::{fmt_secs, CommonArgs, Stats, Table, WithCoin};
 use dauctioneer_core::blocks::{encode_fixed, BidAgreement, CommonCoin, InputValidation};
-use dauctioneer_core::{Block, Distribution, DoubleAuctionProgram, FrameworkConfig};
+use dauctioneer_core::{Block, Distribution, DoubleAuctionProgram, DynProgram, FrameworkConfig};
 use dauctioneer_sim::{run_auction_sim, LinkModel, SchedulePolicy, SimRunner};
 use dauctioneer_types::ProviderId;
 use dauctioneer_workload::DoubleAuctionWorkload;
@@ -54,7 +58,14 @@ fn main() {
 
     eprintln!("ablation A1: per-block share of the distributed double auction (m={M}, k={K})");
     let mut table = Table::new(
-        &["n", "bid agreement", "input validation", "common coin", "full framework"],
+        &[
+            "n",
+            "bid agreement",
+            "input validation",
+            "common coin",
+            "full framework",
+            "framework (no coin)",
+        ],
         args.csv,
     );
     for &n in &ns {
@@ -77,13 +88,17 @@ fn main() {
                 (0..M).map(|i| CommonCoin::new(ProviderId(i as u32), M, uniform, &mut rng(r, i)));
             stack_span(blocks, r)
         });
-        let full = mean_span(args.rounds, |r| {
-            let cfg = FrameworkConfig::new(M, K, n, M);
-            let program = Arc::new(DoubleAuctionProgram::new());
-            let report = run_auction_sim(&cfg, program, vec![bids.clone(); M], &[], timed(), r);
-            assert!(!report.unanimous().is_abort());
-            report.span.expect("decided")
-        });
+        let framework = |program: DynProgram| {
+            mean_span(args.rounds, |r| {
+                let cfg = FrameworkConfig::new(M, K, n, M);
+                let program = Arc::new(program.clone());
+                let report = run_auction_sim(&cfg, program, vec![bids.clone(); M], &[], timed(), r);
+                assert!(!report.unanimous().is_abort());
+                report.span.expect("decided")
+            })
+        };
+        let full = framework(DynProgram::new(Arc::new(WithCoin(DoubleAuctionProgram::new()))));
+        let no_coin = framework(DynProgram::new(Arc::new(DoubleAuctionProgram::new())));
 
         table.row(vec![
             n.to_string(),
@@ -91,6 +106,7 @@ fn main() {
             fmt_secs(validation),
             fmt_secs(coin),
             fmt_secs(full),
+            fmt_secs(no_coin),
         ]);
         eprint!(".");
     }
@@ -98,4 +114,6 @@ fn main() {
     println!("{}", table.render());
     println!("# bid agreement (3 rounds over the full bid streams) dominates the overhead;");
     println!("# validation and coin are small constants; the full framework is their chain.");
+    println!("# without the coin (the double auction reads no shared randomness), the allocator");
+    println!("# sends 3 broadcasts fewer, 2 of them on the sequential path.");
 }

@@ -13,7 +13,10 @@
 //! simulator's `Timed` schedule over the community-network link model
 //! (see `dauctioneer-sim` and `docs/ARCHITECTURE.md`, "One engine, one
 //! threaded driver, one simulator", for why this substitutes the paper's Guifi
-//! testbed). Usage:
+//! testbed). The distributed series run the double auction under
+//! [`WithCoin`], so each epoch keeps the paper's seven broadcasts
+//! (agreement, validation, common coin) although the double auction reads
+//! no shared randomness and ships without the coin. Usage:
 //!
 //! ```text
 //! cargo run --release -p dauctioneer-bench --bin fig4 [--csv] [--quick] [--rounds N]
@@ -22,7 +25,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dauctioneer_bench::{fmt_secs, time_once, CommonArgs, Stats, Table};
+use dauctioneer_bench::{fmt_secs, time_once, CommonArgs, Stats, Table, WithCoin};
 use dauctioneer_core::{DoubleAuctionProgram, FrameworkConfig};
 use dauctioneer_mechanisms::{DoubleAuction, Mechanism, SharedRng};
 use dauctioneer_sim::{run_auction_sim, LinkModel, SchedulePolicy};
@@ -71,7 +74,7 @@ fn main() {
                     let cfg = FrameworkConfig::new(m, k, n, AUCTION_PROVIDERS);
                     let report = run_auction_sim(
                         &cfg,
-                        Arc::new(DoubleAuctionProgram::new()),
+                        Arc::new(WithCoin(DoubleAuctionProgram::new())),
                         vec![bids; m],
                         &[],
                         SchedulePolicy::Timed(LinkModel::community_net()),

@@ -15,10 +15,53 @@
 //! additionally take `--json`, writing a machine-readable
 //! `BENCH_<name>.json` (configuration + results) via [`json`] so the
 //! performance trajectory can be tracked as data, not prose.
+//!
+//! [`WithCoin`] forces the allocator's common coin on a program that would
+//! skip it, for the figures that reproduce the paper's pipeline.
 
 pub mod json;
 
 use std::time::{Duration, Instant};
+
+use bytes::Bytes;
+use dauctioneer_core::{AllocatorProgram, FrameworkConfig, TaskGraphSpec, TaskId};
+use dauctioneer_mechanisms::SharedRng;
+use dauctioneer_types::{AuctionResult, BidVector};
+
+/// Runs `P` with the allocator's common coin even if `P` reads no shared
+/// randomness, so a figure keeps the paper's full §4.2 pipeline
+/// (validation → coin → tasks). Everything else is `P`'s.
+#[derive(Debug, Clone, Default)]
+pub struct WithCoin<P>(pub P);
+
+impl<P: AllocatorProgram> AllocatorProgram for WithCoin<P> {
+    fn task_graph(&self, cfg: &FrameworkConfig) -> TaskGraphSpec {
+        self.0.task_graph(cfg)
+    }
+
+    fn run_task(
+        &self,
+        task: TaskId,
+        spec: &TaskGraphSpec,
+        bids: &BidVector,
+        dep_values: &[Bytes],
+        shared: &SharedRng,
+    ) -> Bytes {
+        self.0.run_task(task, spec, bids, dep_values, shared)
+    }
+
+    fn finish(&self, bids: &BidVector, final_value: &Bytes) -> Option<AuctionResult> {
+        self.0.finish(bids, final_value)
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn reads_shared_randomness(&self) -> bool {
+        true
+    }
+}
 
 /// Statistics over repeated measurements.
 #[derive(Debug, Clone, Copy, PartialEq)]

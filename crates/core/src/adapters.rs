@@ -18,6 +18,12 @@
 //! * [`DynProgram`] — type erasure over `Arc<dyn AllocatorProgram>`, so a
 //!   runtime-selected mechanism (the market's spec factory) flows through
 //!   the generic `ParallelAllocator<P>` APIs as one concrete type.
+//!
+//! Only the standard and combinatorial programs read the common coin's
+//! material: their branch-and-bound shuffles provider order from it. The
+//! double and divisible programs answer `false` to
+//! [`AllocatorProgram::reads_shared_randomness`], so their allocator runs
+//! no coin.
 
 use std::sync::Arc;
 
@@ -125,6 +131,11 @@ impl AllocatorProgram for DoubleAuctionProgram {
 
     fn name(&self) -> &'static str {
         self.mechanism.name()
+    }
+
+    /// The sort-and-match clearing draws nothing from the material.
+    fn reads_shared_randomness(&self) -> bool {
+        false
     }
 }
 
@@ -336,6 +347,11 @@ impl AllocatorProgram for DivisibleAuctionProgram {
     fn name(&self) -> &'static str {
         self.mechanism.name()
     }
+
+    /// The water-fill and its Clarke pivots draw nothing from the material.
+    fn reads_shared_randomness(&self) -> bool {
+        false
+    }
 }
 
 /// Type erasure over `Arc<dyn AllocatorProgram>`.
@@ -378,5 +394,9 @@ impl AllocatorProgram for DynProgram {
 
     fn name(&self) -> &'static str {
         self.inner.name()
+    }
+
+    fn reads_shared_randomness(&self) -> bool {
+        self.inner.reads_shared_randomness()
     }
 }

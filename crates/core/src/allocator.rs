@@ -8,9 +8,15 @@
 //! worst force ⊥, never a wrong result — condition (2) of Property 2,
 //! *resilience to collusive influence*.
 //!
+//! The coin's only output is the [`SharedRng`] material the tasks are
+//! seeded with, so it runs only for programs that read it
+//! ([`AllocatorProgram::reads_shared_randomness`]). For the others the
+//! tasks start as soon as validation passes, under a fixed material, and
+//! a coin frame from a peer is a protocol violation (⊥).
+//!
 //! The concrete allocation algorithm is supplied as an
 //! [`AllocatorProgram`]: its task graph, per-task computation, and final
-//! assembly. `crate::adapters` provides the programs for the two case-study
+//! assembly. `crate::adapters` provides the programs for the production
 //! mechanisms.
 
 use std::sync::Arc;
@@ -33,6 +39,10 @@ use crate::task_graph::{TaskGraphSpec, TaskId, TransferEdge};
 const TAG_VALIDATION: u64 = 1;
 const TAG_COIN: u64 = 2;
 const TAG_EDGE_BASE: u64 = 16;
+
+/// The material handed to every task of a program that reads no shared
+/// randomness: with no coin to draw it, any constant will do.
+const UNREAD_MATERIAL: [u8; 32] = [0; 32];
 
 /// A concrete allocation algorithm plugged into the parallel allocator.
 ///
@@ -73,6 +83,17 @@ pub trait AllocatorProgram: Send + Sync {
     fn name(&self) -> &'static str {
         "custom"
     }
+
+    /// Whether any task reads the `shared` material it is given. When
+    /// `false`, the allocator skips the common coin — three broadcasts —
+    /// and hands every task one fixed material instead.
+    ///
+    /// Answer `false` only if every task's output is byte-identical under
+    /// every material; otherwise the outcome would be fixed in advance by
+    /// a constant the coin was meant to make unpredictable.
+    fn reads_shared_randomness(&self) -> bool {
+        true
+    }
 }
 
 /// The parallel-allocator block run by one provider.
@@ -84,9 +105,11 @@ pub struct ParallelAllocator<P: AllocatorProgram> {
     spec: TaskGraphSpec,
     edges: Vec<TransferEdge>,
     validation: SubSlot<InputValidation>,
+    /// Stays pending (and never buffers) when the program reads no shared
+    /// randomness.
     coin: SubSlot<CommonCoin>,
-    /// Coin constructed eagerly (it draws local randomness) but started in
-    /// `start`.
+    /// The coin, built in `new` (it draws local randomness) and taken by
+    /// `start`; never built for a program that reads no shared randomness.
     pending_coin: Option<CommonCoin>,
     transfers: Vec<SubSlot<DataTransfer>>,
     /// Transfer edge index → activated yet?
@@ -99,7 +122,8 @@ pub struct ParallelAllocator<P: AllocatorProgram> {
 impl<P: AllocatorProgram> ParallelAllocator<P> {
     /// Create the allocator for provider `me`, with the *agreed* bid
     /// vector from bid agreement. Local randomness (coin contribution)
-    /// comes from `rng`.
+    /// comes from `rng`, which is not drawn from when the program reads no
+    /// shared randomness.
     pub fn new(
         cfg: FrameworkConfig,
         me: ProviderId,
@@ -111,7 +135,11 @@ impl<P: AllocatorProgram> ParallelAllocator<P> {
         let edges = spec.transfer_edges();
         let n_tasks = spec.len();
         let n_edges = edges.len();
-        let pending_coin = Some(CommonCoin::new(me, cfg.m, Distribution::UniformUnit, rng));
+        let (pending_coin, shared) = if program.reads_shared_randomness() {
+            (Some(CommonCoin::new(me, cfg.m, Distribution::UniformUnit, rng)), None)
+        } else {
+            (None, Some(SharedRng::from_material(&UNREAD_MATERIAL)))
+        };
         ParallelAllocator {
             cfg,
             me,
@@ -124,7 +152,7 @@ impl<P: AllocatorProgram> ParallelAllocator<P> {
             pending_coin,
             transfers: (0..n_edges).map(|_| SubSlot::new()).collect(),
             transfer_started: vec![false; n_edges],
-            shared: None,
+            shared,
             task_values: vec![None; n_tasks],
             result: None,
         }
@@ -161,7 +189,8 @@ impl<P: AllocatorProgram> ParallelAllocator<P> {
             self.abort();
             return;
         }
-        // Both gates must pass before any computation.
+        // Both gates must pass before any computation (`shared` is set from
+        // the start when there is no coin).
         let validated = matches!(self.validation.result(), Some(BlockResult::Value(_)));
         if self.shared.is_none() {
             if let Some(BlockResult::Value(CoinValue { material, .. })) = self.coin.result() {
@@ -275,15 +304,6 @@ impl<P: AllocatorProgram> ParallelAllocator<P> {
     }
 }
 
-// `pending_coin` staging: the coin needs `rng` at construction but starts
-// in `start`, so it is held here in between.
-#[doc(hidden)]
-impl<P: AllocatorProgram> ParallelAllocator<P> {
-    fn take_pending_coin(&mut self) -> CommonCoin {
-        self.pending_coin.take().expect("start called once")
-    }
-}
-
 impl<P: AllocatorProgram> Block for ParallelAllocator<P> {
     type Output = AuctionResult;
 
@@ -296,10 +316,10 @@ impl<P: AllocatorProgram> Block for ParallelAllocator<P> {
             let mut tagged = TaggedCtx::new(TAG_VALIDATION, ctx);
             self.validation.activate(validation, &mut tagged);
         }
-        // Common coin (runs concurrently with validation — its value is
-        // input-independent, and both must succeed before any task runs).
-        let coin = self.take_pending_coin();
-        {
+        // Common coin, if the program reads it (runs concurrently with
+        // validation — its value is input-independent, and both must
+        // succeed before any task runs).
+        if let Some(coin) = self.pending_coin.take() {
             let mut tagged = TaggedCtx::new(TAG_COIN, ctx);
             self.coin.activate(coin, &mut tagged);
         }
@@ -319,7 +339,8 @@ impl<P: AllocatorProgram> Block for ParallelAllocator<P> {
                 let mut tagged = TaggedCtx::new(TAG_VALIDATION, ctx);
                 self.validation.deliver(from, inner, &mut tagged);
             }
-            TAG_COIN => {
+            // Without a coin, a coin frame is an unknown tag.
+            TAG_COIN if self.coin.active().is_some() => {
                 let mut tagged = TaggedCtx::new(TAG_COIN, ctx);
                 self.coin.deliver(from, inner, &mut tagged);
             }

@@ -3,8 +3,9 @@
 //!
 //! The provider inputs the vector `b̄ⱼ` of bids it collected from bidders;
 //! the bid agreement makes all providers output one agreed `b̄`; the
-//! allocator validates that agreement, draws the common coin, executes the
-//! task-decomposed allocation algorithm, and outputs either the pair
+//! allocator validates that agreement, draws the common coin if the
+//! allocation algorithm reads shared randomness, executes the
+//! task-decomposed algorithm, and outputs either the pair
 //! `(x, p̄)` or ⊥. By Theorem 1 of the paper, any implementation of these
 //! blocks correctly simulates the auctioneer and is a k-resilient
 //! equilibrium for `m > 2k`; the deviation tests in `dauctioneer-sim`

@@ -15,7 +15,8 @@
 //!  bids b̄ⱼ ──► [Bid Agreement] ──► b̄ ──► [Allocator] ──► (x, p̄) or ⊥
 //!                    │                       │
 //!          per-bit rational consensus        ├── Input Validation
-//!          (commit–echo–reveal + coin)       ├── Common Coin
+//!          (commit–echo–reveal + coin)       ├── Common Coin (only for programs
+//!                                            │   that read shared randomness)
 //!                                            └── Task graph + Data Transfer
 //! ```
 //!

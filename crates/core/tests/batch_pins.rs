@@ -101,29 +101,29 @@ fn row(
 /// Recorded results, one per row: `<transport>.s<shards>.n<sessions>.<program>`.
 #[rustfmt::skip]
 const EXPECTED: &[(&str, &str)] = &[
-    ("inproc.s1.n1.double", "928352fd916397e2 | msgs=42 bytes=6966"),
+    ("inproc.s1.n1.double", "928352fd916397e2 | msgs=24 bytes=5088"),
     ("inproc.s1.n1.standard", "4e62da27598765f5 | msgs=42 bytes=5490"),
-    ("inproc.s1.n3.double", "928352fd916397e2 ec3baba16f723dcf 0b7942e30e77e262 | msgs=126 bytes=20898"),
+    ("inproc.s1.n3.double", "928352fd916397e2 ec3baba16f723dcf 0b7942e30e77e262 | msgs=72 bytes=15264"),
     ("inproc.s1.n3.standard", "4e62da27598765f5 9ac74778c40174ae 3eabc2673c71d4a4 | msgs=126 bytes=16470"),
-    ("inproc.s3.n1.double", "928352fd916397e2 | msgs=42 bytes=6966"),
+    ("inproc.s3.n1.double", "928352fd916397e2 | msgs=24 bytes=5088"),
     ("inproc.s3.n1.standard", "4e62da27598765f5 | msgs=42 bytes=5490"),
-    ("inproc.s3.n3.double", "928352fd916397e2 ec3baba16f723dcf 0b7942e30e77e262 | msgs=126 bytes=20898"),
+    ("inproc.s3.n3.double", "928352fd916397e2 ec3baba16f723dcf 0b7942e30e77e262 | msgs=72 bytes=15264"),
     ("inproc.s3.n3.standard", "4e62da27598765f5 9ac74778c40174ae 3eabc2673c71d4a4 | msgs=126 bytes=16470"),
-    ("community.s1.n1.double", "928352fd916397e2 | msgs=42 bytes=6966"),
+    ("community.s1.n1.double", "928352fd916397e2 | msgs=24 bytes=5088"),
     ("community.s1.n1.standard", "4e62da27598765f5 | msgs=42 bytes=5490"),
-    ("community.s1.n3.double", "928352fd916397e2 ec3baba16f723dcf 0b7942e30e77e262 | msgs=126 bytes=20898"),
+    ("community.s1.n3.double", "928352fd916397e2 ec3baba16f723dcf 0b7942e30e77e262 | msgs=72 bytes=15264"),
     ("community.s1.n3.standard", "4e62da27598765f5 9ac74778c40174ae 3eabc2673c71d4a4 | msgs=126 bytes=16470"),
-    ("community.s3.n1.double", "928352fd916397e2 | msgs=42 bytes=6966"),
+    ("community.s3.n1.double", "928352fd916397e2 | msgs=24 bytes=5088"),
     ("community.s3.n1.standard", "4e62da27598765f5 | msgs=42 bytes=5490"),
-    ("community.s3.n3.double", "928352fd916397e2 ec3baba16f723dcf 0b7942e30e77e262 | msgs=126 bytes=20898"),
+    ("community.s3.n3.double", "928352fd916397e2 ec3baba16f723dcf 0b7942e30e77e262 | msgs=72 bytes=15264"),
     ("community.s3.n3.standard", "4e62da27598765f5 9ac74778c40174ae 3eabc2673c71d4a4 | msgs=126 bytes=16470"),
-    ("tcp.s1.n1.double", "928352fd916397e2 | msgs=42 bytes=6966"),
+    ("tcp.s1.n1.double", "928352fd916397e2 | msgs=24 bytes=5088"),
     ("tcp.s1.n1.standard", "4e62da27598765f5 | msgs=42 bytes=5490"),
-    ("tcp.s1.n3.double", "928352fd916397e2 ec3baba16f723dcf 0b7942e30e77e262 | msgs=126 bytes=20898"),
+    ("tcp.s1.n3.double", "928352fd916397e2 ec3baba16f723dcf 0b7942e30e77e262 | msgs=72 bytes=15264"),
     ("tcp.s1.n3.standard", "4e62da27598765f5 9ac74778c40174ae 3eabc2673c71d4a4 | msgs=126 bytes=16470"),
-    ("tcp.s3.n1.double", "928352fd916397e2 | msgs=42 bytes=6966"),
+    ("tcp.s3.n1.double", "928352fd916397e2 | msgs=24 bytes=5088"),
     ("tcp.s3.n1.standard", "4e62da27598765f5 | msgs=42 bytes=5490"),
-    ("tcp.s3.n3.double", "928352fd916397e2 ec3baba16f723dcf 0b7942e30e77e262 | msgs=126 bytes=20898"),
+    ("tcp.s3.n3.double", "928352fd916397e2 ec3baba16f723dcf 0b7942e30e77e262 | msgs=72 bytes=15264"),
     ("tcp.s3.n3.standard", "4e62da27598765f5 9ac74778c40174ae 3eabc2673c71d4a4 | msgs=126 bytes=16470"),
 ];
 

@@ -1,20 +1,23 @@
 //! Integration tests for the combinatorial and divisible mechanism
 //! programs under the parallel allocator, plus the `DynProgram` erasure
-//! used for runtime mechanism selection.
+//! used for runtime mechanism selection, and a property that keeps each
+//! program's `reads_shared_randomness` answer honest.
 
 use std::sync::Arc;
 
+use bytes::Bytes;
 use dauctioneer_core::{
     AllocatorProgram, Block, BlockResult, CombinatorialAuctionProgram, DivisibleAuctionProgram,
     DoubleAuctionProgram, DynProgram, FrameworkConfig, OutboxCtx, ParallelAllocator,
-    StandardAuctionProgram,
+    StandardAuctionProgram, TaskId,
 };
 use dauctioneer_mechanisms::{
     CombinatorialAuction, CombinatorialAuctionConfig, DivisibleAuction, DivisibleAuctionConfig,
     Mechanism, SharedRng, StandardAuction, StandardAuctionConfig,
 };
 use dauctioneer_types::{AuctionResult, BidVector, Bw, ProviderId, UserId};
-use dauctioneer_workload::StandardAuctionWorkload;
+use dauctioneer_workload::{DoubleAuctionWorkload, StandardAuctionWorkload};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -156,4 +159,96 @@ fn program_names_mirror_their_mechanisms() {
             .name(),
         "divisible-auction"
     );
+}
+
+/// The four production programs, type-erased (so `DynProgram`'s
+/// forwarding is under test too), each with an `n`-user workload for `m`
+/// providers drawn from `seed`.
+fn all_programs(n: usize, m: usize, seed: u64) -> Vec<(&'static str, DynProgram, BidVector)> {
+    let (bids, capacities) = StandardAuctionWorkload::new(n, m, seed).generate();
+    let erase = |program: Arc<dyn AllocatorProgram>| DynProgram::new(program);
+    vec![
+        (
+            "double",
+            erase(Arc::new(DoubleAuctionProgram::new())),
+            DoubleAuctionWorkload::new(n, m, seed).generate(),
+        ),
+        (
+            "standard",
+            erase(Arc::new(StandardAuctionProgram::new(StandardAuction::new(
+                StandardAuctionConfig::exact(capacities.clone()),
+            )))),
+            bids.clone(),
+        ),
+        (
+            "combinatorial",
+            erase(Arc::new(CombinatorialAuctionProgram::new(CombinatorialAuction::new(
+                CombinatorialAuctionConfig::new(capacities.clone()),
+            )))),
+            bids.clone(),
+        ),
+        (
+            "divisible",
+            erase(Arc::new(DivisibleAuctionProgram::new(DivisibleAuction::new(
+                DivisibleAuctionConfig::new(capacities),
+            )))),
+            bids,
+        ),
+    ]
+}
+
+/// Run `program`'s task graph in one process — every task once, in list
+/// order, under `shared` — and return the final task's output bytes.
+fn run_centrally(
+    program: &dyn AllocatorProgram,
+    cfg: &FrameworkConfig,
+    bids: &BidVector,
+    shared: &SharedRng,
+) -> Bytes {
+    let spec = program.task_graph(cfg);
+    let mut values: Vec<Bytes> = Vec::with_capacity(spec.len());
+    for (i, task) in spec.tasks().iter().enumerate() {
+        let deps: Vec<Bytes> = task.deps.iter().map(|d| values[d.index()].clone()).collect();
+        values.push(program.run_task(TaskId(i as u32), &spec, bids, &deps, shared));
+    }
+    values.pop().expect("a task graph has a final task")
+}
+
+#[test]
+fn only_the_solvers_that_shuffle_read_shared_randomness() {
+    let answers: Vec<(&str, bool)> = all_programs(4, 3, 1)
+        .iter()
+        .map(|(name, program, _)| (*name, program.reads_shared_randomness()))
+        .collect();
+    assert_eq!(
+        answers,
+        [("double", false), ("standard", true), ("combinatorial", true), ("divisible", false)]
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A program that answers `false` gets no common coin, only a fixed
+    /// material; that is sound only if its output cannot depend on the
+    /// material. Any two materials must give byte-identical final outputs.
+    #[test]
+    fn programs_that_skip_the_coin_ignore_the_material(
+        n in 1usize..12,
+        m in 3usize..6,
+        seed in 0u64..10_000,
+        a in any::<[u8; 32]>(),
+        b in any::<[u8; 32]>(),
+    ) {
+        for (name, program, bids) in all_programs(n, m, seed) {
+            if program.reads_shared_randomness() {
+                continue;
+            }
+            let cfg = FrameworkConfig::new(m, 1, n, bids.num_asks());
+            let under_a = run_centrally(&program, &cfg, &bids, &SharedRng::from_material(&a));
+            let under_b = run_centrally(&program, &cfg, &bids, &SharedRng::from_material(&b));
+            prop_assert!(program.finish(&bids, &under_a).is_some(), "{name}: malformed output");
+            prop_assert_eq!(under_a, under_b, "{} (n={}, m={}, seed={})", name, n, m, seed);
+        }
+    }
 }

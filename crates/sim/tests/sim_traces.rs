@@ -145,49 +145,49 @@ const PROGRAMS: [(&str, Program); 2] =
 /// Recorded results, one per row: `m<m>.<program>.<schedule>.<deviation>`.
 #[rustfmt::skip]
 const EXPECTED: &[(&str, &str)] = &[
-    ("m3.double.fifo.none", "d=42 | 928352fd916397e2 928352fd916397e2 928352fd916397e2"),
+    ("m3.double.fifo.none", "d=24 | 928352fd916397e2 928352fd916397e2 928352fd916397e2"),
     ("m3.double.fifo.equivocate", "d=12 | ⊥ ⊥ ⊥"),
     ("m3.double.fifo.corrupt", "d=10 | ⊥ ⊥ ⊥"),
     ("m3.double.fifo.mute0", "d=4 | undecided undecided undecided"),
     ("m3.double.fifo.mute3", "d=13 | undecided undecided undecided"),
     ("m3.double.fifo.drop_to", "d=8 | undecided undecided undecided"),
     ("m3.double.fifo.replay", "d=12 | undecided ⊥ ⊥"),
-    ("m3.double.random0.none", "d=42 | 928352fd916397e2 928352fd916397e2 928352fd916397e2"),
+    ("m3.double.random0.none", "d=24 | 928352fd916397e2 928352fd916397e2 928352fd916397e2"),
     ("m3.double.random0.equivocate", "d=12 | ⊥ ⊥ ⊥"),
     ("m3.double.random0.corrupt", "d=10 | ⊥ ⊥ ⊥"),
     ("m3.double.random0.mute0", "d=4 | undecided undecided undecided"),
     ("m3.double.random0.mute3", "d=13 | undecided undecided undecided"),
     ("m3.double.random0.drop_to", "d=8 | undecided undecided undecided"),
     ("m3.double.random0.replay", "d=12 | undecided ⊥ ⊥"),
-    ("m3.double.random1.none", "d=42 | 928352fd916397e2 928352fd916397e2 928352fd916397e2"),
+    ("m3.double.random1.none", "d=24 | 928352fd916397e2 928352fd916397e2 928352fd916397e2"),
     ("m3.double.random1.equivocate", "d=9 | ⊥ ⊥ ⊥"),
     ("m3.double.random1.corrupt", "d=12 | ⊥ ⊥ ⊥"),
     ("m3.double.random1.mute0", "d=4 | undecided undecided undecided"),
     ("m3.double.random1.mute3", "d=13 | undecided undecided undecided"),
     ("m3.double.random1.drop_to", "d=8 | undecided undecided undecided"),
     ("m3.double.random1.replay", "d=14 | undecided ⊥ ⊥"),
-    ("m3.double.random2.none", "d=42 | 928352fd916397e2 928352fd916397e2 928352fd916397e2"),
+    ("m3.double.random2.none", "d=24 | 928352fd916397e2 928352fd916397e2 928352fd916397e2"),
     ("m3.double.random2.equivocate", "d=11 | ⊥ ⊥ ⊥"),
     ("m3.double.random2.corrupt", "d=12 | ⊥ ⊥ ⊥"),
     ("m3.double.random2.mute0", "d=4 | undecided undecided undecided"),
     ("m3.double.random2.mute3", "d=13 | undecided undecided undecided"),
     ("m3.double.random2.drop_to", "d=8 | undecided undecided undecided"),
     ("m3.double.random2.replay", "d=14 | undecided ⊥ ⊥"),
-    ("m3.double.delay0.none", "d=42 | 928352fd916397e2 928352fd916397e2 928352fd916397e2"),
+    ("m3.double.delay0.none", "d=24 | 928352fd916397e2 928352fd916397e2 928352fd916397e2"),
     ("m3.double.delay0.equivocate", "d=11 | ⊥ ⊥ ⊥"),
     ("m3.double.delay0.corrupt", "d=11 | ⊥ ⊥ ⊥"),
     ("m3.double.delay0.mute0", "d=4 | undecided undecided undecided"),
     ("m3.double.delay0.mute3", "d=13 | undecided undecided undecided"),
     ("m3.double.delay0.drop_to", "d=8 | undecided undecided undecided"),
     ("m3.double.delay0.replay", "d=14 | undecided ⊥ ⊥"),
-    ("m3.double.delay1.none", "d=42 | 928352fd916397e2 928352fd916397e2 928352fd916397e2"),
+    ("m3.double.delay1.none", "d=24 | 928352fd916397e2 928352fd916397e2 928352fd916397e2"),
     ("m3.double.delay1.equivocate", "d=11 | ⊥ ⊥ ⊥"),
     ("m3.double.delay1.corrupt", "d=11 | ⊥ ⊥ ⊥"),
     ("m3.double.delay1.mute0", "d=4 | undecided undecided undecided"),
     ("m3.double.delay1.mute3", "d=13 | undecided undecided undecided"),
     ("m3.double.delay1.drop_to", "d=8 | undecided undecided undecided"),
     ("m3.double.delay1.replay", "d=12 | undecided ⊥ ⊥"),
-    ("m3.double.delay2.none", "d=42 | 928352fd916397e2 928352fd916397e2 928352fd916397e2"),
+    ("m3.double.delay2.none", "d=24 | 928352fd916397e2 928352fd916397e2 928352fd916397e2"),
     ("m3.double.delay2.equivocate", "d=11 | ⊥ ⊥ ⊥"),
     ("m3.double.delay2.corrupt", "d=12 | ⊥ ⊥ ⊥"),
     ("m3.double.delay2.mute0", "d=4 | undecided undecided undecided"),
@@ -243,63 +243,63 @@ const EXPECTED: &[(&str, &str)] = &[
     ("m3.standard.delay2.mute3", "d=13 | undecided undecided undecided"),
     ("m3.standard.delay2.drop_to", "d=8 | undecided undecided undecided"),
     ("m3.standard.delay2.replay", "d=12 | undecided ⊥ ⊥"),
-    ("m5.double.fifo.none", "d=140 | a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35"),
+    ("m5.double.fifo.none", "d=80 | a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35"),
     ("m5.double.fifo.equivocate", "d=32 | ⊥ ⊥ ⊥ ⊥ ⊥"),
     ("m5.double.fifo.corrupt", "d=28 | ⊥ ⊥ ⊥ ⊥ ⊥"),
     ("m5.double.fifo.mute0", "d=16 | undecided undecided undecided undecided undecided"),
     ("m5.double.fifo.mute3", "d=31 | undecided undecided undecided undecided undecided"),
     ("m5.double.fifo.drop_to", "d=34 | undecided undecided undecided undecided undecided"),
     ("m5.double.fifo.replay", "d=32 | undecided ⊥ ⊥ ⊥ ⊥"),
-    ("m5.double.random0.none", "d=140 | a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35"),
+    ("m5.double.random0.none", "d=80 | a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35"),
     ("m5.double.random0.equivocate", "d=38 | ⊥ ⊥ ⊥ ⊥ ⊥"),
     ("m5.double.random0.corrupt", "d=30 | ⊥ ⊥ ⊥ ⊥ ⊥"),
     ("m5.double.random0.mute0", "d=16 | undecided undecided undecided undecided undecided"),
     ("m5.double.random0.mute3", "d=31 | undecided undecided undecided undecided undecided"),
     ("m5.double.random0.drop_to", "d=34 | undecided undecided undecided undecided undecided"),
     ("m5.double.random0.replay", "d=32 | undecided ⊥ ⊥ ⊥ ⊥"),
-    ("m5.double.random1.none", "d=140 | a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35"),
+    ("m5.double.random1.none", "d=80 | a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35"),
     ("m5.double.random1.equivocate", "d=36 | ⊥ ⊥ ⊥ ⊥ ⊥"),
     ("m5.double.random1.corrupt", "d=36 | ⊥ ⊥ ⊥ ⊥ ⊥"),
     ("m5.double.random1.mute0", "d=16 | undecided undecided undecided undecided undecided"),
     ("m5.double.random1.mute3", "d=31 | undecided undecided undecided undecided undecided"),
     ("m5.double.random1.drop_to", "d=34 | undecided undecided undecided undecided undecided"),
     ("m5.double.random1.replay", "d=40 | undecided ⊥ ⊥ ⊥ ⊥"),
-    ("m5.double.random2.none", "d=140 | a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35"),
+    ("m5.double.random2.none", "d=80 | a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35"),
     ("m5.double.random2.equivocate", "d=38 | ⊥ ⊥ ⊥ ⊥ ⊥"),
     ("m5.double.random2.corrupt", "d=29 | ⊥ ⊥ ⊥ ⊥ ⊥"),
     ("m5.double.random2.mute0", "d=16 | undecided undecided undecided undecided undecided"),
     ("m5.double.random2.mute3", "d=31 | undecided undecided undecided undecided undecided"),
     ("m5.double.random2.drop_to", "d=34 | undecided undecided undecided undecided undecided"),
     ("m5.double.random2.replay", "d=44 | undecided ⊥ ⊥ ⊥ ⊥"),
-    ("m5.double.delay0.none", "d=140 | a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35"),
+    ("m5.double.delay0.none", "d=80 | a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35"),
     ("m5.double.delay0.equivocate", "d=36 | ⊥ ⊥ ⊥ ⊥ ⊥"),
     ("m5.double.delay0.corrupt", "d=40 | ⊥ ⊥ ⊥ ⊥ ⊥"),
     ("m5.double.delay0.mute0", "d=16 | undecided undecided undecided undecided undecided"),
     ("m5.double.delay0.mute3", "d=31 | undecided undecided undecided undecided undecided"),
     ("m5.double.delay0.drop_to", "d=34 | undecided undecided undecided undecided undecided"),
     ("m5.double.delay0.replay", "d=40 | undecided ⊥ ⊥ ⊥ ⊥"),
-    ("m5.double.delay1.none", "d=140 | a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35"),
+    ("m5.double.delay1.none", "d=80 | a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35"),
     ("m5.double.delay1.equivocate", "d=40 | ⊥ ⊥ ⊥ ⊥ ⊥"),
     ("m5.double.delay1.corrupt", "d=36 | ⊥ ⊥ ⊥ ⊥ ⊥"),
     ("m5.double.delay1.mute0", "d=16 | undecided undecided undecided undecided undecided"),
     ("m5.double.delay1.mute3", "d=31 | undecided undecided undecided undecided undecided"),
     ("m5.double.delay1.drop_to", "d=34 | undecided undecided undecided undecided undecided"),
     ("m5.double.delay1.replay", "d=40 | undecided ⊥ ⊥ ⊥ ⊥"),
-    ("m5.double.delay2.none", "d=140 | a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35"),
+    ("m5.double.delay2.none", "d=80 | a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35"),
     ("m5.double.delay2.equivocate", "d=36 | ⊥ ⊥ ⊥ ⊥ ⊥"),
     ("m5.double.delay2.corrupt", "d=36 | ⊥ ⊥ ⊥ ⊥ ⊥"),
     ("m5.double.delay2.mute0", "d=16 | undecided undecided undecided undecided undecided"),
     ("m5.double.delay2.mute3", "d=31 | undecided undecided undecided undecided undecided"),
     ("m5.double.delay2.drop_to", "d=34 | undecided undecided undecided undecided undecided"),
     ("m5.double.delay2.replay", "d=36 | undecided ⊥ ⊥ ⊥ ⊥"),
-    ("m5.double.delay3.none", "d=140 | a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35"),
+    ("m5.double.delay3.none", "d=80 | a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35"),
     ("m5.double.delay3.equivocate", "d=36 | ⊥ ⊥ ⊥ ⊥ ⊥"),
     ("m5.double.delay3.corrupt", "d=36 | ⊥ ⊥ ⊥ ⊥ ⊥"),
     ("m5.double.delay3.mute0", "d=16 | undecided undecided undecided undecided undecided"),
     ("m5.double.delay3.mute3", "d=31 | undecided undecided undecided undecided undecided"),
     ("m5.double.delay3.drop_to", "d=34 | undecided undecided undecided undecided undecided"),
     ("m5.double.delay3.replay", "d=36 | undecided ⊥ ⊥ ⊥ ⊥"),
-    ("m5.double.delay4.none", "d=140 | a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35"),
+    ("m5.double.delay4.none", "d=80 | a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35 a24d47699a318f35"),
     ("m5.double.delay4.equivocate", "d=36 | ⊥ ⊥ ⊥ ⊥ ⊥"),
     ("m5.double.delay4.corrupt", "d=36 | ⊥ ⊥ ⊥ ⊥ ⊥"),
     ("m5.double.delay4.mute0", "d=16 | undecided undecided undecided undecided undecided"),

@@ -2,8 +2,9 @@
 //! outcome the trusted auctioneer would have produced on the agreed bids.
 //!
 //! These tests run the *full protocol stack* (bid agreement → validation →
-//! coin → task graph) in the deterministic simulator and compare against
-//! centralised executions of the same allocation algorithms.
+//! coin, for the standard auction that reads it → task graph) in the
+//! deterministic simulator and compare against centralised executions of
+//! the same allocation algorithms.
 
 use std::sync::Arc;
 

@@ -15,16 +15,51 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dauctioneer::core::{Adversary, AdversaryKind, DoubleAuctionProgram, FrameworkConfig};
+use dauctioneer::core::{
+    Adversary, AdversaryKind, AllocatorProgram, DoubleAuctionProgram, DynProgram, FrameworkConfig,
+    StandardAuctionProgram,
+};
+use dauctioneer::mechanisms::{StandardAuction, StandardAuctionConfig};
 use dauctioneer::sim::utility::provider_utility;
 use dauctioneer::sim::{run_auction_sim, LinkModel, SchedulePolicy};
 use dauctioneer::types::{BidVector, Money, Outcome, ProviderId, UserId};
-use dauctioneer::workload::DoubleAuctionWorkload;
+use dauctioneer::workload::{DoubleAuctionWorkload, StandardAuctionWorkload};
 
 const M: usize = 3;
 const K: usize = 1;
 const N_USERS: usize = 12;
 const N_ASKS: usize = M;
+/// Users of the exact standard auction: each VCG payment is an exact
+/// re-solve, so it stays small.
+const N_STANDARD_USERS: usize = 8;
+
+/// The two allocator shapes: `Double` reads no shared randomness, so its
+/// allocator runs no common coin; the exact `Standard` auction's solver
+/// shuffles from the coin, and its Algorithm-1 graph has transfer edges.
+#[derive(Debug, Clone, Copy)]
+enum Market {
+    Double,
+    Standard,
+}
+
+/// The configuration, program and (everyone's) collected bids of one
+/// session of `market` under `seed`.
+fn session(market: Market, seed: u64) -> (FrameworkConfig, Arc<DynProgram>, BidVector) {
+    let erase = |program: Arc<dyn AllocatorProgram>| Arc::new(DynProgram::new(program));
+    match market {
+        Market::Double => (cfg(), erase(Arc::new(DoubleAuctionProgram::new())), workload(seed)),
+        Market::Standard => {
+            let (bids, capacities) =
+                StandardAuctionWorkload::new(N_STANDARD_USERS, M, seed).generate();
+            let auction = StandardAuction::new(StandardAuctionConfig::exact(capacities));
+            (
+                FrameworkConfig::new(M, K, N_STANDARD_USERS, 0),
+                erase(Arc::new(StandardAuctionProgram::new(auction))),
+                bids,
+            )
+        }
+    }
+}
 
 fn cfg() -> FrameworkConfig {
     FrameworkConfig::new(M, K, N_USERS, N_ASKS)
@@ -34,11 +69,12 @@ fn workload(seed: u64) -> BidVector {
     DoubleAuctionWorkload::new(N_USERS, N_ASKS, seed).generate()
 }
 
-fn honest_outcome(seed: u64) -> Outcome {
+fn honest_outcome(market: Market, seed: u64) -> Outcome {
+    let (cfg, program, bids) = session(market, seed);
     let report = run_auction_sim(
-        &cfg(),
-        Arc::new(DoubleAuctionProgram::new()),
-        vec![workload(seed); M],
+        &cfg,
+        program,
+        vec![bids; M],
         &[],
         SchedulePolicy::SeededRandom(seed),
         seed,
@@ -47,15 +83,17 @@ fn honest_outcome(seed: u64) -> Outcome {
 }
 
 fn run_with_deviation(
+    market: Market,
     seed: u64,
     deviator: usize,
     kind: AdversaryKind,
     policy: SchedulePolicy,
 ) -> Outcome {
+    let (cfg, program, bids) = session(market, seed);
     let report = run_auction_sim(
-        &cfg(),
-        Arc::new(DoubleAuctionProgram::new()),
-        vec![workload(seed); M],
+        &cfg,
+        program,
+        vec![bids; M],
         &[Adversary::new(ProviderId(deviator as u32), kind)],
         policy,
         seed,
@@ -64,15 +102,19 @@ fn run_with_deviation(
     report.honest_unanimous(&[deviator])
 }
 
-/// Every deviation primitive, under a seeded-random schedule and under
-/// virtual time: the honest providers' outcome is either the honest
-/// outcome or ⊥ — never a different accepted pair. Lateness stays within
-/// the model's fair schedule, so it must clear.
+/// Every deviation primitive, for both allocator shapes, under a
+/// seeded-random schedule and under virtual time: the honest providers'
+/// outcome is either the honest outcome or ⊥ — never a different accepted
+/// pair. Lateness stays within the model's fair schedule, so it must
+/// clear.
 #[test]
 fn deviations_cannot_steer_the_outcome() {
     let deviations = [
         AdversaryKind::Silent { after: 0 },
         AdversaryKind::Silent { after: 3 },
+        // At m = 3, bid agreement is 3 broadcasts of 2 sends: the 7th send
+        // is the allocator's first, so this one bites inside the allocator.
+        AdversaryKind::Silent { after: 6 },
         AdversaryKind::Late { delay: Duration::from_millis(3) },
         AdversaryKind::GarbageFrames { period: 3 },
         AdversaryKind::Replay,
@@ -80,19 +122,21 @@ fn deviations_cannot_steer_the_outcome() {
         AdversaryKind::DropTo { victim: ProviderId(2) },
         AdversaryKind::Equivocator { victim: ProviderId(1) },
     ];
-    for seed in 0..4u64 {
-        let honest = honest_outcome(seed);
-        assert!(!honest.is_abort(), "baseline must succeed (seed {seed})");
-        for kind in deviations {
-            let timed = SchedulePolicy::Timed(LinkModel::community_net());
-            for policy in [SchedulePolicy::SeededRandom(seed), timed] {
-                let outcome = run_with_deviation(seed, 0, kind, policy.clone());
-                assert!(
-                    outcome.is_abort() || outcome == honest,
-                    "{kind:?} steered the outcome under {policy:?} (seed {seed})"
-                );
-                if let AdversaryKind::Late { .. } = kind {
-                    assert_eq!(outcome, honest, "lateness must clear under {policy:?}");
+    for market in [Market::Double, Market::Standard] {
+        for seed in 0..4u64 {
+            let honest = honest_outcome(market, seed);
+            assert!(!honest.is_abort(), "{market:?} baseline must succeed (seed {seed})");
+            for kind in deviations {
+                let timed = SchedulePolicy::Timed(LinkModel::community_net());
+                for policy in [SchedulePolicy::SeededRandom(seed), timed] {
+                    let outcome = run_with_deviation(market, seed, 0, kind, policy.clone());
+                    assert!(
+                        outcome.is_abort() || outcome == honest,
+                        "{kind:?} steered the {market:?} outcome under {policy:?} (seed {seed})"
+                    );
+                    if let AdversaryKind::Late { .. } = kind {
+                        assert_eq!(outcome, honest, "lateness must clear under {policy:?}");
+                    }
                 }
             }
         }
@@ -105,7 +149,7 @@ fn deviations_cannot_steer_the_outcome() {
 fn deviating_never_raises_provider_utility() {
     for seed in 0..4u64 {
         let bids = workload(seed);
-        let honest = honest_outcome(seed);
+        let honest = honest_outcome(Market::Double, seed);
         for deviator in 0..M {
             let true_cost = bids.provider_ask(ProviderId(deviator as u32)).unit_cost();
             let honest_utility = provider_utility(ProviderId(deviator as u32), true_cost, &honest);
@@ -115,6 +159,7 @@ fn deviating_never_raises_provider_utility() {
             );
             let victim = ProviderId(((deviator + 1) % M) as u32);
             let deviant = run_with_deviation(
+                Market::Double,
                 seed,
                 deviator,
                 AdversaryKind::Equivocator { victim },
@@ -191,7 +236,7 @@ fn lying_about_collected_bids_cannot_dictate_the_agreement() {
 #[test]
 fn outcome_is_invariant_under_starvation_schedules() {
     let seed = 2u64;
-    let baseline = honest_outcome(seed);
+    let baseline = honest_outcome(Market::Double, seed);
     for victim in 0..M {
         let report = run_auction_sim(
             &cfg(),
