@@ -2,19 +2,16 @@
 """Bench-regression gate: compare fresh BENCH_*.json files against the
 checked-in BENCH_baseline/ snapshots.
 
-Fails (exit 1) when, for any row present in both baseline and current:
+The end-to-end bid->seal numbers and the per-layer costs belong to the
+repo benchmark (benchmark/, BENCHMARK.json); this gate covers what that
+benchmark does not run. Fails (exit 1) when, for any row present in both
+baseline and current:
 
-  * a sessions/s throughput metric drops below 75% of baseline, or
-  * the market p99 epoch-close latency grows beyond 2x baseline
-    (with a small absolute grace so microsecond noise cannot trip it), or
-  * journal durability costs regress: journaled ingest throughput falls
-    below 75% of its baseline, the in-file overhead of `fsync=never`
-    journaling exceeds the ingest-overhead ceiling (journaled ingest
-    under 30% of the unjournaled row of the SAME run), `fsync=always`
-    sessions/s falls under half of the `fsync=never` row of the SAME
-    run (group commit: one fsync per drained batch, not per bid), or
-    crash recovery time grows beyond the recovery-time ceiling (2x
-    baseline), or
+  * a batch_throughput sessions/s metric drops below 75% of baseline, or
+  * the reactor mesh regresses: a BENCH_wire.json mesh_sweep row drops
+    below 75% of its baseline frames/s, its bring-up time grows beyond
+    2x baseline (with a small absolute grace so microsecond noise cannot
+    trip it), or its I/O-thread count rises above baseline, or
   * the telemetry plane gets expensive: the in-run telemetry-on/off
     ingest ratio reported by BENCH_telemetry.json falls below 95% —
     flight ring, epoch traces, and a live scrape endpoint together may
@@ -38,14 +35,13 @@ Rows only present on one side are reported but never fail the gate, so
 adding a sweep point does not require touching the baseline in the same
 commit. Regenerate baselines with:
 
-    cargo run --release -p dauctioneer-bench --bin market_soak -- --quick --json
-    cargo run --release -p dauctioneer-bench --bin batch_throughput -- --quick --rounds 1 --json
+    cargo run --release -p dauctioneer-bench --bin batch_throughput -- --quick --rounds 5 --json
     cargo run --release -p dauctioneer-bench --bin winner_determination -- --quick --json
-    cargo bench -p dauctioneer-bench --bench wire_hot_path -- --json
+    cargo run --release -p dauctioneer-bench --bin telemetry_overhead -- --quick --json
+    cargo run --release -p dauctioneer-bench --bin mesh_sweep -- --json
     BENCH_HA_OUT=BENCH_ha.json cargo test --release --test process_kill
-    mv BENCH_market_soak.json BENCH_journal.json BENCH_telemetry.json \
-       BENCH_batch_throughput.json BENCH_wire.json BENCH_wd.json \
-       BENCH_ha.json BENCH_baseline/
+    mv BENCH_batch_throughput.json BENCH_wd.json BENCH_telemetry.json \
+       BENCH_wire.json BENCH_ha.json BENCH_baseline/
 """
 
 import argparse
@@ -56,18 +52,6 @@ from pathlib import Path
 THROUGHPUT_FLOOR = 0.75  # current must be >= 75% of baseline sessions/s
 LATENCY_CEIL = 2.0  # current p99 must be <= 2x baseline
 LATENCY_GRACE_S = 0.050  # absolute slack below which p99 growth is noise
-# Ingest-overhead ceiling: buffered (fsync=never) journaling may not eat
-# more than 70% of the unjournaled ingest throughput of the same run.
-# In-file and generous on purpose: it catches a hot-path disaster (a
-# sync or copy snuck into every append), not scheduler jitter.
-JOURNAL_OVERHEAD_FLOOR = 0.30
-# Group-commit floor: with one fsync per drained batch, a market that
-# syncs before every acknowledgement must sustain at least half the
-# sessions/s of the same run's fsync=never row (it was 0.31x with an
-# fsync per bid). In-run, so the host's disk and load hit both rows.
-JOURNAL_ALWAYS_FLOOR = 0.5
-# The recovery-time ceiling reuses LATENCY_CEIL/LATENCY_GRACE_S: crash
-# recovery may not take more than 2x baseline (plus the noise grace).
 # Telemetry overhead ceiling: with the full plane on (flight recorder,
 # epoch traces, metrics collectors, a scraped endpoint), saturated
 # ingest must stay within 5% of the telemetry-off run of the SAME
@@ -147,22 +131,11 @@ def compare_batch_throughput(base, cur, failures, lines):
 
 
 def compare_wire(base, cur, failures, lines):
-    name = "wire_hot_path"
-    base_rows = index_rows(base.get("ops", []), ("op",))
-    cur_rows = index_rows(cur.get("ops", []), ("op",))
-    for key, brow in base_rows.items():
-        crow = cur_rows.get(key)
-        label = f"op={key[0]}"
-        if crow is None:
-            lines.append(f"  {name} [{label}]: row missing in current run (skipped)")
-            continue
-        check_throughput(
-            name, label, brow["ops_per_s"], crow["ops_per_s"], failures, lines, metric="ops/s"
-        )
     # Mesh m-sweep: steady-state frames/s through a real reactor mesh,
     # bring-up time, and the hard O(1) I/O-thread invariant. A relapse to
     # per-peer threads shows up as io_threads > baseline and fails even
     # when throughput happens to survive.
+    name = "mesh_sweep"
     base_rows = index_rows(base.get("mesh_sweep", []), ("m", "lanes"))
     cur_rows = index_rows(cur.get("mesh_sweep", []), ("m", "lanes"))
     for key, brow in base_rows.items():
@@ -203,85 +176,6 @@ def compare_wire(base, cur, failures, lines):
                 f"  {name} [{label}] io_threads: {brow['io_threads']} -> "
                 f"{crow['io_threads']} ok"
             )
-
-
-def compare_market_soak(base, cur, failures, lines):
-    name = "market_soak"
-    base_rows = index_rows(base.get("runs", []), ("arrival",))
-    cur_rows = index_rows(cur.get("runs", []), ("arrival",))
-    for key, brow in base_rows.items():
-        crow = cur_rows.get(key)
-        label = f"arrival={key[0]}"
-        if crow is None:
-            lines.append(f"  {name} [{label}]: row missing in current run (skipped)")
-            continue
-        check_throughput(name, label, brow["sessions_per_sec"], crow["sessions_per_sec"], failures, lines)
-        check_latency(
-            name,
-            label,
-            brow["epoch_latency_p99_s"],
-            crow["epoch_latency_p99_s"],
-            failures,
-            lines,
-        )
-
-
-def compare_journal(base, cur, failures, lines):
-    name = "journal"
-    base_rows = index_rows(base.get("runs", []), ("mode",))
-    cur_rows = index_rows(cur.get("runs", []), ("mode",))
-    for key, brow in base_rows.items():
-        crow = cur_rows.get(key)
-        label = f"mode={key[0]}"
-        if crow is None:
-            lines.append(f"  {name} [{label}]: row missing in current run (skipped)")
-            continue
-        check_throughput(
-            name,
-            label,
-            brow["ingest_bids_per_sec"],
-            crow["ingest_bids_per_sec"],
-            failures,
-            lines,
-            metric="ingest bids/s",
-        )
-    # Ingest-overhead ceiling, *within* the current run so a uniformly
-    # slower CI host cannot mask a journal hot-path regression.
-    plain = cur_rows.get(("unjournaled",))
-    buffered = cur_rows.get(("fsync=never",))
-    if plain and buffered and plain["ingest_bids_per_sec"] > 0:
-        ratio = buffered["ingest_bids_per_sec"] / plain["ingest_bids_per_sec"]
-        verdict = "ok"
-        if ratio < JOURNAL_OVERHEAD_FLOOR:
-            verdict = "REGRESSION"
-            failures.append(
-                f"{name} [overhead]: fsync=never ingest is {ratio:.0%} of unjournaled "
-                f"(ceiling: no less than {JOURNAL_OVERHEAD_FLOOR:.0%})"
-            )
-        lines.append(f"  {name} [overhead] fsync=never/unjournaled ingest: {ratio:.2f}x {verdict}")
-    synced = cur_rows.get(("fsync=always",))
-    if buffered and synced and buffered["sessions_per_sec"] > 0:
-        ratio = synced["sessions_per_sec"] / buffered["sessions_per_sec"]
-        verdict = "ok"
-        if ratio < JOURNAL_ALWAYS_FLOOR:
-            verdict = "REGRESSION"
-            failures.append(
-                f"{name} [group commit]: fsync=always sustains {ratio:.0%} of the fsync=never "
-                f"sessions/s (floor {JOURNAL_ALWAYS_FLOOR:.0%}; "
-                f"{synced.get('fsyncs_per_bid', float('nan')):.3f} fsyncs per bid)"
-            )
-        lines.append(f"  {name} [group commit] fsync=always/never sessions/s: {ratio:.2f}x {verdict}")
-    brec, crec = base.get("recovery"), cur.get("recovery")
-    if brec and crec:
-        check_latency(
-            name,
-            f"recovery epochs={crec.get('unsealed_epochs')}",
-            brec["recovery_time_s"],
-            crec["recovery_time_s"],
-            failures,
-            lines,
-            metric="crash recovery time",
-        )
 
 
 def compare_telemetry(base, cur, failures, lines):
@@ -445,8 +339,6 @@ def main():
 
     comparisons = [
         ("BENCH_batch_throughput.json", compare_batch_throughput),
-        ("BENCH_market_soak.json", compare_market_soak),
-        ("BENCH_journal.json", compare_journal),
         ("BENCH_telemetry.json", compare_telemetry),
         ("BENCH_wire.json", compare_wire),
         ("BENCH_wd.json", compare_wd),

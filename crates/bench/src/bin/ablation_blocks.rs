@@ -23,7 +23,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dauctioneer_bench::{fmt_secs, CommonArgs, Stats, Table, WithCoin};
+use dauctioneer_bench::{accept_flags, fmt_secs, CommonArgs, Stats, Table, WithCoin};
 use dauctioneer_core::blocks::{encode_fixed, BidAgreement, CommonCoin, InputValidation};
 use dauctioneer_core::{Block, Distribution, DoubleAuctionProgram, DynProgram, FrameworkConfig};
 use dauctioneer_sim::{run_auction_sim, LinkModel, SchedulePolicy, SimRunner};
@@ -53,6 +53,7 @@ fn stack_span<B: Block>(blocks: impl Iterator<Item = B>, seed: u64) -> Duration 
 }
 
 fn main() {
+    accept_flags(&["--csv", "--quick"], &["--rounds"]);
     let args = CommonArgs::parse(3);
     let ns: Vec<usize> = if args.quick { vec![100, 500] } else { vec![100, 500, 1000] };
 

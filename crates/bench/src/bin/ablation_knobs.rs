@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use dauctioneer_bench::{fmt_secs, time_once, CommonArgs, Stats, Table};
+use dauctioneer_bench::{accept_flags, fmt_secs, time_once, CommonArgs, Stats, Table};
 use dauctioneer_core::{DoubleAuctionProgram, FrameworkConfig};
 use dauctioneer_mechanisms::solver::{
     solve_branch_bound, solve_greedy, BranchBoundConfig, Instance,
@@ -42,6 +42,7 @@ fn hard_instance(n: usize, seed: u64) -> Instance {
 }
 
 fn main() {
+    accept_flags(&["--csv", "--quick"], &["--rounds"]);
     let args = CommonArgs::parse(3);
 
     // Knob 1: validation payload.

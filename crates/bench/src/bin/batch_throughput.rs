@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dauctioneer_bench::json::{provenance, write_bench_file, JsonArray, JsonObject};
-use dauctioneer_bench::{flag_value, fmt_secs, time_once, CommonArgs, Stats, Table};
+use dauctioneer_bench::{accept_flags, flag_value, fmt_secs, time_once, CommonArgs, Stats, Table};
 use dauctioneer_core::{
     run_batch, run_batch_with, run_session, BatchConfig, BatchSession, DoubleAuctionProgram,
     FrameworkConfig, RunOptions, TransportKind,
@@ -52,6 +52,7 @@ fn label(kind: TransportKind) -> &'static str {
 }
 
 fn main() {
+    accept_flags(&["--csv", "--json", "--quick"], &["--rounds", "--n", "--m", "--mesh-size"]);
     let common = CommonArgs::parse(3);
     let emit_json = std::env::args().any(|a| a == "--json");
     let n_users = flag_value("--n").unwrap_or(20);

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dauctioneer_bench::json::{provenance, write_bench_file, JsonArray, JsonObject};
-use dauctioneer_bench::{flag_value, fmt_secs, time_once, Table};
+use dauctioneer_bench::{accept_flags, flag_value, fmt_secs, time_once, Table};
 use dauctioneer_core::{
     run_batch_with, BatchConfig, BatchReport, BatchSession, DoubleAuctionProgram, FrameworkConfig,
     RunOptions, TransportKind,
@@ -103,6 +103,10 @@ fn outcome_matrix(report: &BatchReport) -> Vec<Vec<Outcome>> {
 }
 
 fn main() -> ExitCode {
+    accept_flags(
+        &["--suite", "--json", "--csv", "--quick"],
+        &["--seed", "--transport", "--faulty", "--sessions", "--n", "--m"],
+    );
     let args: Vec<String> = std::env::args().collect();
     let has = |flag: &str| args.iter().any(|a| a == flag);
     let value_of =

@@ -25,7 +25,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dauctioneer_bench::{fmt_secs, time_once, CommonArgs, Stats, Table, WithCoin};
+use dauctioneer_bench::{accept_flags, fmt_secs, time_once, CommonArgs, Stats, Table, WithCoin};
 use dauctioneer_core::{DoubleAuctionProgram, FrameworkConfig};
 use dauctioneer_mechanisms::{DoubleAuction, Mechanism, SharedRng};
 use dauctioneer_sim::{run_auction_sim, LinkModel, SchedulePolicy};
@@ -37,6 +37,7 @@ const SERIES: &[(&str, usize, usize)] = &[("k=1", 1, 3), ("k=2", 2, 5), ("k=3", 
 const AUCTION_PROVIDERS: usize = 8;
 
 fn main() {
+    accept_flags(&["--csv", "--quick"], &["--rounds"]);
     let args = CommonArgs::parse(5);
     let ns: Vec<usize> =
         if args.quick { vec![100, 300, 500] } else { (1..=10).map(|i| i * 100).collect() };

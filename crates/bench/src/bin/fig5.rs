@@ -22,7 +22,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dauctioneer_bench::{fmt_secs, time_once, CommonArgs, Stats, Table};
+use dauctioneer_bench::{accept_flags, fmt_secs, time_once, CommonArgs, Stats, Table};
 use dauctioneer_core::{FrameworkConfig, StandardAuctionProgram};
 use dauctioneer_mechanisms::solver::BranchBoundConfig;
 use dauctioneer_mechanisms::{Mechanism, SharedRng, StandardAuction, StandardAuctionConfig};
@@ -53,6 +53,7 @@ fn auction_for(capacities: Vec<Bw>, n: usize) -> StandardAuction {
 }
 
 fn main() {
+    accept_flags(&["--csv", "--quick"], &["--rounds"]);
     let args = CommonArgs::parse(2);
     let ns: Vec<usize> = if args.quick { vec![25, 50, 75] } else { vec![25, 50, 75, 100, 125] };
 

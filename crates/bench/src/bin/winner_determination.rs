@@ -24,7 +24,7 @@
 use std::time::Instant;
 
 use dauctioneer_bench::json::{provenance, write_bench_file, JsonArray, JsonObject};
-use dauctioneer_bench::{flag_value, fmt_secs, Table};
+use dauctioneer_bench::{accept_flags, flag_value, fmt_secs, Table};
 use dauctioneer_mechanisms::combinatorial::DEFAULT_NODE_BUDGET;
 use dauctioneer_mechanisms::{CombinatorialAuction, CombinatorialAuctionConfig, SharedRng};
 use dauctioneer_workload::StandardAuctionWorkload;
@@ -103,6 +103,7 @@ fn sweep_size(n: usize, m: usize, budget: u64, reps: usize) -> SizeRow {
 }
 
 fn main() {
+    accept_flags(&["--csv", "--json", "--quick"], &["--m", "--budget", "--reps"]);
     let args: Vec<String> = std::env::args().collect();
     let csv = args.iter().any(|a| a == "--csv");
     let emit_json = args.iter().any(|a| a == "--json");

@@ -165,21 +165,7 @@ pub fn provenance() -> String {
 ///
 /// Propagates the underlying I/O error.
 pub fn write_bench_file(name: &str, content: &str) -> std::io::Result<PathBuf> {
-    write_bench_file_in(&PathBuf::from("."), name, content)
-}
-
-/// Write `content` to `BENCH_<name>.json` under `dir` and return the
-/// path.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_bench_file_in(
-    dir: &std::path::Path,
-    name: &str,
-    content: &str,
-) -> std::io::Result<PathBuf> {
-    let path = dir.join(format!("BENCH_{name}.json"));
+    let path = PathBuf::from(format!("BENCH_{name}.json"));
     let mut f = std::fs::File::create(&path)?;
     f.write_all(content.as_bytes())?;
     f.write_all(b"\n")?;
@@ -213,14 +199,5 @@ mod tests {
         assert_eq!(fmt_f64(0.25), "0.25");
         assert_eq!(fmt_f64(f64::NAN), "null");
         assert_eq!(fmt_f64(f64::INFINITY), "null");
-    }
-
-    #[test]
-    fn bench_file_roundtrip() {
-        let dir = std::env::temp_dir().join("dauctioneer-json-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = write_bench_file_in(&dir, "unit_test", r#"{"ok":true}"#).unwrap();
-        assert!(path.ends_with("BENCH_unit_test.json"));
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"ok\":true}\n");
     }
 }

@@ -1,20 +1,30 @@
-//! Benchmark harness utilities: timing, statistics, and table rendering
-//! for the figure-regeneration binaries.
+//! Benchmark harness utilities: timing, statistics, flag checking and
+//! table rendering for the binaries under `src/bin/`.
 //!
-//! Each binary under `src/bin/` regenerates one figure of the paper's
-//! evaluation or one ablation of ours:
+//! The end-to-end bid→seal numbers and the per-layer costs live in the
+//! repo benchmark (`benchmark/`). The binaries here cover what it does
+//! not. Some reproduce the paper's evaluation:
 //!
 //! * `fig4` — double-auction running time vs `n` (§6.2, Figure 4),
 //! * `fig5` — standard-auction running time vs `n` and parallelism
 //!   (§6.3, Figure 5),
 //! * `ablation_blocks` — per-block overhead breakdown (ours),
-//! * `ablation_knobs` — hash-only validation and ε sweeps (ours).
+//! * `ablation_knobs` — hash-only validation and ε sweeps (ours),
+//! * `winner_determination` — combinatorial winner determination vs
+//!   bid count, and `calibrate` — solver sizing for `fig5`.
+//!
+//! The others measure what no benchmark workload covers: `chaos_sweep`
+//! (the chaos contract suite), `batch_throughput` (multi-session batches
+//! and hub shards), `telemetry_overhead` (telemetry plane on vs off) and
+//! `mesh_sweep` (the reactor mesh at m = 4…32).
 //!
 //! Binaries print aligned tables to stdout and, with `--csv`, raw CSV
-//! suitable for plotting. `batch_throughput` and `market_soak`
-//! additionally take `--json`, writing a machine-readable
-//! `BENCH_<name>.json` (configuration + results) via [`json`] so the
-//! performance trajectory can be tracked as data, not prose.
+//! suitable for plotting. `winner_determination` and the four binaries
+//! of the second list additionally take `--json`, writing a
+//! machine-readable `BENCH_<name>.json` (configuration + results) via
+//! [`json`]; `ci/compare_bench.py` gates all of them but
+//! `chaos_sweep`'s. Every binary exits 2 on a flag it does not accept
+//! ([`accept_flags`]).
 //!
 //! [`WithCoin`] forces the allocator's common coin on a program that would
 //! skip it, for the figures that reproduce the paper's pipeline.
@@ -215,6 +225,37 @@ pub fn flag_value(name: &str) -> Option<usize> {
     })
 }
 
+/// Check `args` (program name first) against the flags a binary accepts:
+/// each of `switches` stands alone, each of `valued` consumes the next
+/// token. Anything else — a misspelt flag, a stray word — is an error
+/// naming it, so `--quik` can never silently run the full sweep.
+fn check_flags(args: &[String], switches: &[&str], valued: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg.as_str()) {
+            rest.next();
+        } else if !switches.contains(&arg.as_str()) {
+            let mut accepted: Vec<&str> = switches.iter().chain(valued).copied().collect();
+            accepted.sort_unstable();
+            let accepted = if accepted.is_empty() { "none".into() } else { accepted.join(" ") };
+            return Err(format!("unknown flag {arg:?} (accepted: {accepted})"));
+        }
+    }
+    Ok(())
+}
+
+/// Declare the flags a bench binary accepts; call it first thing in
+/// `main`. An argument outside `switches` and `valued` is fatal like an
+/// unusable value in [`flag_value`]: the process names it and exits
+/// with status 2.
+pub fn accept_flags(switches: &[&str], valued: &[&str]) {
+    let args: Vec<String> = std::env::args().collect();
+    check_flags(&args, switches, valued).unwrap_or_else(|why| {
+        eprintln!("error: {why}");
+        std::process::exit(2);
+    })
+}
+
 impl CommonArgs {
     /// Parse from `std::env::args`, with the given default round count.
     /// Exits like [`flag_value`] on an unusable `--rounds` value.
@@ -254,6 +295,21 @@ mod tests {
         }
         let why = parse_flag(&args(&["bin", "--rounds"]), "--rounds").unwrap_err();
         assert!(why.contains("--rounds needs a value"), "{why}");
+    }
+
+    #[test]
+    fn unknown_flags_are_errors_naming_the_flag() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let check = |list: &[&str]| check_flags(&args(list), &["--csv", "--quick"], &["--rounds"]);
+        assert_eq!(check(&["bin"]), Ok(()));
+        assert_eq!(check(&["bin", "--quick", "--rounds", "3", "--csv"]), Ok(()));
+        // A valued flag's value is never itself taken for a flag.
+        assert_eq!(check(&["bin", "--rounds", "--weird"]), Ok(()));
+        for bad in ["--quik", "--json", "-q", "quick", "--rounds=3"] {
+            let why = check(&["bin", "--quick", bad]).unwrap_err();
+            assert!(why.contains(&format!("{bad:?}")), "{why}");
+            assert!(why.contains("--csv --quick --rounds"), "{why}");
+        }
     }
 
     #[test]

@@ -90,7 +90,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use dauctioneer_core::{drive, unanimous, DoubleAuctionProgram, FrameworkConfig, SessionEngine};
+use dauctioneer_core::{
+    drive, unanimous, AllocatorProgram, DoubleAuctionProgram, FrameworkConfig, SessionEngine,
+};
 use dauctioneer_net::{
     Backoff, LivenessConfig, LivenessMetrics, LivenessTracker, MeshOptions, MuxEndpoint, PeerState,
 };
@@ -482,7 +484,8 @@ pub struct ClusterEpoch {
     pub outcome: Outcome,
     /// Abort classification (`None` when cleared).
     pub reason: Option<AbortReason>,
-    /// Dispatch-to-seal close latency.
+    /// Close latency: from the start of the epoch — before its bids are
+    /// synthesised and write-ahead committed — to its seal.
     pub latency: Duration,
 }
 
@@ -698,7 +701,9 @@ impl Coordinator {
                     seed,
                     accepted,
                     bids,
-                    "double",
+                    // The providers' program (`run_provider`) names what
+                    // cleared the epoch, as on every other sealing path.
+                    DoubleAuctionProgram::new().name(),
                     outcome.clone(),
                 )?;
             }

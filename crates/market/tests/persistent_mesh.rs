@@ -19,8 +19,8 @@ use bytes::Bytes;
 use dauctioneer_core::{drive, DoubleAuctionProgram, FrameworkConfig, SessionEngine};
 use dauctioneer_market::cluster::{read_frame, write_frame};
 use dauctioneer_market::{
-    run_provider, AbortReason, ClusterConfig, ClusterEpoch, ClusterReport, ControlMsg, Coordinator,
-    PeerInfo, ProviderConfig, ProviderReport,
+    run_provider, verify_log, AbortReason, ClusterConfig, ClusterEpoch, ClusterReport, ControlMsg,
+    Coordinator, PeerInfo, ProviderConfig, ProviderReport,
 };
 use dauctioneer_net::{Hello, MeshOptions, MuxEndpoint, RecvError, Transport};
 use dauctioneer_types::{Encode, Outcome, ProviderId, SessionId};
@@ -297,6 +297,26 @@ fn clean_epochs_share_one_mesh_and_change_no_outcome() {
         assert_eq!(report.mesh_bringups, 1, "{EPOCHS} clean epochs, one bring-up");
     }
     assert_eq!(outcome_bytes(&kept), twin_outcomes(EPOCHS), "outcomes are byte-identical");
+}
+
+#[test]
+fn the_coordinator_journal_names_the_mechanism_the_providers_ran() {
+    const EPOCHS: u64 = 4;
+    let journal =
+        std::env::temp_dir().join(format!("dauction-cluster-mechanism-{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&journal);
+    let mut config = config(EPOCHS);
+    config.journal = Some(journal.clone());
+    let (epochs, providers) = run_cluster(config, [Role::Real, Role::Real, Role::Real]);
+    for provider in providers {
+        provider.real();
+    }
+    assert!(epochs.iter().all(|e| !e.outcome.is_abort()), "a quiet loopback cluster clears");
+    let summary = verify_log(&journal).expect("the coordinator's chain verifies");
+    let _ = std::fs::remove_file(&journal);
+    assert_eq!(summary.seals, EPOCHS);
+    // The name `serve --recover --mechanism double` checks a journal against.
+    assert_eq!(summary.mechanism.as_deref(), Some("double-auction"));
 }
 
 #[test]

@@ -13,8 +13,8 @@
 //! open- and closed-world results stay comparable.
 //!
 //! Determinism matters as much here as in the batch workloads: the
-//! `serve` CLI, the continuous-market example, and the `market_soak`
-//! bench all replay the same seeded stream, so a throughput number is
+//! `serve` CLI, the continuous-market example, the repo benchmark and the
+//! `telemetry_overhead` bench all replay the same seeded stream, so a throughput number is
 //! attributable to the configuration, not to workload luck.
 
 use std::time::Duration;
@@ -32,7 +32,7 @@ use crate::{gen_demand, gen_valuation};
 /// asks would put all supply in one marginal block, which the McAfee
 /// trade reduction *excludes* — an always-empty market; this shape
 /// keeps real trades standing. Shared by `dauction serve` and the
-/// `market_soak` bench so their markets stay comparable.
+/// benchmarks so their markets stay comparable.
 pub fn epoch_supply(m: usize, expected_bids: f64) -> Vec<ProviderAsk> {
     // Mean demand is 0.5 per bid; ~20% of arrivals are duplicates.
     let expected_demand = 0.5 * expected_bids * 0.8;
@@ -152,7 +152,7 @@ impl ArrivalProcess {
     /// how many arrivals were delivered.
     ///
     /// This is the one paced-replay loop shared by `dauction serve`,
-    /// the continuous-market example, and the `market_soak` bench, so
+    /// the continuous-market example, and the `telemetry_overhead` bench, so
     /// pacing behaviour (and its edge cases, like un-anchorable far
     /// offsets) is fixed in one place.
     pub fn replay_paced(&self, count: usize, mut deliver: impl FnMut(BidArrival) -> bool) -> usize {

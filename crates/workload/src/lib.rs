@@ -21,7 +21,7 @@
 //! auction starts. The [`arrival`] module adds the open-world
 //! counterpart — seeded [`ArrivalProcess`] streams (Poisson or uniform
 //! inter-arrivals) over the same bidder population, feeding the
-//! continuous market service, its example, and the `market_soak` bench.
+//! continuous market service, its example, and the benchmarks.
 
 //! The [`scenarios`] module names the *adversarial* workloads: chaos
 //! scenarios pairing link-fault plans with deviating-provider

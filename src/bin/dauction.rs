@@ -706,7 +706,7 @@ fn serve_main(argv: &[String]) -> Result<(), String> {
         (None, None) => EpochPolicy::ByCount(8),
     };
     // §6.2-shaped supply sized to the expected epoch demand, shared
-    // with the market_soak bench (see workload::epoch_supply).
+    // with the repo benchmark (see workload::epoch_supply).
     let expected_bids = match policy {
         EpochPolicy::ByCount(c) | EpochPolicy::Hybrid { count: c, .. } => c as f64,
         EpochPolicy::ByTime(d) => (rate * d.as_secs_f64()).max(2.0),
