@@ -5,8 +5,7 @@
 //! comparison.
 //!
 //! ```text
-//! telemetry_overhead [--csv] [--json] [--quick] [--n USERS] [--m PROVIDERS]
-//!                    [--bids N] [--epoch-bids N]
+//! telemetry_overhead [--csv] [--json] [--quick]
 //! ```
 //!
 //! `--json` writes `BENCH_telemetry.json` (config, the off/on rows and
@@ -16,7 +15,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dauctioneer_bench::json::{provenance, write_bench_file, JsonArray, JsonObject};
-use dauctioneer_bench::{accept_flags, flag_value, fmt_secs, Table};
+use dauctioneer_bench::{accept_flags, fmt_secs, Table};
 use dauctioneer_core::DoubleAuctionProgram;
 use dauctioneer_market::{
     register_market_metrics, Backpressure, EpochPolicy, MarketConfig, MarketService, MarketStats,
@@ -25,18 +24,24 @@ use dauctioneer_market::{
 use dauctioneer_telemetry::{MetricsServer, Registry};
 use dauctioneer_workload::{epoch_supply, ArrivalProcess};
 
+/// Users bidding into the market.
+const N_USERS: usize = 16;
+/// Providers.
+const M: usize = 3;
+/// Bids per run: long enough that the blocking queue fills and ingest
+/// reflects sustained market pace, where the per-epoch telemetry work
+/// lives; a shorter stream gates on fixed costs.
+const BIDS: usize = 10_000;
+/// Bids per epoch.
+const EPOCH_BIDS: usize = 8;
+
 fn main() {
-    accept_flags(&["--csv", "--json", "--quick"], &["--n", "--m", "--bids", "--epoch-bids"]);
+    accept_flags(&["--csv", "--json", "--quick"], &[]);
     let args: Vec<String> = std::env::args().collect();
     let csv = args.iter().any(|a| a == "--csv");
     let emit_json = args.iter().any(|a| a == "--json");
     let quick = args.iter().any(|a| a == "--quick");
-
-    let n_users = flag_value("--n").unwrap_or(16);
-    let m = flag_value("--m").unwrap_or(3).max(1);
-    let bids = flag_value("--bids").unwrap_or(10_000);
-    let epoch_bids = flag_value("--epoch-bids").unwrap_or(8);
-    telemetry_sweep(csv, emit_json, quick, n_users, m, bids, epoch_bids);
+    telemetry_sweep(csv, emit_json, quick);
 }
 
 /// One saturating ingest run with the telemetry plane either fully off
@@ -44,18 +49,11 @@ fn main() {
 /// trace ring, a live metrics registry with the market collectors, a
 /// bound scrape endpoint, and a background scraper hammering it every
 /// ~25ms, i.e. the worst observability load a deployment would see.
-fn telemetry_soak(
-    on: bool,
-    bids: usize,
-    epoch_bids: usize,
-    n_users: usize,
-    m: usize,
-    seed: u64,
-) -> (f64, MarketStats, u64) {
-    let mut config = MarketConfig::new(m, (m - 1) / 2, n_users, m)
-        .with_asks(epoch_supply(m, epoch_bids as f64))
+fn telemetry_soak(on: bool, seed: u64) -> (f64, MarketStats, u64) {
+    let mut config = MarketConfig::new(M, (M - 1) / 2, N_USERS, M)
+        .with_asks(epoch_supply(M, EPOCH_BIDS as f64))
         .with_epoch(EpochPolicy::Hybrid {
-            count: epoch_bids,
+            count: EPOCH_BIDS,
             max_wait: Duration::from_millis(250),
         });
     config.seed = seed;
@@ -97,9 +95,9 @@ fn telemetry_soak(
         None
     };
 
-    let process = ArrivalProcess::poisson(n_users, 1_000_000.0, seed);
+    let process = ArrivalProcess::poisson(N_USERS, 1_000_000.0, seed);
     let started = Instant::now();
-    process.replay_paced(bids, |arrival| {
+    process.replay_paced(BIDS, |arrival| {
         let _ = handle.submit_bid(arrival.user, arrival.bid);
         true
     });
@@ -114,7 +112,7 @@ fn telemetry_soak(
     } else {
         0
     };
-    (bids as f64 / feed.as_secs_f64(), stats, scrapes)
+    (BIDS as f64 / feed.as_secs_f64(), stats, scrapes)
 }
 
 /// The observability cost surface: telemetry fully off vs fully on
@@ -122,30 +120,17 @@ fn telemetry_soak(
 /// interleaved best-of-N so the on/off ratio is an in-run comparison,
 /// robust to ambient machine noise. `ci/compare_bench.py` holds the
 /// ratio above 0.95 — the telemetry plane may cost at most 5% of ingest.
-fn telemetry_sweep(
-    csv: bool,
-    emit_json: bool,
-    quick: bool,
-    n_users: usize,
-    m: usize,
-    bids: usize,
-    epoch_bids: usize,
-) {
+fn telemetry_sweep(csv: bool, emit_json: bool, quick: bool) {
     let rounds: u64 = if quick { 2 } else { 3 };
-    // A 60-bid run feeds in ~100µs — fixed costs drown the signal. Grow
-    // the stream until the blocking queue fills and ingest reflects
-    // sustained market pace, where the per-epoch telemetry work lives;
-    // anything shorter gates on noise.
-    let bids = bids.max(10_000);
     println!(
-        "telemetry cost: {bids} bids at saturation (blocking ingress), flight+traces+scrape \
+        "telemetry cost: {BIDS} bids at saturation (blocking ingress), flight+traces+scrape \
          on vs off, best of {rounds} interleaved rounds"
     );
     // best-of-N interleaved: (ingest, stats, scrapes) per mode.
     let mut best: [Option<(f64, MarketStats, u64)>; 2] = [None, None];
     for round in 0..rounds {
         for (slot, on) in [(0usize, false), (1usize, true)] {
-            let run = telemetry_soak(on, bids, epoch_bids, n_users, m, 4_242 + round);
+            let run = telemetry_soak(on, 4_242 + round);
             if !best[slot].as_ref().is_some_and(|b| b.0 >= run.0) {
                 best[slot] = Some(run);
             }
@@ -161,7 +146,7 @@ fn telemetry_sweep(
         let (ingest, stats, scrapes) = r;
         table.row(vec![
             mode.to_string(),
-            bids.to_string(),
+            BIDS.to_string(),
             format!("{ingest:.0}"),
             format!("{:.1}", stats.sessions_per_sec),
             fmt_secs(stats.epoch_latency_p99.as_secs_f64()),
@@ -169,7 +154,7 @@ fn telemetry_sweep(
         ]);
         let mut row = JsonObject::new();
         row.str("mode", mode)
-            .int("bids_submitted", bids as u64)
+            .int("bids_submitted", BIDS as u64)
             .num("ingest_bids_per_sec", *ingest)
             .num("sessions_per_sec", stats.sessions_per_sec)
             .num("epoch_latency_p99_s", stats.epoch_latency_p99.as_secs_f64())
@@ -186,10 +171,10 @@ fn telemetry_sweep(
     if emit_json {
         let mut config = JsonObject::new();
         config
-            .int("n_users", n_users as u64)
-            .int("m", m as u64)
-            .int("bids_per_run", bids as u64)
-            .int("epoch_bids", epoch_bids as u64)
+            .int("n_users", N_USERS as u64)
+            .int("m", M as u64)
+            .int("bids_per_run", BIDS as u64)
+            .int("epoch_bids", EPOCH_BIDS as u64)
             .int("rounds", rounds)
             .bool("quick", quick);
         let mut top = JsonObject::new();

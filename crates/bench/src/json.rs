@@ -6,7 +6,7 @@
 //! escaped per RFC 8259.
 
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Escape a string for inclusion in a JSON document (without quotes).
 pub fn escape(s: &str) -> String {
@@ -165,7 +165,11 @@ pub fn provenance() -> String {
 ///
 /// Propagates the underlying I/O error.
 pub fn write_bench_file(name: &str, content: &str) -> std::io::Result<PathBuf> {
-    let path = PathBuf::from(format!("BENCH_{name}.json"));
+    write_bench_file_to(Path::new("."), name, content)
+}
+
+fn write_bench_file_to(dir: &Path, name: &str, content: &str) -> std::io::Result<PathBuf> {
+    let path = dir.join(format!("BENCH_{name}.json"));
     let mut f = std::fs::File::create(&path)?;
     f.write_all(content.as_bytes())?;
     f.write_all(b"\n")?;
@@ -199,5 +203,15 @@ mod tests {
         assert_eq!(fmt_f64(0.25), "0.25");
         assert_eq!(fmt_f64(f64::NAN), "null");
         assert_eq!(fmt_f64(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn bench_file_roundtrip() {
+        let dir = std::env::temp_dir().join(format!("dauctioneer-json-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = write_bench_file_to(&dir, "unit_test", r#"{"ok":true}"#).unwrap();
+        assert_eq!(path, dir.join("BENCH_unit_test.json"));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"ok\":true}\n");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

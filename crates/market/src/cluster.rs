@@ -109,6 +109,10 @@ use crate::journal::{FsyncPolicy, Journal, JournalError};
 /// real epoch).
 pub const MAX_CONTROL_FRAME: usize = 16 << 20;
 
+/// The program every cluster epoch clears with: each provider runs it
+/// ([`run_provider`]) and the coordinator's journal seals its name.
+type ClusterProgram = DoubleAuctionProgram;
+
 /// A peer as named in a [`ControlMsg::WorkOrder`]: identity, where its
 /// mesh listener lives *this* life, and the incarnation the mesh hello
 /// must present/honour.
@@ -664,6 +668,7 @@ impl Coordinator {
             Some(path) => Some(Journal::create(path, config.fsync)?),
             None => None,
         };
+        let mechanism = ClusterProgram::new().name();
 
         let mut epochs = Vec::with_capacity(config.epochs as usize);
         let mut previous_start: Option<Instant> = None;
@@ -701,9 +706,7 @@ impl Coordinator {
                     seed,
                     accepted,
                     bids,
-                    // The providers' program (`run_provider`) names what
-                    // cleared the epoch, as on every other sealing path.
-                    DoubleAuctionProgram::new().name(),
+                    mechanism,
                     outcome.clone(),
                 )?;
             }
@@ -1010,7 +1013,7 @@ pub struct ProviderReport {
 pub fn run_provider(config: ProviderConfig) -> Result<ProviderReport, ClusterError> {
     let listener = TcpListener::bind(&config.mesh_listen)?;
     let mesh_addr = listener.local_addr()?.to_string();
-    let program = Arc::new(DoubleAuctionProgram::new());
+    let program = Arc::new(ClusterProgram::new());
     let mut backoff = Backoff::new(
         config.backoff_base,
         config.backoff_cap,
@@ -1145,7 +1148,7 @@ struct Mesh {
 struct Life<'a> {
     me: ProviderId,
     listener: &'a TcpListener,
-    program: &'a Arc<DoubleAuctionProgram>,
+    program: &'a Arc<ClusterProgram>,
     incarnation: u32,
     /// The session parameters every epoch shares (all but the session id).
     framework: FrameworkConfig,

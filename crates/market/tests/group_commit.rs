@@ -73,8 +73,11 @@ fn counted_bids_are_durable_at_every_sample() {
         }
     });
     assert!(samples > 1);
+    // Under this saturating feed one fsync covers a batch: ~1,000 bids
+    // each in practice. Ten or fewer per fsync means group commit broke
+    // down towards one fsync per bid.
     let fsyncs = journal.fsyncs();
-    assert!(fsyncs <= u64::from(BIDS), "never more than one fsync per record ({fsyncs})");
+    assert!(fsyncs * 10 <= u64::from(BIDS), "{fsyncs} fsyncs for {BIDS} bids: commits not batched");
     println!("{BIDS} bids, {fsyncs} fsyncs, {samples} samples");
     let stats = market.shutdown();
     assert_eq!(stats.bids_accepted, u64::from(BIDS));
