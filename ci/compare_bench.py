@@ -42,6 +42,11 @@ commit. Regenerate baselines with:
     BENCH_HA_OUT=BENCH_ha.json cargo test --release --test process_kill
     mv BENCH_batch_throughput.json BENCH_wd.json BENCH_telemetry.json \
        BENCH_wire.json BENCH_ha.json BENCH_baseline/
+
+Run the first four commands ten times and keep, per row, the slowest of
+the ten runs (lowest sessions/s, ingest or frames/s; highest WD solve
+time); the file's config.baseline says so. On a shared host a single
+run's rows swing far enough that one run's numbers trip the 25% floor.
 """
 
 import argparse
