@@ -25,7 +25,7 @@
 //! blocks built on this engine k-resilient.
 
 use bytes::Bytes;
-use dauctioneer_crypto::{sha256, Commitment, CommitmentOpening, Digest};
+use dauctioneer_crypto::{sha256, Commitment, Digest};
 use dauctioneer_net::{frame, unframe};
 use dauctioneer_types::{Decode, Encode, ProviderId, Reader, Writer};
 
@@ -53,7 +53,12 @@ pub struct CommitReveal {
     me: ProviderId,
     m: usize,
     reveal_len: usize,
-    opening: Option<CommitmentOpening>,
+    /// This provider's commitment nonce and hidden random part, revealed
+    /// in round 3.
+    nonce: [u8; 32],
+    random: Bytes,
+    /// This provider's round-1 message, encoded once in [`CommitReveal::new`].
+    commit_msg: Bytes,
     /// Round-1 payloads per provider: (public, commitment).
     commits: Vec<Option<(Bytes, Commitment)>>,
     /// Digest of each provider's round-1 *message bytes* (for echoing).
@@ -89,35 +94,34 @@ impl CommitReveal {
         reveal_len: usize,
     ) -> CommitReveal {
         assert_eq!(random.len(), reveal_len, "random part must be exactly reveal_len");
-        let (_, opening) = Commitment::commit(&random, nonce);
-        let mut cr = CommitReveal {
+        // Hash the hidden part and the round-1 message once each; `start`
+        // broadcasts the kept message.
+        let commitment = Commitment::of(&random, &nonce);
+        let mut scratch = Writer::new();
+        public.encode(&mut scratch);
+        scratch.put_slice(commitment.digest().as_bytes());
+        let commit_msg = scratch.finish_reset();
+        // Record our own contribution as if received.
+        let mut commits = vec![None; m];
+        let mut commit_digests = vec![None; m];
+        commit_digests[me.index()] = Some(sha256(&commit_msg));
+        commits[me.index()] = Some((public, commitment));
+        CommitReveal {
             me,
             m,
             reveal_len,
-            opening: Some(opening),
-            commits: vec![None; m],
-            commit_digests: vec![None; m],
+            nonce,
+            random,
+            commit_msg,
+            commits,
+            commit_digests,
             echoes: vec![None; m],
             reveals: vec![None; m],
             echoed: false,
             revealed: false,
             result: None,
-            scratch: Writer::new(),
-        };
-        // Record our own contribution as if received.
-        let own_msg = cr.commit_message(&public);
-        cr.commits[me.index()] =
-            Some((public, cr.opening.as_ref().expect("just set").commitment()));
-        cr.commit_digests[me.index()] = Some(sha256(&own_msg));
-        cr
-    }
-
-    fn commit_message(&mut self, public: &Bytes) -> Bytes {
-        public.encode(&mut self.scratch);
-        let digest =
-            *self.opening.as_ref().expect("opening present until reveal").commitment().digest();
-        self.scratch.put_slice(digest.as_bytes());
-        self.scratch.finish_reset()
+            scratch,
+        }
     }
 
     fn abort(&mut self) {
@@ -169,10 +173,9 @@ impl CommitReveal {
         }
         if self.echoed && self.all_echoes() && !self.revealed {
             self.revealed = true;
-            let opening = self.opening.take().expect("reveal happens once");
-            self.scratch.put_slice(opening.nonce());
-            self.scratch.put_len_prefixed(opening.payload());
-            self.reveals[self.me.index()] = Some(Bytes::copy_from_slice(opening.payload()));
+            self.scratch.put_slice(&self.nonce);
+            self.scratch.put_len_prefixed(&self.random);
+            self.reveals[self.me.index()] = Some(self.random.clone());
             let msg = self.scratch.finish_reset();
             ctx.broadcast(frame(ROUND_REVEAL, &msg));
         }
@@ -263,8 +266,7 @@ impl CommitReveal {
         let Some((_, commitment)) = &self.commits[from.index()] else {
             return self.abort();
         };
-        let opening = CommitmentOpening::from_parts(nonce, random.to_vec());
-        if !commitment.verify(&opening) {
+        if Commitment::of(random, &nonce) != *commitment {
             return self.abort();
         }
         self.reveals[from.index()] = Some(Bytes::copy_from_slice(random));
@@ -275,9 +277,7 @@ impl Block for CommitReveal {
     type Output = Vec<Contribution>;
 
     fn start(&mut self, ctx: &mut dyn Ctx) {
-        let public = self.commits[self.me.index()].as_ref().expect("own commit set").0.clone();
-        let msg = self.commit_message(&public);
-        ctx.broadcast(frame(ROUND_COMMIT, &msg));
+        ctx.broadcast(frame(ROUND_COMMIT, &self.commit_msg));
         self.progress(ctx);
     }
 
@@ -411,10 +411,10 @@ mod tests {
     fn duplicate_commit_aborts() {
         let m = 3;
         let mut alice = make(0, m, b"p", &[0; 4]);
-        let mut bob = make(1, m, b"p", &[1; 4]);
+        let bob = make(1, m, b"p", &[1; 4]);
         let mut ctx = OutboxCtx::new(ProviderId(0), m);
         alice.start(&mut ctx);
-        let bob_commit = frame(ROUND_COMMIT, &bob.commit_message(&Bytes::from_static(b"p")));
+        let bob_commit = frame(ROUND_COMMIT, &bob.commit_msg);
         alice.on_message(ProviderId(1), &bob_commit, &mut ctx);
         assert!(alice.result().is_none());
         alice.on_message(ProviderId(1), &bob_commit, &mut ctx);
@@ -428,8 +428,8 @@ mod tests {
         let m = 3;
         let mut p0 = make(0, m, b"x", &[0; 4]);
         let mut p1 = make(1, m, b"x", &[1; 4]);
-        let mut p2a = make(2, m, b"x", &[2; 4]);
-        let mut p2b = make(2, m, b"DIFFERENT", &[9; 4]);
+        let p2a = make(2, m, b"x", &[2; 4]);
+        let p2b = make(2, m, b"DIFFERENT", &[9; 4]);
         let mut c0 = OutboxCtx::new(ProviderId(0), m);
         let mut c1 = OutboxCtx::new(ProviderId(1), m);
         p0.start(&mut c0);
@@ -446,8 +446,8 @@ mod tests {
             }
         }
         // Equivocated commits from "provider 2".
-        let commit_a = frame(ROUND_COMMIT, &p2a.commit_message(&Bytes::from_static(b"x")));
-        let commit_b = frame(ROUND_COMMIT, &p2b.commit_message(&Bytes::from_static(b"DIFFERENT")));
+        let commit_a = frame(ROUND_COMMIT, &p2a.commit_msg);
+        let commit_b = frame(ROUND_COMMIT, &p2b.commit_msg);
         p0.on_message(ProviderId(2), &commit_a, &mut c0);
         p1.on_message(ProviderId(2), &commit_b, &mut c1);
         // Both now have all commits and echo; cross-deliver the echoes.
@@ -465,16 +465,16 @@ mod tests {
     fn false_reveal_aborts() {
         let m = 2;
         let mut p0 = make(0, m, b"x", &[0; 4]);
-        let mut p1 = make(1, m, b"x", &[1; 4]);
+        let p1 = make(1, m, b"x", &[1; 4]);
         let mut c0 = OutboxCtx::new(ProviderId(0), m);
         p0.start(&mut c0);
         // Deliver p1's commit and echo honestly.
-        let commit1 = frame(ROUND_COMMIT, &p1.commit_message(&Bytes::from_static(b"x")));
+        let commit1 = frame(ROUND_COMMIT, &p1.commit_msg);
         p0.on_message(ProviderId(1), &commit1, &mut c0);
         // Build p1's echo = digests of both round-1 payloads (same view as
         // p0: digests are over the unframed commit message).
         let own_msg0 = p0.commit_digests[0].unwrap();
-        let msg1_digest = sha256(&p1.commit_message(&Bytes::from_static(b"x")));
+        let msg1_digest = sha256(&p1.commit_msg);
         let mut w = Writer::new();
         w.put_u64(2);
         w.put_slice(own_msg0.as_bytes());

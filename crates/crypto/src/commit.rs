@@ -34,8 +34,25 @@ impl Commitment {
     /// Returns the commitment to broadcast and the opening to keep secret
     /// until the reveal round.
     pub fn commit(payload: &[u8], nonce: [u8; 32]) -> (Commitment, CommitmentOpening) {
-        let opening = CommitmentOpening { nonce, payload: payload.to_vec() };
-        (opening.commitment(), opening)
+        (Commitment::of(payload, &nonce), CommitmentOpening { nonce, payload: payload.to_vec() })
+    }
+
+    /// The commitment to `payload` under `nonce`, without building an
+    /// opening: what [`Commitment::commit`] returns, and what
+    /// [`Commitment::verify`] recomputes.
+    ///
+    /// ```
+    /// use dauctioneer_crypto::Commitment;
+    /// let (c, _) = Commitment::commit(b"coin bits", [1u8; 32]);
+    /// assert_eq!(Commitment::of(b"coin bits", &[1u8; 32]), c);
+    /// ```
+    pub fn of(payload: &[u8], nonce: &[u8; 32]) -> Commitment {
+        let mut h = Sha256::new();
+        h.update(COMMIT_DOMAIN);
+        h.update(&(nonce.len() as u64).to_le_bytes());
+        h.update(nonce);
+        h.update(payload);
+        Commitment(h.finalize())
     }
 
     /// Check that `opening` opens this commitment.
@@ -85,12 +102,7 @@ impl CommitmentOpening {
 
     /// Recompute the commitment this opening corresponds to.
     pub fn commitment(&self) -> Commitment {
-        let mut h = Sha256::new();
-        h.update(COMMIT_DOMAIN);
-        h.update(&(self.nonce.len() as u64).to_le_bytes());
-        h.update(&self.nonce);
-        h.update(&self.payload);
-        Commitment(h.finalize())
+        Commitment::of(&self.payload, &self.nonce)
     }
 }
 

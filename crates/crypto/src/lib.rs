@@ -6,11 +6,14 @@
 //! consensus block uses the same commit–reveal machinery to produce an
 //! unbiasable shared coin. A hash-based commitment needs a cryptographic
 //! hash function; since the dependency budget of this workspace does not
-//! include one, this crate implements **SHA-256 (FIPS 180-4)** from scratch
-//! — validated against the NIST test vectors — plus the small constructions
+//! include one, this crate implements **SHA-256 (FIPS 180-4)** itself —
+//! validated against the NIST test vectors — plus the small constructions
 //! the protocol needs on top of it:
 //!
-//! * [`sha256()`] / [`Sha256`] — the hash itself,
+//! * [`sha256()`] / [`Sha256`] — the hash itself: a scalar compression
+//!   function on every host (the reference), and on x86_64 a SHA-NI
+//!   kernel selected at run time when the CPU reports `sha`, `ssse3` and
+//!   `sse4.1` (see the [`sha256`](mod@sha256) module),
 //! * [`Commitment`] / [`CommitmentOpening`] — a binding and (computationally)
 //!   hiding commitment to arbitrary bytes,
 //! * [`derive_seed`] — domain-separated derivation of deterministic RNG
@@ -28,6 +31,8 @@
 //! assert!(commitment.verify(&opening));
 //! assert_eq!(opening.payload(), b"my random value");
 //! ```
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod chain;
 pub mod commit;

@@ -258,6 +258,16 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// Close a record frame in `buf` — a reserved 4-byte length header, then
+/// the record bytes: append the CRC over the record and patch the length.
+fn close_frame(buf: &mut Writer) {
+    let crc = crc32(&buf.as_slice()[4..]);
+    buf.put_u32(crc);
+    let framed = buf.len() - 4;
+    assert!(framed <= MAX_WIRE_FRAME, "journal record too large: {framed} bytes");
+    buf.patch_u32(0, framed as u32);
+}
+
 // ---------------------------------------------------------------------------
 // Scanning (pure — shared by recovery, verification, and the proptests)
 // ---------------------------------------------------------------------------
@@ -755,8 +765,6 @@ impl Journal {
         mechanism: &str,
         outcome: Outcome,
     ) -> Result<SealRecord, JournalError> {
-        let mut inner = self.inner.lock().expect("journal lock");
-        let prev = *inner.chain.tip().as_bytes();
         let mut seal = SealRecord {
             epoch,
             session,
@@ -765,12 +773,22 @@ impl Journal {
             bids,
             mechanism: mechanism.to_string(),
             outcome,
-            prev,
+            prev: [0u8; 32],
             digest: [0u8; 32],
         };
-        seal.digest = *inner.chain.extend(&seal.content_bytes()).as_bytes();
-        let record = JournalRecord::Sealed(seal.clone());
-        self.stage_locked(&mut inner, &record)?;
+        // The content does not depend on the chain position: encode it
+        // once, before taking the lock every ingress append also takes.
+        let mut buf = Writer::new();
+        buf.put_u32(0);
+        buf.put_u8(JournalRecord::SEALED_TAG);
+        let content_at = buf.len();
+        seal.encode_content(&mut buf);
+        let mut inner = self.inner.lock().expect("journal lock");
+        seal.prev = *inner.chain.tip().as_bytes();
+        seal.digest = *inner.chain.extend(&buf.as_slice()[content_at..]).as_bytes();
+        buf.put_slice(&seal.prev);
+        buf.put_slice(&seal.digest);
+        self.append_frame(&mut buf)?;
         Ok(seal)
     }
 
@@ -845,9 +863,7 @@ impl Journal {
         self.stage_locked(&mut inner, record)
     }
 
-    /// Frame `record` in the warm scratch — reserved length header,
-    /// record bytes, CRC over them in place — and append it with one
-    /// `write_all`. No sync: durability is [`Journal::commit`]'s job.
+    /// Frame `record` in the warm scratch and append it.
     fn stage_locked(
         &self,
         inner: &mut JournalInner,
@@ -857,11 +873,14 @@ impl Journal {
         buf.clear();
         buf.put_u32(0);
         record.encode(buf);
-        let crc = crc32(&buf.as_slice()[4..]);
-        buf.put_u32(crc);
-        let framed = buf.len() - 4;
-        assert!(framed <= MAX_WIRE_FRAME, "journal record too large: {framed} bytes");
-        buf.patch_u32(0, framed as u32);
+        self.append_frame(buf)
+    }
+
+    /// [Close the frame](close_frame) in `buf` and append it with one
+    /// `write_all`. The caller holds the append lock. No sync:
+    /// durability is [`Journal::commit`]'s job.
+    fn append_frame(&self, buf: &mut Writer) -> Result<u64, JournalError> {
+        close_frame(buf);
         (&self.file).write_all(buf.as_slice()).map_err(|source| JournalError::Io {
             op: "append",
             path: self.path.clone(),
@@ -974,6 +993,28 @@ mod tests {
             assert!(torn.records.len() <= 3);
             assert_eq!(torn.valid_bytes + torn.dropped_bytes, cut as u64);
         }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn stage_seal_writes_the_generic_framing_of_its_record() {
+        let path = temp_path("seal-framing");
+        let journal = Journal::create(&path, FsyncPolicy::Never).unwrap();
+        let mut want = Vec::new();
+        for epoch in 0..2 {
+            let bids =
+                BidVector::builder(1, 1).user_bid(0, bid(1.2)).provider_ask(0, ask()).build();
+            let seal = journal
+                .append_seal(epoch, SessionId(100 + epoch), 7919, 1, bids, "double", Outcome::Abort)
+                .unwrap();
+            let mut buf = Writer::new();
+            buf.put_u32(0);
+            JournalRecord::Sealed(seal).encode(&mut buf);
+            close_frame(&mut buf);
+            want.extend_from_slice(buf.as_slice());
+        }
+        drop(journal);
+        assert_eq!(std::fs::read(&path).unwrap(), want);
         std::fs::remove_file(&path).unwrap();
     }
 

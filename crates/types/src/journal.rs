@@ -63,6 +63,13 @@ const TAG_ACCEPTED: u8 = 1;
 const TAG_ASK_SET: u8 = 2;
 const TAG_SEALED: u8 = 3;
 
+impl JournalRecord {
+    /// The first byte of an encoded [`JournalRecord::Sealed`]. The seal's
+    /// [content](SealRecord::encode_content), `prev` and `digest` follow,
+    /// so a writer can encode the content before it knows `prev`.
+    pub const SEALED_TAG: u8 = TAG_SEALED;
+}
+
 impl Encode for JournalRecord {
     fn encode(&self, w: &mut Writer) {
         match self {
@@ -147,19 +154,12 @@ impl SealRecord {
     /// different digest.)
     pub fn content_bytes(&self) -> bytes::Bytes {
         let mut w = Writer::new();
-        self.epoch.encode(&mut w);
-        self.session.encode(&mut w);
-        self.seed.encode(&mut w);
-        self.accepted.encode(&mut w);
-        self.bids.encode(&mut w);
-        self.mechanism.encode(&mut w);
-        self.outcome.encode(&mut w);
+        self.encode_content(&mut w);
         w.finish()
     }
-}
 
-impl Encode for SealRecord {
-    fn encode(&self, w: &mut Writer) {
+    /// Append [`SealRecord::content_bytes`] to `w`.
+    pub fn encode_content(&self, w: &mut Writer) {
         self.epoch.encode(w);
         self.session.encode(w);
         self.seed.encode(w);
@@ -167,6 +167,12 @@ impl Encode for SealRecord {
         self.bids.encode(w);
         self.mechanism.encode(w);
         self.outcome.encode(w);
+    }
+}
+
+impl Encode for SealRecord {
+    fn encode(&self, w: &mut Writer) {
+        self.encode_content(w);
         w.put_slice(&self.prev);
         w.put_slice(&self.digest);
     }
