@@ -597,7 +597,7 @@ impl Journal {
                         Some(_) => {}
                     }
                     drafts.remove(&seal.epoch);
-                    sealed.push(seal.clone());
+                    sealed.push(SealRecord::clone(seal));
                 }
             }
         }
@@ -1009,7 +1009,7 @@ mod tests {
                 .unwrap();
             let mut buf = Writer::new();
             buf.put_u32(0);
-            JournalRecord::Sealed(seal).encode(&mut buf);
+            JournalRecord::Sealed(Box::new(seal)).encode(&mut buf);
             close_frame(&mut buf);
             want.extend_from_slice(buf.as_slice());
         }

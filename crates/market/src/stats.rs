@@ -23,6 +23,9 @@ pub(crate) struct StatsShared {
     started: Instant,
     pub(crate) epochs_cleared: AtomicU64,
     pub(crate) epochs_aborted: AtomicU64,
+    /// Pool drives that cleared epochs: one per group of epochs a
+    /// clearer took off its queue together.
+    pub(crate) clear_groups: AtomicU64,
     pub(crate) bids_accepted: AtomicU64,
     pub(crate) bids_rejected_invalid: AtomicU64,
     pub(crate) bids_rejected_duplicate: AtomicU64,
@@ -52,6 +55,7 @@ impl StatsShared {
             started: Instant::now(),
             epochs_cleared: AtomicU64::new(0),
             epochs_aborted: AtomicU64::new(0),
+            clear_groups: AtomicU64::new(0),
             bids_accepted: AtomicU64::new(0),
             bids_rejected_invalid: AtomicU64::new(0),
             bids_rejected_duplicate: AtomicU64::new(0),
@@ -124,6 +128,7 @@ impl StatsShared {
             epochs_closed,
             epochs_cleared,
             epochs_aborted,
+            clear_groups: self.clear_groups.load(Ordering::Relaxed),
             epochs_aborted_by_reason: AbortBreakdown {
                 counts: std::array::from_fn(|i| self.aborted_by_reason[i].load(Ordering::Relaxed)),
             },
@@ -209,6 +214,11 @@ pub struct MarketStats {
     /// Epochs whose session read ⊥ (deadline, faults, or adversarial
     /// providers).
     pub epochs_aborted: u64,
+    /// Pool drives that cleared epochs. A shard's clearer drives every
+    /// epoch already queued for it (up to a small fixed cap) as one
+    /// group, so `epochs_closed / clear_groups` is the mean group size:
+    /// 1 for a paced market, up to the cap under saturation.
+    pub clear_groups: u64,
     /// `epochs_aborted` broken down by [`AbortReason`]; the totals
     /// agree in every snapshot.
     pub epochs_aborted_by_reason: AbortBreakdown,
@@ -290,8 +300,10 @@ mod tests {
         s.bids_accepted.store(10, Ordering::Relaxed);
         s.record_epoch(Duration::from_millis(5), None);
         s.record_epoch(Duration::from_millis(7), Some(AbortReason::Deadline));
+        s.clear_groups.store(1, Ordering::Relaxed);
         let snap = s.snapshot(3, 2, 14, 1, None, ChaosStats::default());
         assert_eq!(snap.epochs_closed, 2);
+        assert_eq!(snap.clear_groups, 1, "both epochs cleared in one drive");
         assert_eq!(snap.epochs_cleared, 1);
         assert_eq!(snap.epochs_aborted, 1);
         assert_eq!(snap.epochs_cleared + snap.epochs_aborted, snap.epochs_closed);

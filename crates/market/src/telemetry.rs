@@ -138,6 +138,12 @@ fn market_families(stats: &MarketStats) -> Vec<Family> {
                 .map(|(reason, count)| Sample::labelled("reason", reason.label(), count as f64))
                 .collect(),
         },
+        Family::single(
+            "market_clear_groups_total",
+            "Pool drives that cleared epochs; epochs closed per drive is the mean clear group size.",
+            MetricKind::Counter,
+            stats.clear_groups as f64,
+        ),
         Family {
             name: "market_bids_total".into(),
             help: "Bid submissions by verdict.".into(),

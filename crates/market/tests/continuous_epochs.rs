@@ -15,8 +15,10 @@ use dauctioneer_market::{
     crc32, scan, verify_log, Backpressure, EpochOutcome, EpochPolicy, FsyncPolicy, JournalConfig,
     MarketConfig, MarketError, MarketService, MechanismSpec, SubmitError,
 };
-use dauctioneer_net::{wire_encode, FaultPlan};
-use dauctioneer_types::{Bw, Encode, JournalRecord, Money, ProviderAsk, UserBid, UserId};
+use dauctioneer_net::{shard_for, wire_encode, FaultPlan};
+use dauctioneer_types::{
+    Bw, Encode, JournalRecord, Money, ProviderAsk, SessionId, UserBid, UserId,
+};
 
 /// Distinct, valid §6.2-style bids: user `u` of round `round`.
 fn bid(round: u64, u: u32) -> UserBid {
@@ -54,6 +56,25 @@ fn drive_epochs(market: &mut MarketService, rounds: u64) -> Vec<EpochOutcome> {
         closed.push(epoch);
     }
     closed
+}
+
+/// Equivalence with the one-shot paper pipeline: replay the epoch's
+/// collected bids as a plain `run_session` with the same session id and
+/// seed — the outcome must be identical.
+fn assert_matches_one_shot(epoch: &EpochOutcome) {
+    let cfg = FrameworkConfig::new(3, 1, 8, 3).with_session(epoch.session);
+    let replay = run_session(
+        &cfg,
+        Arc::new(DoubleAuctionProgram::new()),
+        vec![epoch.bids.clone(); 3],
+        &RunOptions { seed: epoch.seed, ..RunOptions::default() },
+    );
+    assert_eq!(
+        replay.unanimous(),
+        epoch.outcome,
+        "epoch {} diverged from its one-shot replay",
+        epoch.epoch
+    );
 }
 
 /// The headline acceptance test: ≥3 consecutive epochs over one
@@ -109,21 +130,7 @@ fn three_epochs_one_mesh_match_one_shot_sessions() {
         let result = unanimous.as_result().expect("agreed");
         assert!(!result.allocation.winners().is_empty(), "epoch {round} trades");
 
-        // Equivalence with the one-shot paper pipeline: replay the
-        // epoch's collected bids as a plain run_session with the same
-        // session id and seed — outcomes must be identical.
-        let cfg = FrameworkConfig::new(3, 1, 8, 3).with_session(epoch.session);
-        let replay = run_session(
-            &cfg,
-            Arc::new(DoubleAuctionProgram::new()),
-            vec![epoch.bids.clone(); 3],
-            &RunOptions { seed: epoch.seed, ..RunOptions::default() },
-        );
-        assert_eq!(
-            replay.unanimous(),
-            *unanimous,
-            "epoch {round} diverged from its one-shot replay"
-        );
+        assert_matches_one_shot(epoch);
     }
 
     let stats = market.shutdown();
@@ -306,6 +313,84 @@ fn block_backpressure_never_sheds() {
 }
 
 // ---------------------------------------------------------------------------
+// Group clearing
+// ---------------------------------------------------------------------------
+
+/// A flood: `EPOCHS` epochs of 4 bids submitted without waiting for any
+/// outcome, so each shard's clearer wakes to find several closed epochs
+/// queued and clears them as one pool drive. Grouping must be invisible
+/// in the outcomes: every epoch equals its one-shot session, one shard
+/// publishes in epoch order, and the settlement chain seals each shard's
+/// epochs in epoch order.
+fn flood(transport: TransportKind, shards: usize, name: &str) {
+    const EPOCHS: u64 = 30;
+    let path = temp_journal(name);
+    let mut config = market_config(transport, shards);
+    config.backpressure = Backpressure::Block;
+    config.journal = Some(JournalConfig::new(&path).with_fsync(FsyncPolicy::Never));
+    let first_session = config.first_session;
+    let mut market =
+        MarketService::start(config, Arc::new(DoubleAuctionProgram::new())).expect("valid");
+    let outcomes = market.take_outcomes().expect("subscription");
+    let handle = market.handle();
+    for round in 0..EPOCHS {
+        for u in 0..4u32 {
+            handle.submit_bid(UserId(u), bid(round, u)).expect("blocking ingress");
+        }
+    }
+    let received: Vec<EpochOutcome> = (0..EPOCHS)
+        .map(|_| outcomes.recv_timeout(Duration::from_secs(30)).expect("epoch seals"))
+        .collect();
+    let stats = market.shutdown();
+    assert_eq!(stats.epochs_closed, EPOCHS);
+    assert!(
+        stats.clear_groups < stats.epochs_closed,
+        "{} drives for {} epochs: no group formed under the flood",
+        stats.clear_groups,
+        stats.epochs_closed
+    );
+    if shards == 1 {
+        let order: Vec<u64> = received.iter().map(|e| e.epoch).collect();
+        assert_eq!(order, (0..EPOCHS).collect::<Vec<_>>(), "one shard publishes in epoch order");
+    }
+    for epoch in &received {
+        assert_eq!(epoch.accepted_bids, 4);
+        assert!(!epoch.outcome.is_abort(), "epoch {} must clear", epoch.epoch);
+        assert_matches_one_shot(epoch);
+    }
+    let sealed = sealed_epochs(&path);
+    assert_eq!(sealed.len() as u64, EPOCHS, "every epoch sealed once");
+    for shard in 0..shards {
+        let chain: Vec<u64> = sealed
+            .iter()
+            .copied()
+            .filter(|&e| shard_for(SessionId(first_session + e), shards) == shard)
+            .collect();
+        assert!(
+            chain.windows(2).all(|pair| pair[0] < pair[1]),
+            "shard {shard} sealed out of epoch order: {chain:?}"
+        );
+    }
+    assert!(verify_log(&path).is_ok());
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn flooded_inproc_market_groups_epochs_invisibly() {
+    flood(TransportKind::InProc, 1, "flood-inproc");
+}
+
+#[test]
+fn flooded_two_shard_market_groups_epochs_invisibly() {
+    flood(TransportKind::InProc, 2, "flood-shards");
+}
+
+#[test]
+fn flooded_tcp_market_groups_epochs_invisibly() {
+    flood(TransportKind::Tcp, 1, "flood-tcp");
+}
+
+// ---------------------------------------------------------------------------
 // Journal replay equivalence
 // ---------------------------------------------------------------------------
 
@@ -314,6 +399,18 @@ fn temp_journal(name: &str) -> PathBuf {
     p.push(format!("dauction-replay-{name}-{}", std::process::id()));
     let _ = std::fs::remove_file(&p);
     p
+}
+
+/// The epochs of the journal's seals, in chain (file) order.
+fn sealed_epochs(path: &Path) -> Vec<u64> {
+    scan(&std::fs::read(path).unwrap())
+        .records
+        .iter()
+        .filter_map(|record| match record {
+            JournalRecord::Sealed(seal) => Some(seal.epoch),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Rewrite the journal at `path` without the seals of `epochs` — the
@@ -359,22 +456,27 @@ fn assert_byte_identical(live: &EpochOutcome, replayed: &EpochOutcome) {
     );
 }
 
-/// Run 3 journaled epochs live, strip the last two seals (simulating a
+/// Run 9 journaled epochs live, strip the last eight seals (simulating a
 /// crash after the bids were journaled but before the seals were), and
 /// recover in a fresh service: the replayed outcomes must be
 /// byte-identical to the live ones, the sealed epoch must survive
-/// verbatim, and the recovered journal must pass offline verification.
+/// verbatim, and the recovered journal must pass offline verification
+/// with its seals in epoch order. Eight in-flight epochs are more than
+/// two clear groups' worth (the cap is 3), so recovery re-clears them
+/// in several groups.
 fn replay_equivalence(transport: TransportKind, name: &str) {
+    const EPOCHS: u64 = 9;
     let path = temp_journal(name);
     let mut config = market_config(transport, 1);
     config.journal = Some(JournalConfig::new(&path).with_fsync(FsyncPolicy::Never));
     let mut live =
         MarketService::start(config, Arc::new(DoubleAuctionProgram::new())).expect("live market");
-    let lived = drive_epochs(&mut live, 3);
+    let lived = drive_epochs(&mut live, EPOCHS);
     live.shutdown();
-    assert_eq!(verify_log(&path).unwrap().seals, 3, "live run sealed every epoch");
+    assert_eq!(verify_log(&path).unwrap().seals, EPOCHS, "live run sealed every epoch");
 
-    strip_seals(&path, &[1, 2]);
+    let stripped: Vec<u64> = (1..EPOCHS).collect();
+    strip_seals(&path, &stripped);
 
     let mut config = market_config(transport, 1);
     config.journal = Some(JournalConfig::new(&path).recovering());
@@ -388,16 +490,23 @@ fn replay_equivalence(transport: TransportKind, name: &str) {
         lived[0].outcome.encode_to_bytes(),
         "sealed outcome must survive verbatim"
     );
-    assert_eq!(report.replayed.len(), 2, "epochs 1 and 2 re-cleared");
-    assert_eq!(report.next_epoch, 3);
+    assert_eq!(report.replayed.len(), stripped.len(), "every stripped epoch re-cleared");
+    assert_eq!(report.next_epoch, EPOCHS);
     for (live_epoch, replayed) in lived[1..].iter().zip(&report.replayed) {
         assert_byte_identical(live_epoch, replayed);
     }
-    recovered.shutdown();
+    let stats = recovered.shutdown();
+    assert!(
+        stats.clear_groups > 1 && stats.clear_groups < stats.epochs_closed,
+        "{} in-flight epochs re-cleared in {} drives",
+        stats.epochs_closed,
+        stats.clear_groups
+    );
 
     // Recovery re-sealed the replayed epochs: the journal verifies
-    // offline and carries all three seals again.
-    assert_eq!(verify_log(&path).unwrap().seals, 3, "replayed epochs re-sealed");
+    // offline and carries every seal again, in epoch order.
+    assert_eq!(verify_log(&path).unwrap().seals, EPOCHS, "replayed epochs re-sealed");
+    assert_eq!(sealed_epochs(&path), (0..EPOCHS).collect::<Vec<_>>(), "chain is in epoch order");
     std::fs::remove_file(&path).unwrap();
 }
 

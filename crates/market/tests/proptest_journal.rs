@@ -105,7 +105,7 @@ fn arb_record() -> impl Strategy<Value = JournalRecord> {
         }),
         (any::<u64>(), any::<u64>(), arb_ask())
             .prop_map(|(epoch, slot, ask)| JournalRecord::AskSet { epoch, slot, ask }),
-        arb_seal().prop_map(JournalRecord::Sealed),
+        arb_seal().prop_map(|seal| JournalRecord::Sealed(Box::new(seal))),
     ]
 }
 
@@ -185,7 +185,7 @@ fn journal_file_is_the_reference_framing_on_a_fixed_fixture() {
     let expected = vec![
         JournalRecord::Accepted { epoch: 0, user: UserId(7), bid },
         JournalRecord::AskSet { epoch: 0, slot: 1, ask },
-        JournalRecord::Sealed(seal),
+        JournalRecord::Sealed(Box::new(seal)),
     ];
     let file = std::fs::read(&path).unwrap();
     assert_eq!(scan(&file).records, expected);

@@ -161,6 +161,7 @@ fn registry_exports_every_market_family() {
     for family in [
         "# TYPE market_epochs_cleared_total counter",
         "# TYPE market_epochs_aborted_total counter",
+        "# TYPE market_clear_groups_total counter",
         "# TYPE market_bids_total counter",
         "# TYPE market_epoch_close_latency_seconds summary",
         "# TYPE market_epoch_close_latency_us histogram",
@@ -180,6 +181,7 @@ fn registry_exports_every_market_family() {
         text.contains("market_epochs_cleared_total{mechanism=\"double-auction\"} 1"),
         "live value must flow through the collector, labelled with its mechanism"
     );
+    assert!(text.contains("market_clear_groups_total 1"), "one epoch, one pool drive:\n{text}");
     assert!(text.contains("market_bids_total{verdict=\"accepted\"} 2"));
     assert!(text.contains("market_epochs_aborted_total{reason=\"deadline\"} 0"));
     assert!(
@@ -221,6 +223,10 @@ fn flight_recorder_stays_bounded_and_dumps_parseable_json() {
     let newest = *seqs.iter().max().unwrap();
     assert_eq!(seqs, (newest - 3..=newest).collect::<Vec<u64>>());
     assert!(dump.events.iter().all(|e| e.kind == "epoch_cleared"));
+    assert!(
+        dump.events.iter().all(|e| e.fields.iter().any(|(k, v)| k == "group" && v != "0")),
+        "every cleared epoch names the size of its clear group"
+    );
 }
 
 #[test]

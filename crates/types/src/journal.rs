@@ -26,10 +26,6 @@ use crate::outcome::Outcome;
 /// scheduler applied them, except that [`JournalRecord::Sealed`] records
 /// are appended by the (possibly concurrent) epoch clearers — every
 /// record names its epoch, so interleaving across epochs is harmless.
-// `Sealed` dwarfs the other variants, but records are decoded one at a
-// time and handed off; nothing holds accept-heavy `Vec<JournalRecord>`s
-// on a hot path, so boxing the seal would buy indirection, not memory.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalRecord {
     /// A bid was accepted into epoch `epoch`'s collector. Written (and
@@ -54,8 +50,10 @@ pub enum JournalRecord {
         ask: ProviderAsk,
     },
     /// Epoch `epoch` cleared: the settlement record, chained to every
-    /// seal before it.
-    Sealed(SealRecord),
+    /// seal before it. Boxed because a seal dwarfs the other variants
+    /// and a journal scan holds every record in one `Vec`, most of them
+    /// small accepts.
+    Sealed(Box<SealRecord>),
 }
 
 /// Record-type tags on the wire.
@@ -106,7 +104,7 @@ impl Decode for JournalRecord {
                 slot: r.get_u64()?,
                 ask: ProviderAsk::decode(r)?,
             }),
-            TAG_SEALED => Ok(JournalRecord::Sealed(SealRecord::decode(r)?)),
+            TAG_SEALED => Ok(JournalRecord::Sealed(Box::new(SealRecord::decode(r)?))),
             tag => Err(CodecError::InvalidTag { what: "JournalRecord", tag }),
         }
     }
@@ -232,7 +230,7 @@ mod tests {
                 slot: 2,
                 ask: ProviderAsk::new(Money::from_f64(0.3), Bw::from_f64(1.0)),
             },
-            JournalRecord::Sealed(seal()),
+            JournalRecord::Sealed(Box::new(seal())),
         ];
         for record in &records {
             assert_eq!(&roundtrip(record).unwrap(), record);
@@ -267,13 +265,13 @@ mod tests {
 
     #[test]
     fn encoding_is_canonical() {
-        let record = JournalRecord::Sealed(seal());
+        let record = JournalRecord::Sealed(Box::new(seal()));
         assert_eq!(record.encode_to_bytes(), record.clone().encode_to_bytes());
     }
 
     #[test]
     fn truncated_seal_fails_cleanly() {
-        let bytes = JournalRecord::Sealed(seal()).encode_to_bytes();
+        let bytes = JournalRecord::Sealed(Box::new(seal())).encode_to_bytes();
         for cut in [1, bytes.len() / 2, bytes.len() - 1] {
             assert!(JournalRecord::decode_all(&bytes[..cut]).is_err(), "cut at {cut}");
         }

@@ -951,9 +951,11 @@ fn serve_main(argv: &[String]) -> Result<(), String> {
         );
     }
     println!(
-        "served {} epochs in {:?}: {:.1} sessions/s sustained, epoch latency p50 {:?} / p99 \
-         {:?}; bids: {} accepted, {} shed, {} rejected (invalid {}, duplicate {}, unknown {})",
+        "served {} epochs ({} clear groups) in {:?}: {:.1} sessions/s sustained, epoch latency \
+         p50 {:?} / p99 {:?}; bids: {} accepted, {} shed, {} rejected (invalid {}, duplicate {}, \
+         unknown {})",
         stats.epochs_closed,
+        stats.clear_groups,
         stats.uptime,
         stats.sessions_per_sec,
         stats.epoch_latency_p50,
