@@ -14,16 +14,15 @@
 //!
 //! This quantifies the paper's claim that the emulation overhead is
 //! dominated by the bid agreement's data exchange, not by the allocator
-//! machinery. Usage:
+//! machinery.
 //!
-//! ```text
-//! cargo run --release -p dauctioneer-bench --bin ablation_blocks [--csv] [--rounds N]
-//! ```
+//! `--help` lists the flags.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use dauctioneer_bench::{accept_flags, fmt_secs, CommonArgs, Stats, Table, WithCoin};
+use dauctioneer::cli::Flags;
+use dauctioneer_bench::{fmt_secs, CommonArgs, Stats, Table, WithCoin};
 use dauctioneer_core::blocks::{encode_fixed, BidAgreement, CommonCoin, InputValidation};
 use dauctioneer_core::{Block, Distribution, DoubleAuctionProgram, DynProgram, FrameworkConfig};
 use dauctioneer_sim::{run_auction_sim, LinkModel, SchedulePolicy, SimRunner};
@@ -53,8 +52,9 @@ fn stack_span<B: Block>(blocks: impl Iterator<Item = B>, seed: u64) -> Duration 
 }
 
 fn main() {
-    accept_flags(&["--csv", "--quick"], &["--rounds"]);
-    let args = CommonArgs::parse(3);
+    let mut args = CommonArgs::new(3);
+    args.flags(Flags::new("usage: ablation_blocks [FLAG]...   per-block overhead of one session"))
+        .parse(std::env::args().skip(1));
     let ns: Vec<usize> = if args.quick { vec![100, 500] } else { vec![100, 500, 1000] };
 
     eprintln!("ablation A1: per-block share of the distributed double auction (m={M}, k={K})");

@@ -8,13 +8,12 @@
 //! 3. `solver vs greedy` — what the expensive welfare maximisation buys
 //!    over the fast heuristic.
 //!
-//! ```text
-//! cargo run --release -p dauctioneer-bench --bin ablation_knobs [--csv] [--rounds N]
-//! ```
+//! `--help` lists the flags.
 
 use std::sync::Arc;
 
-use dauctioneer_bench::{accept_flags, fmt_secs, time_once, CommonArgs, Stats, Table};
+use dauctioneer::cli::Flags;
+use dauctioneer_bench::{fmt_secs, time_once, CommonArgs, Stats, Table};
 use dauctioneer_core::{DoubleAuctionProgram, FrameworkConfig};
 use dauctioneer_mechanisms::solver::{
     solve_branch_bound, solve_greedy, BranchBoundConfig, Instance,
@@ -42,8 +41,9 @@ fn hard_instance(n: usize, seed: u64) -> Instance {
 }
 
 fn main() {
-    accept_flags(&["--csv", "--quick"], &["--rounds"]);
-    let args = CommonArgs::parse(3);
+    let mut args = CommonArgs::new(3);
+    args.flags(Flags::new("usage: ablation_knobs [FLAG]...   validation and solver knobs"))
+        .parse(std::env::args().skip(1));
 
     // Knob 1: validation payload.
     eprintln!("ablation A2.1: input validation, full vector vs hash-only (m=8, k=3)");

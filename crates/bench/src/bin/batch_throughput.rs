@@ -14,11 +14,6 @@
 //!    tracks the host's core count (printed with the results: on a
 //!    single-core host the sharded and single-hub numbers converge).
 //!
-//! ```text
-//! batch_throughput [--csv] [--json] [--rounds N] [--quick] [--n USERS]
-//!                  [--m PROVIDERS | --mesh-size PROVIDERS]
-//! ```
-//!
 //! `--mesh-size` (alias of `--m`) is the mesh-size axis of the reactor
 //! m-sweep: rerun the shards × transport sweep at m = 4/8/16/32 and the
 //! TCP rows ride one epoll reactor per mesh — the printed `io thr`
@@ -35,8 +30,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use dauctioneer::cli::Flags;
 use dauctioneer_bench::json::{provenance, write_bench_file, JsonArray, JsonObject};
-use dauctioneer_bench::{accept_flags, flag_value, fmt_secs, time_once, CommonArgs, Stats, Table};
+use dauctioneer_bench::{fmt_secs, time_once, CommonArgs, Stats, Table};
 use dauctioneer_core::{
     run_batch, run_batch_with, run_session, BatchConfig, BatchSession, DoubleAuctionProgram,
     FrameworkConfig, RunOptions, TransportKind,
@@ -52,11 +48,16 @@ fn label(kind: TransportKind) -> &'static str {
 }
 
 fn main() {
-    accept_flags(&["--csv", "--json", "--quick"], &["--rounds", "--n", "--m", "--mesh-size"]);
-    let common = CommonArgs::parse(3);
-    let emit_json = std::env::args().any(|a| a == "--json");
-    let n_users = flag_value("--n").unwrap_or(20);
-    let m = flag_value("--m").or_else(|| flag_value("--mesh-size")).unwrap_or(3).max(1);
+    let mut common = CommonArgs::new(3);
+    let (mut emit_json, mut n_users, mut m, mut mesh_size) = (false, 20usize, None, None);
+    common
+        .flags(Flags::new("usage: batch_throughput [FLAG]...   multi-session batches, sessions/s"))
+        .switch("--json", "also write BENCH_batch_throughput.json", &mut emit_json)
+        .value("--n USERS", "users per session", &mut n_users)
+        .optional("--m PROVIDERS", "providers (default 3)", &mut m)
+        .optional("--mesh-size PROVIDERS", "alias of --m; --m wins", &mut mesh_size)
+        .parse(std::env::args().skip(1));
+    let m = m.or(mesh_size).unwrap_or(3).max(1);
     let k = (m - 1) / 2;
     let cfg = FrameworkConfig::new(m, k, n_users, m);
     let program = Arc::new(DoubleAuctionProgram::new());

@@ -2,13 +2,15 @@
 //! cost across `n` so the fig5 sweep can be sized sensibly. Not part of
 //! the figure set.
 
-use dauctioneer_bench::{accept_flags, fmt_secs, time_once};
+use dauctioneer::cli::Flags;
+use dauctioneer_bench::{fmt_secs, time_once};
 use dauctioneer_mechanisms::solver::BranchBoundConfig;
 use dauctioneer_mechanisms::{Mechanism, SharedRng, StandardAuction, StandardAuctionConfig};
 use dauctioneer_workload::StandardAuctionWorkload;
 
 fn main() {
-    accept_flags(&[], &[]);
+    Flags::new("usage: calibrate   centralised standard-auction cost vs n and node budget")
+        .parse(std::env::args().skip(1));
     for &n in &[25usize, 50, 75, 100, 125] {
         for &nodes in &[50_000u64, 200_000, 1_000_000] {
             let (bids, capacities) = StandardAuctionWorkload::new(n, 8, 42).generate();

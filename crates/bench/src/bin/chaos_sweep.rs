@@ -19,12 +19,6 @@
 //!    per-provider outcome vectors, run to run and across transports
 //!    (in-process channels vs real TCP sockets).
 //!
-//! ```text
-//! chaos_sweep [--suite] [--json] [--csv] [--quick] [--seed S]
-//!             [--transport inproc|tcp|both] [--faulty 0|1|all]
-//!             [--sessions N] [--n USERS] [--m PROVIDERS]
-//! ```
-//!
 //! `--suite` turns contract violations into a non-zero exit (the CI
 //! chaos-matrix mode); `--json` writes `BENCH_chaos.json`. The
 //! `--transport tcp` rows additionally re-run each scenario in-process
@@ -34,8 +28,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+use dauctioneer::cli::Flags;
 use dauctioneer_bench::json::{provenance, write_bench_file, JsonArray, JsonObject};
-use dauctioneer_bench::{accept_flags, flag_value, fmt_secs, time_once, Table};
+use dauctioneer_bench::{fmt_secs, time_once, Table};
 use dauctioneer_core::{
     run_batch_with, BatchConfig, BatchReport, BatchSession, DoubleAuctionProgram, FrameworkConfig,
     RunOptions, TransportKind,
@@ -67,6 +62,10 @@ impl SweepRow {
             && self.matches_inproc.unwrap_or(true)
     }
 }
+
+/// `--faulty`: keep the scenarios without (`Some(false)`) or with
+/// (`Some(true)`) an adversarial provider, or all of them (`None`).
+const FAULTY: &[(&str, Option<bool>)] = &[("0", Some(false)), ("1", Some(true)), ("all", None)];
 
 fn label(kind: TransportKind) -> &'static str {
     match kind {
@@ -103,41 +102,34 @@ fn outcome_matrix(report: &BatchReport) -> Vec<Vec<Outcome>> {
 }
 
 fn main() -> ExitCode {
-    accept_flags(
-        &["--suite", "--json", "--csv", "--quick"],
-        &["--seed", "--transport", "--faulty", "--sessions", "--n", "--m"],
-    );
-    let args: Vec<String> = std::env::args().collect();
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    let value_of =
-        |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned();
-    let suite_mode = has("--suite");
-    let emit_json = has("--json");
-    let csv = has("--csv");
-    let quick = has("--quick");
-
-    let n_users = flag_value("--n").unwrap_or(6);
-    let m = flag_value("--m").unwrap_or(3).max(3);
+    let (mut suite_mode, mut emit_json, mut csv, mut quick) = (false, false, false, false);
+    let (mut n_users, mut m, mut count, mut seed) = (6usize, 3usize, None, 42u64);
+    let both: &[TransportKind] = &[TransportKind::InProc, TransportKind::Tcp];
+    let mut transports = both;
+    let mut faulty = None;
+    Flags::new("usage: chaos_sweep [FLAG]...   the chaos contract over every named fault scenario")
+        .switch("--suite", "exit 1 on a contract violation", &mut suite_mode)
+        .switch("--json", "also write BENCH_chaos.json", &mut emit_json)
+        .switch("--csv", "emit CSV instead of an aligned table", &mut csv)
+        .switch("--quick", "fewer sessions and a shorter deadline", &mut quick)
+        .value("--seed S", "workload and fault seed", &mut seed)
+        .choice(
+            "--transport",
+            "transports to sweep",
+            &mut transports,
+            &[("inproc", &[TransportKind::InProc]), ("tcp", &[TransportKind::Tcp]), ("both", both)],
+        )
+        .choice("--faulty", "scenarios without (0) or with (1) an adversary", &mut faulty, FAULTY)
+        .optional("--sessions N", "sessions per batch (default 8, 4 with --quick)", &mut count)
+        .value("--n USERS", "users per session", &mut n_users)
+        .value("--m PROVIDERS", "providers, at least 3", &mut m)
+        .parse(std::env::args().skip(1));
+    let m = m.max(3);
     let k = (m - 1) / 2;
-    let count = flag_value("--sessions").unwrap_or(if quick { 4 } else { 8 });
-    let seed: u64 = value_of("--seed").and_then(|v| v.parse().ok()).unwrap_or(42);
-    let transports: Vec<TransportKind> = match value_of("--transport").as_deref() {
-        None | Some("both") => vec![TransportKind::InProc, TransportKind::Tcp],
-        Some("inproc") => vec![TransportKind::InProc],
-        Some("tcp") => vec![TransportKind::Tcp],
-        Some(other) => {
-            eprintln!("unknown transport `{other}` (inproc|tcp|both)");
-            return ExitCode::from(2);
-        }
-    };
-    let faulty_filter = value_of("--faulty");
+    let count = count.unwrap_or(if quick { 4 } else { 8 });
     let scenarios: Vec<ChaosScenario> = chaos_suite()
         .into_iter()
-        .filter(|s| match faulty_filter.as_deref() {
-            Some("0") => !s.has_adversary(),
-            Some("1") => s.has_adversary(),
-            _ => true,
-        })
+        .filter(|s| faulty.map_or(true, |with_adversary| s.has_adversary() == with_adversary))
         .collect();
 
     // The deadline bounds each batch: sessions that lost a critical
@@ -166,7 +158,7 @@ fn main() -> ExitCode {
         // right after the InProc row compares against it instead of
         // re-running the whole (deadline-bounded) batch.
         let mut inproc_matrix: Option<Vec<Vec<Outcome>>> = None;
-        for &transport in &transports {
+        for &transport in transports {
             let (report, elapsed) =
                 time_once(|| run_scenario(scenario, transport, &cfg, &specs, &options, seed));
 

@@ -16,16 +16,15 @@
 //! testbed). The distributed series run the double auction under
 //! [`WithCoin`], so each epoch keeps the paper's seven broadcasts
 //! (agreement, validation, common coin) although the double auction reads
-//! no shared randomness and ships without the coin. Usage:
+//! no shared randomness and ships without the coin.
 //!
-//! ```text
-//! cargo run --release -p dauctioneer-bench --bin fig4 [--csv] [--quick] [--rounds N]
-//! ```
+//! `--help` lists the flags.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use dauctioneer_bench::{accept_flags, fmt_secs, time_once, CommonArgs, Stats, Table, WithCoin};
+use dauctioneer::cli::Flags;
+use dauctioneer_bench::{fmt_secs, time_once, CommonArgs, Stats, Table, WithCoin};
 use dauctioneer_core::{DoubleAuctionProgram, FrameworkConfig};
 use dauctioneer_mechanisms::{DoubleAuction, Mechanism, SharedRng};
 use dauctioneer_sim::{run_auction_sim, LinkModel, SchedulePolicy};
@@ -37,8 +36,9 @@ const SERIES: &[(&str, usize, usize)] = &[("k=1", 1, 3), ("k=2", 2, 5), ("k=3", 
 const AUCTION_PROVIDERS: usize = 8;
 
 fn main() {
-    accept_flags(&["--csv", "--quick"], &["--rounds"]);
-    let args = CommonArgs::parse(5);
+    let mut args = CommonArgs::new(5);
+    args.flags(Flags::new("usage: fig4 [FLAG]...   double-auction running time vs n (Fig. 4)"))
+        .parse(std::env::args().skip(1));
     let ns: Vec<usize> =
         if args.quick { vec![100, 300, 500] } else { (1..=10).map(|i| i * 100).collect() };
 

@@ -13,16 +13,15 @@
 //! mirroring the polynomial search effort of the paper's (1−ε)-optimal
 //! algorithm (`docs/ARCHITECTURE.md`, "Why the budget is counted in
 //! nodes"). Distributed times are virtual-clock spans
-//! (one CPU per provider, as on the paper's testbed). Usage:
+//! (one CPU per provider, as on the paper's testbed).
 //!
-//! ```text
-//! cargo run --release -p dauctioneer-bench --bin fig5 [--csv] [--quick] [--rounds N]
-//! ```
+//! `--help` lists the flags.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use dauctioneer_bench::{accept_flags, fmt_secs, time_once, CommonArgs, Stats, Table};
+use dauctioneer::cli::Flags;
+use dauctioneer_bench::{fmt_secs, time_once, CommonArgs, Stats, Table};
 use dauctioneer_core::{FrameworkConfig, StandardAuctionProgram};
 use dauctioneer_mechanisms::solver::BranchBoundConfig;
 use dauctioneer_mechanisms::{Mechanism, SharedRng, StandardAuction, StandardAuctionConfig};
@@ -53,8 +52,9 @@ fn auction_for(capacities: Vec<Bw>, n: usize) -> StandardAuction {
 }
 
 fn main() {
-    accept_flags(&["--csv", "--quick"], &["--rounds"]);
-    let args = CommonArgs::parse(2);
+    let mut args = CommonArgs::new(2);
+    args.flags(Flags::new("usage: fig5 [FLAG]...   standard-auction time vs n (Fig. 5)"))
+        .parse(std::env::args().skip(1));
     let ns: Vec<usize> = if args.quick { vec![25, 50, 75] } else { vec![25, 50, 75, 100, 125] };
 
     eprintln!(

@@ -18,8 +18,9 @@
 
 use std::time::{Duration, Instant};
 
+use dauctioneer::cli::Flags;
 use dauctioneer_bench::json::{provenance, write_bench_file, JsonArray, JsonObject};
-use dauctioneer_bench::{accept_flags, flag_value, Table};
+use dauctioneer_bench::Table;
 use dauctioneer_net::{frame, MuxMesh};
 use dauctioneer_types::ProviderId;
 
@@ -76,13 +77,13 @@ fn mesh_point(m: usize) -> (f64, f64, usize) {
 }
 
 fn main() {
-    accept_flags(&["--csv", "--json"], &["--mesh-size"]);
-    let csv = std::env::args().any(|a| a == "--csv");
-    let emit_json = std::env::args().any(|a| a == "--json");
-    let mesh_sizes: Vec<usize> = match flag_value("--mesh-size") {
-        Some(m) => vec![m.max(2)],
-        None => vec![4, 8, 16, 32],
-    };
+    let (mut csv, mut emit_json, mut mesh_size) = (false, false, None::<usize>);
+    Flags::new("usage: mesh_sweep [FLAG]...   the loopback MuxMesh at m = 4..32")
+        .switch("--csv", "emit CSV instead of an aligned table", &mut csv)
+        .switch("--json", "also write BENCH_wire.json", &mut emit_json)
+        .optional("--mesh-size M", "one mesh size (default: 4, 8, 16, 32)", &mut mesh_size)
+        .parse(std::env::args().skip(1));
+    let mesh_sizes = mesh_size.map_or(vec![4, 8, 16, 32], |m| vec![m.max(2)]);
 
     let mut mesh_rows = JsonArray::new();
     let mut table = Table::new(&["mesh m", "lanes", "bring-up", "frames/s", "io threads"], csv);

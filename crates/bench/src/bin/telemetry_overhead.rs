@@ -14,8 +14,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dauctioneer::cli::Flags;
 use dauctioneer_bench::json::{provenance, write_bench_file, JsonArray, JsonObject};
-use dauctioneer_bench::{accept_flags, fmt_secs, Table};
+use dauctioneer_bench::{fmt_secs, Table};
 use dauctioneer_core::DoubleAuctionProgram;
 use dauctioneer_market::{
     register_market_metrics, Backpressure, EpochPolicy, MarketConfig, MarketService, MarketStats,
@@ -36,11 +37,12 @@ const BIDS: usize = 10_000;
 const EPOCH_BIDS: usize = 8;
 
 fn main() {
-    accept_flags(&["--csv", "--json", "--quick"], &[]);
-    let args: Vec<String> = std::env::args().collect();
-    let csv = args.iter().any(|a| a == "--csv");
-    let emit_json = args.iter().any(|a| a == "--json");
-    let quick = args.iter().any(|a| a == "--quick");
+    let (mut csv, mut emit_json, mut quick) = (false, false, false);
+    Flags::new("usage: telemetry_overhead [FLAG]...   saturated ingest, telemetry plane off vs on")
+        .switch("--csv", "emit CSV instead of an aligned table", &mut csv)
+        .switch("--json", "also write BENCH_telemetry.json", &mut emit_json)
+        .switch("--quick", "reduced run for CI and smoke runs", &mut quick)
+        .parse(std::env::args().skip(1));
     telemetry_sweep(csv, emit_json, quick);
 }
 

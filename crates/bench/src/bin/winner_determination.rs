@@ -23,8 +23,9 @@
 
 use std::time::Instant;
 
+use dauctioneer::cli::Flags;
 use dauctioneer_bench::json::{provenance, write_bench_file, JsonArray, JsonObject};
-use dauctioneer_bench::{accept_flags, flag_value, fmt_secs, Table};
+use dauctioneer_bench::{fmt_secs, Table};
 use dauctioneer_mechanisms::combinatorial::DEFAULT_NODE_BUDGET;
 use dauctioneer_mechanisms::{CombinatorialAuction, CombinatorialAuctionConfig, SharedRng};
 use dauctioneer_workload::StandardAuctionWorkload;
@@ -103,15 +104,18 @@ fn sweep_size(n: usize, m: usize, budget: u64, reps: usize) -> SizeRow {
 }
 
 fn main() {
-    accept_flags(&["--csv", "--json", "--quick"], &["--m", "--budget", "--reps"]);
-    let args: Vec<String> = std::env::args().collect();
-    let csv = args.iter().any(|a| a == "--csv");
-    let emit_json = args.iter().any(|a| a == "--json");
-    let quick = args.iter().any(|a| a == "--quick");
-
-    let m = flag_value("--m").unwrap_or(8).max(1);
-    let budget = flag_value("--budget").map(|b| b as u64).unwrap_or(DEFAULT_NODE_BUDGET).max(1);
-    let reps = flag_value("--reps").unwrap_or(if quick { 2 } else { 5 }).max(1);
+    let (mut csv, mut emit_json, mut quick) = (false, false, false);
+    let (mut m, mut budget, mut reps) = (8usize, DEFAULT_NODE_BUDGET, None);
+    Flags::new("usage: winner_determination [FLAG]...   combinatorial clearing vs bid count")
+        .switch("--csv", "emit CSV instead of an aligned table", &mut csv)
+        .switch("--json", "also write BENCH_wd.json", &mut emit_json)
+        .switch("--quick", "fewer repetitions", &mut quick)
+        .value("--m PROVIDERS", "providers", &mut m)
+        .value("--budget NODES", "branch-and-bound node budget", &mut budget)
+        .optional("--reps N", "repetitions per size (default 5, 2 with --quick)", &mut reps)
+        .parse(std::env::args().skip(1));
+    let (m, budget) = (m.max(1), budget.max(1));
+    let reps = reps.unwrap_or(if quick { 2 } else { 5 }).max(1);
     // The ISSUE-mandated sweep: 10³ → 10⁴ bundle bids. Sizes are fixed
     // (not --quick-dependent) so baseline and CI rows always align.
     let sizes: [usize; 3] = [1_000, 3_163, 10_000];

@@ -1,4 +1,4 @@
-//! Benchmark harness utilities: timing, statistics, flag checking and
+//! Benchmark harness utilities: timing, statistics, shared flags and
 //! table rendering for the binaries under `src/bin/`.
 //!
 //! The end-to-end bid→seal numbers and the per-layer costs live in the
@@ -23,8 +23,8 @@
 //! of the second list additionally take `--json`, writing a
 //! machine-readable `BENCH_<name>.json` (configuration + results) via
 //! [`json`]; `ci/compare_bench.py` gates all of them but
-//! `chaos_sweep`'s. Every binary exits 2 on a flag it does not accept
-//! ([`accept_flags`]).
+//! `chaos_sweep`'s. Every binary takes `--help`, and exits 2 on an unknown
+//! flag or an unusable value ([`dauctioneer::cli`]).
 //!
 //! [`WithCoin`] forces the allocator's common coin on a program that would
 //! skip it, for the figures that reproduce the paper's pipeline.
@@ -34,6 +34,7 @@ pub mod json;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use dauctioneer::cli::Flags;
 use dauctioneer_core::{AllocatorProgram, FrameworkConfig, TaskGraphSpec, TaskId};
 use dauctioneer_mechanisms::SharedRng;
 use dauctioneer_types::{AuctionResult, BidVector};
@@ -188,8 +189,7 @@ pub fn fmt_secs(s: f64) -> String {
     }
 }
 
-/// Common CLI flags shared by the figure binaries:
-/// `--csv`, `--rounds N`, `--quick`.
+/// The flags the figure binaries share: `--csv`, `--rounds N`, `--quick`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommonArgs {
     /// Emit CSV instead of an aligned table.
@@ -200,71 +200,18 @@ pub struct CommonArgs {
     pub quick: bool,
 }
 
-/// Find `name` in `args` and parse the token after it as a `usize`:
-/// `Ok(None)` when the flag is absent, `Err` naming the flag and the
-/// offending value when it is present but unusable — a typo must never
-/// silently become the default.
-fn parse_flag(args: &[String], name: &str) -> Result<Option<usize>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else { return Ok(None) };
-    let value = args.get(i + 1).ok_or_else(|| format!("{name} needs a value"))?;
-    value
-        .parse()
-        .map(Some)
-        .map_err(|e| format!("{name}: cannot parse {value:?} as a non-negative integer ({e})"))
-}
-
-/// Scan `std::env::args` for `name` and parse the following token as a
-/// `usize` (`None` if absent) — the bench binaries' shared ad-hoc
-/// numeric flag parser. A missing or unparsable value is fatal: the
-/// process prints the flag and the value and exits with status 2.
-pub fn flag_value(name: &str) -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    parse_flag(&args, name).unwrap_or_else(|why| {
-        eprintln!("error: {why}");
-        std::process::exit(2);
-    })
-}
-
-/// Check `args` (program name first) against the flags a binary accepts:
-/// each of `switches` stands alone, each of `valued` consumes the next
-/// token. Anything else — a misspelt flag, a stray word — is an error
-/// naming it, so `--quik` can never silently run the full sweep.
-fn check_flags(args: &[String], switches: &[&str], valued: &[&str]) -> Result<(), String> {
-    let mut rest = args.iter().skip(1);
-    while let Some(arg) = rest.next() {
-        if valued.contains(&arg.as_str()) {
-            rest.next();
-        } else if !switches.contains(&arg.as_str()) {
-            let mut accepted: Vec<&str> = switches.iter().chain(valued).copied().collect();
-            accepted.sort_unstable();
-            let accepted = if accepted.is_empty() { "none".into() } else { accepted.join(" ") };
-            return Err(format!("unknown flag {arg:?} (accepted: {accepted})"));
-        }
-    }
-    Ok(())
-}
-
-/// Declare the flags a bench binary accepts; call it first thing in
-/// `main`. An argument outside `switches` and `valued` is fatal like an
-/// unusable value in [`flag_value`]: the process names it and exits
-/// with status 2.
-pub fn accept_flags(switches: &[&str], valued: &[&str]) {
-    let args: Vec<String> = std::env::args().collect();
-    check_flags(&args, switches, valued).unwrap_or_else(|why| {
-        eprintln!("error: {why}");
-        std::process::exit(2);
-    })
-}
-
 impl CommonArgs {
-    /// Parse from `std::env::args`, with the given default round count.
-    /// Exits like [`flag_value`] on an unusable `--rounds` value.
-    pub fn parse(default_rounds: usize) -> CommonArgs {
-        let args: Vec<String> = std::env::args().collect();
-        let csv = args.iter().any(|a| a == "--csv");
-        let quick = args.iter().any(|a| a == "--quick");
-        let rounds = flag_value("--rounds").unwrap_or(default_rounds);
-        CommonArgs { csv, rounds, quick }
+    /// Defaults: aligned table, `rounds` rounds, full sweep.
+    pub fn new(rounds: usize) -> CommonArgs {
+        CommonArgs { csv: false, rounds, quick: false }
+    }
+
+    /// `flags` plus the three entries that set these fields.
+    pub fn flags<'a>(&'a mut self, flags: Flags<'a>) -> Flags<'a> {
+        flags
+            .switch("--csv", "emit CSV instead of an aligned table", &mut self.csv)
+            .value("--rounds N", "measurement rounds per configuration", &mut self.rounds)
+            .switch("--quick", "reduced sweep for CI and smoke runs", &mut self.quick)
     }
 }
 
@@ -282,34 +229,6 @@ mod tests {
         assert!((s.mean_s - 0.020).abs() < 1e-9);
         assert!((s.min_s - 0.010).abs() < 1e-9);
         assert!((s.max_s - 0.030).abs() < 1e-9);
-    }
-
-    #[test]
-    fn unusable_flag_values_are_errors_naming_flag_and_value() {
-        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_flag(&args(&["bin", "--quick"]), "--rounds"), Ok(None));
-        assert_eq!(parse_flag(&args(&["bin", "--rounds", "7"]), "--rounds"), Ok(Some(7)));
-        for bad in ["abc", "-3", "1.5", ""] {
-            let why = parse_flag(&args(&["bin", "--rounds", bad]), "--rounds").unwrap_err();
-            assert!(why.contains("--rounds") && why.contains(&format!("{bad:?}")), "{why}");
-        }
-        let why = parse_flag(&args(&["bin", "--rounds"]), "--rounds").unwrap_err();
-        assert!(why.contains("--rounds needs a value"), "{why}");
-    }
-
-    #[test]
-    fn unknown_flags_are_errors_naming_the_flag() {
-        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let check = |list: &[&str]| check_flags(&args(list), &["--csv", "--quick"], &["--rounds"]);
-        assert_eq!(check(&["bin"]), Ok(()));
-        assert_eq!(check(&["bin", "--quick", "--rounds", "3", "--csv"]), Ok(()));
-        // A valued flag's value is never itself taken for a flag.
-        assert_eq!(check(&["bin", "--rounds", "--weird"]), Ok(()));
-        for bad in ["--quik", "--json", "-q", "quick", "--rounds=3"] {
-            let why = check(&["bin", "--quick", bad]).unwrap_err();
-            assert!(why.contains(&format!("{bad:?}")), "{why}");
-            assert!(why.contains("--csv --quick --rounds"), "{why}");
-        }
     }
 
     #[test]

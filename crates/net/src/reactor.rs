@@ -510,11 +510,13 @@ impl Reactor {
     /// session needs every provider. Drop the lane senders, so every
     /// endpoint's recv sees Disconnected once its inbox is drained, and
     /// clear the whole-mesh flag. Frames already read off the connection
-    /// were routed before this.
+    /// were routed before this. The flag is cleared first: an endpoint
+    /// that reads Disconnected must already see `all_peers_open() ==
+    /// false` (the Release store pairs with its Acquire load).
     fn lose_peer(&mut self, node_idx: usize) {
         let node = &mut self.nodes[node_idx];
-        node.lanes = None;
         node.peers_open.store(false, Ordering::Release);
+        node.lanes = None;
     }
 
     /// Flush this connection: refill the coalescing buffer from the ring

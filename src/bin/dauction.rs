@@ -17,24 +17,9 @@
 //! * **`flight-dump`**: pretty-print a crash flight-recorder dump (the
 //!   JSON a SIGUSR1 or a fail-stop journal error writes).
 //!
-//! ```text
-//! dauction [--mechanism SPEC] [--n USERS] [--m PROVIDERS] [--k COALITION] [--seed SEED]
-//!          [--runtime threads|des] [--latency zero|community]
-//! dauction serve [--mechanism SPEC] [--rate BIDS_PER_SEC] [--epochs E] [--epoch-bids N]
-//!          [--epoch-ms D] [--n USERS] [--m PROVIDERS] [--k COALITION] [--seed SEED]
-//!          [--transport inproc|tcp] [--shards S] [--chaos SPEC]
-//!          [--journal PATH] [--fsync always|never|every=N] [--recover]
-//!          [--metrics-addr HOST:PORT] [--flight-path PATH] [--heartbeat-ms D]
-//! dauction coordinator --listen HOST:PORT --providers M [--k COALITION] [--n USERS]
-//!          [--epochs E] [--seed SEED] [--deadline-ms D] [--mesh-budget-ms D]
-//!          [--join-timeout-ms D] [--epoch-ms D] [--journal PATH]
-//!          [--fsync always|never|every=N] [--metrics-addr HOST:PORT]
-//! dauction provider --id K --join HOST:PORT [--mesh-listen HOST:PORT]
-//!          [--heartbeat-ms D] [--backoff-base-ms D] [--backoff-cap-ms D]
-//!          [--reconnect-budget N]
-//! dauction verify-log <PATH>
-//! dauction flight-dump <PATH>
-//! ```
+//! Every entry point lists its flags, their values and their defaults
+//! with `--help` (`dauction --help`, `dauction serve --help`, …); the
+//! [`dauctioneer::cli`] tables in this file are the one list.
 //!
 //! `--mechanism` selects the clearing mechanism by spec:
 //! `double | standard[,eps=PPM] | combinatorial[,budget=NODES] |
@@ -42,8 +27,6 @@
 //! only mechanism selector; in `serve` it decides what every epoch clears
 //! with, is stamped on every epoch outcome and journal seal, and
 //! `--recover` refuses a journal sealed under a different mechanism.
-//! Unknown `--runtime` and `--latency` values are usage errors (exit 2),
-//! like every malformed flag.
 //!
 //! `--chaos` injects seeded link faults into the persistent mesh; the
 //! spec is the `key=value` format of `FaultPlan` (e.g.
@@ -70,12 +53,13 @@
 //! the last N structured market events — as JSON to `--flight-path` (or
 //! stdout); a fail-stop journal error writes the same dump on its way
 //! down. `--heartbeat-ms` prints a one-line stats heartbeat at that
-//! cadence (0 disables; default 2000).
+//! cadence.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use dauctioneer::cli::Flags;
 use dauctioneer::core::{
     run_session, DoubleAuctionProgram, DynProgram, FrameworkConfig, RunOptions, TransportKind,
 };
@@ -91,166 +75,75 @@ use dauctioneer::workload::{
     epoch_supply, ArrivalProcess, DoubleAuctionWorkload, StandardAuctionWorkload,
 };
 
-#[derive(Debug, Clone)]
-struct Args {
-    mechanism: MechanismSpec,
-    n: usize,
-    m: usize,
-    k: usize,
-    seed: u64,
-    /// `--runtime des`: the discrete-event simulator instead of threads.
-    des: bool,
-    /// `--latency community`: community-network links instead of zero.
-    community: bool,
-}
+const USAGE: &str = "usage: dauction [FLAG]...          one auction, printed outcome
+       dauction serve [FLAG]...    continuous market daemon
+       dauction coordinator --listen HOST:PORT --providers M [FLAG]...
+       dauction provider --id K --join HOST:PORT [FLAG]...
+       dauction verify-log PATH
+       dauction flight-dump PATH
+Each subcommand takes --help. One-shot flags:";
 
-impl Args {
-    fn parse() -> Result<Args, String> {
-        let mut args = Args {
-            mechanism: MechanismSpec::default(),
-            n: 50,
-            m: 3,
-            k: 1,
-            seed: 42,
-            des: false,
-            community: false,
-        };
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let flag = argv[i].as_str();
-            if is_help(flag) {
-                print_usage(HELP);
-            }
-            let value = argv.get(i + 1).ok_or_else(|| format!("missing value for {flag}"))?;
-            match flag {
-                "--mechanism" => args.mechanism = value.parse().map_err(|e| format!("{e}"))?,
-                "--n" => args.n = value.parse().map_err(|e| format!("--n: {e}"))?,
-                "--m" => args.m = value.parse().map_err(|e| format!("--m: {e}"))?,
-                "--k" => args.k = value.parse().map_err(|e| format!("--k: {e}"))?,
-                "--seed" => args.seed = value.parse().map_err(|e| format!("--seed: {e}"))?,
-                "--runtime" => {
-                    args.des = match value.as_str() {
-                        "threads" => false,
-                        "des" => true,
-                        other => return Err(format!("unknown runtime `{other}` (threads|des)")),
-                    }
-                }
-                "--latency" => {
-                    args.community = match value.as_str() {
-                        "zero" => false,
-                        "community" => true,
-                        other => return Err(format!("unknown latency `{other}` (zero|community)")),
-                    }
-                }
-                other => return Err(format!("unknown flag {other}\n{HELP}")),
-            }
-            i += 2;
-        }
-        Ok(args)
-    }
-}
+const RUNTIMES: &[(&str, bool)] = &[("threads", false), ("des", true)];
+const LATENCIES: &[(&str, bool)] = &[("zero", false), ("community", true)];
+const TRANSPORTS: &[(&str, TransportKind)] =
+    &[("inproc", TransportKind::InProc), ("tcp", TransportKind::Tcp)];
 
-const HELP: &str = "usage: dauction [--mechanism SPEC] [--n USERS] [--m PROVIDERS] \
-[--k COALITION] [--seed SEED] [--runtime threads|des] [--latency zero|community]\n       \
-dauction serve \
-[--mechanism SPEC] [--rate BIDS_PER_SEC] [--epochs E] \
-[--epoch-bids N] [--epoch-ms D] [--n USERS] [--m PROVIDERS] [--k COALITION] [--seed SEED] \
-[--transport inproc|tcp] [--shards S] [--deadline-ms D] [--chaos drop=P,dup=P,reorder=P,\
-delay=P,delay-ms=A..B,corrupt=P,seed=S,hold-ms=H] [--journal PATH] \
-[--fsync always|never|every=N] [--recover] [--metrics-addr HOST:PORT] [--flight-path PATH] \
-[--heartbeat-ms D]\n       dauction coordinator --listen HOST:PORT --providers M [--k COALITION] \
-[--n USERS] [--epochs E] [--seed SEED] [--deadline-ms D] [--mesh-budget-ms D] \
-[--join-timeout-ms D] [--epoch-ms D] [--journal PATH] [--fsync always|never|every=N] \
-[--metrics-addr HOST:PORT]\n       dauction provider --id K --join HOST:PORT \
-[--mesh-listen HOST:PORT] [--heartbeat-ms D] [--backoff-base-ms D] [--backoff-cap-ms D] \
-[--reconnect-budget N]\n       dauction verify-log PATH\n       dauction flight-dump PATH\n\
-mechanism SPEC (default double): double | standard[,eps=PPM] | combinatorial[,budget=NODES] | \
-divisible[,beta=PRICE]\n\
---mesh-budget-ms D: budget of one provider-mesh bring-up (the first epoch's, and each rebuild \
-after a ⊥ or a roster change); epochs that reuse the mesh spend none of it";
-
-/// `--help` or `-h`, accepted by every entry point.
-fn is_help(flag: &str) -> bool {
-    flag == "--help" || flag == "-h"
-}
-
-/// Print `usage` to stdout and exit 0: asking for help is not an error.
-fn print_usage(usage: &str) -> ! {
-    println!("{usage}");
-    std::process::exit(0)
-}
+const MECHANISM_HELP: &str =
+    "double | standard[,eps=PPM] | combinatorial[,budget=NODES] | divisible[,beta=PRICE]";
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("serve") {
-        match serve_main(&argv[1..]) {
-            Ok(()) => return,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if argv.first().map(String::as_str) == Some("coordinator") {
-        match coordinator_main(&argv[1..]) {
-            Ok(code) => std::process::exit(code),
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if argv.first().map(String::as_str) == Some("provider") {
-        match provider_main(&argv[1..]) {
-            Ok(code) => std::process::exit(code),
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if argv.first().map(String::as_str) == Some("verify-log") {
-        std::process::exit(verify_log_main(&argv[1..]));
-    }
-    if argv.first().map(String::as_str) == Some("flight-dump") {
-        std::process::exit(flight_dump_main(&argv[1..]));
-    }
-    let args = match Args::parse() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
+    let rest = argv.get(1..).unwrap_or_default();
+    let result = match argv.first().map_or("", String::as_str) {
+        "serve" => serve_main(rest).map(|()| 0),
+        "coordinator" => coordinator_main(rest),
+        "provider" => provider_main(rest),
+        "verify-log" => Ok(verify_log_main(rest)),
+        "flight-dump" => Ok(flight_dump_main(rest)),
+        _ => one_shot_main(&argv).map(|()| 0),
     };
+    std::process::exit(result.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        2
+    }));
+}
+
+/// The default mode: one auction on a generated §6 workload.
+fn one_shot_main(argv: &[String]) -> Result<(), String> {
+    let (mut mechanism, mut n, mut m, mut k, mut seed) = (MechanismSpec::default(), 50, 3, 1, 42);
+    let (mut des, mut community) = (false, false);
+    Flags::new(USAGE)
+        .value("--mechanism SPEC", MECHANISM_HELP, &mut mechanism)
+        .value("--n USERS", "bidding users", &mut n)
+        .value("--m PROVIDERS", "providers", &mut m)
+        .value("--k COALITION", "largest coalition tolerated, m > 2k", &mut k)
+        .value("--seed SEED", "workload and protocol seed", &mut seed)
+        .choice("--runtime", "threads, or the discrete-event simulator", &mut des, RUNTIMES)
+        .choice("--latency", "link latency model", &mut community, LATENCIES)
+        .parse(argv);
     // `m > 2k` depends on neither the mechanism nor the workload: reject
     // it here with a usage error, before any runtime asserts it.
-    if let Err(e) = FrameworkConfig::new(args.m, args.k, args.n, 0).validate() {
-        eprintln!("invalid configuration: {e}");
-        std::process::exit(2);
-    }
+    FrameworkConfig::new(m, k, n, 0)
+        .validate()
+        .map_err(|e| format!("invalid configuration: {e}"))?;
 
     println!(
-        "dauction: {}, n={} users, m={} providers, k={} (p={})",
-        args.mechanism.name(),
-        args.n,
-        args.m,
-        args.k,
-        args.m / (args.k + 1)
+        "dauction: {}, n={n} users, m={m} providers, k={k} (p={})",
+        mechanism.name(),
+        m / (k + 1)
     );
 
-    let (outcome, elapsed_label, elapsed) = match args.mechanism {
+    let (outcome, elapsed_label, elapsed) = match mechanism {
         MechanismSpec::Double => {
-            let bids = DoubleAuctionWorkload::new(args.n, args.m, args.seed).generate();
-            let cfg = FrameworkConfig::new(args.m, args.k, args.n, args.m);
-            run(&args, cfg, Arc::new(DoubleAuctionProgram::new()), vec![bids; args.m])
+            let bids = DoubleAuctionWorkload::new(n, m, seed).generate();
+            let cfg = FrameworkConfig::new(m, k, n, m);
+            run(des, community, seed, cfg, Arc::new(DoubleAuctionProgram::new()), vec![bids; m])
         }
         spec => {
-            let (bids, capacities) =
-                StandardAuctionWorkload::new(args.n, args.m, args.seed).generate();
+            let (bids, capacities) = StandardAuctionWorkload::new(n, m, seed).generate();
             let program = DynProgram::new(spec.build_program(capacities));
-            let cfg = FrameworkConfig::new(args.m, args.k, args.n, 0);
-            run(&args, cfg, Arc::new(program), vec![bids; args.m])
+            let cfg = FrameworkConfig::new(m, k, n, 0);
+            run(des, community, seed, cfg, Arc::new(program), vec![bids; m])
         }
     };
 
@@ -288,6 +181,7 @@ fn main() {
             let _ = UserId(0);
         }
     }
+    Ok(())
 }
 
 /// The `coordinator` subcommand: the control-plane half of the
@@ -299,75 +193,47 @@ fn main() {
 fn coordinator_main(argv: &[String]) -> Result<i32, String> {
     use dauctioneer::market::{register_liveness_metrics, ClusterConfig, Coordinator};
 
-    let mut listen: Option<String> = None;
-    let mut m: Option<usize> = None;
-    let mut k: Option<usize> = None;
-    let mut n = 16usize;
-    let mut epochs = 8u64;
-    let mut seed = 42u64;
-    let mut deadline_ms = 5000u64;
-    let mut mesh_budget_ms = 2000u64;
-    let mut join_timeout_ms = 30_000u64;
-    let mut epoch_ms = 0u64;
-    let mut journal_path: Option<std::path::PathBuf> = None;
-    let mut fsync = FsyncPolicy::Always;
-    let mut metrics_addr: Option<String> = None;
-
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
-        if is_help(flag) {
-            print_usage(HELP);
-        }
-        let value = argv.get(i + 1).ok_or_else(|| format!("missing value for {flag}"))?;
-        match flag {
-            "--listen" => listen = Some(value.clone()),
-            "--providers" => m = Some(value.parse().map_err(|e| format!("--providers: {e}"))?),
-            "--k" => k = Some(value.parse().map_err(|e| format!("--k: {e}"))?),
-            "--n" => n = value.parse().map_err(|e| format!("--n: {e}"))?,
-            "--epochs" => epochs = value.parse().map_err(|e| format!("--epochs: {e}"))?,
-            "--seed" => seed = value.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--deadline-ms" => {
-                deadline_ms = value.parse().map_err(|e| format!("--deadline-ms: {e}"))?
-            }
-            "--mesh-budget-ms" => {
-                mesh_budget_ms = value.parse().map_err(|e| format!("--mesh-budget-ms: {e}"))?
-            }
-            "--join-timeout-ms" => {
-                join_timeout_ms = value.parse().map_err(|e| format!("--join-timeout-ms: {e}"))?
-            }
-            "--epoch-ms" => epoch_ms = value.parse().map_err(|e| format!("--epoch-ms: {e}"))?,
-            "--journal" => journal_path = Some(std::path::PathBuf::from(value)),
-            "--fsync" => fsync = value.parse().map_err(|e| format!("--fsync: {e}"))?,
-            "--metrics-addr" => metrics_addr = Some(value.clone()),
-            other => return Err(format!("unknown coordinator flag {other}\n{HELP}")),
-        }
-        i += 2;
-    }
+    let (mut listen, mut metrics_addr) = (None::<String>, None::<String>);
+    let (mut m, mut k) = (None, None);
+    // The flags default to the library's cluster defaults; m and k are
+    // set from --providers and --k below.
+    let mut config = ClusterConfig::new(0, 0, 16);
+    Flags::new("usage: dauction coordinator --listen HOST:PORT --providers M [FLAG]...")
+        .optional("--listen HOST:PORT", "control-plane address (required)", &mut listen)
+        .optional("--providers M", "provider processes (required)", &mut m)
+        .optional("--k COALITION", "largest coalition tolerated (default (M-1)/2)", &mut k)
+        .value("--n USERS", "user slots per epoch", &mut config.n_users)
+        .value("--epochs E", "epochs to clear", &mut config.epochs)
+        .value("--seed SEED", "bid and protocol seed", &mut config.seed)
+        .millis("--deadline-ms D", "session deadline", &mut config.session_deadline)
+        .millis(
+            "--mesh-budget-ms D",
+            "budget of one provider-mesh bring-up (the first epoch's, and each rebuild after \
+             a ⊥ or a roster change); epochs that reuse the mesh spend none of it",
+            &mut config.mesh_budget,
+        )
+        .millis("--join-timeout-ms D", "wait for all providers to join", &mut config.join_timeout)
+        .millis("--epoch-ms D", "epoch period, 0 = back to back", &mut config.epoch_period)
+        .optional("--journal PATH", "write-ahead epoch journal", &mut config.journal)
+        .value("--fsync always|never|every=N", "journal sync policy", &mut config.fsync)
+        .optional("--metrics-addr HOST:PORT", "serve /metrics", &mut metrics_addr)
+        .parse(argv);
     let listen = listen.ok_or("coordinator requires --listen HOST:PORT")?;
-    let m = m.ok_or("coordinator requires --providers M")?;
-    let k = k.unwrap_or(m.saturating_sub(1) / 2);
-
-    let mut config = ClusterConfig::new(m, k, n);
-    config.epochs = epochs;
-    config.seed = seed;
-    config.session_deadline = Duration::from_millis(deadline_ms);
-    config.mesh_budget = Duration::from_millis(mesh_budget_ms);
-    config.join_timeout = Duration::from_millis(join_timeout_ms);
-    config.epoch_period = Duration::from_millis(epoch_ms);
-    config.journal = journal_path.clone();
-    config.fsync = fsync;
+    config.m = m.ok_or("coordinator requires --providers M")?;
+    config.k = k.unwrap_or(config.m.saturating_sub(1) / 2);
+    config.validate().map_err(|e| format!("invalid configuration: {e}"))?;
 
     let listener =
         std::net::TcpListener::bind(&listen).map_err(|e| format!("cannot bind {listen}: {e}"))?;
-    let coordinator =
-        Coordinator::new(listener, config).map_err(|e| format!("cannot start coordinator: {e}"))?;
+    let coordinator = Coordinator::new(listener, config.clone())
+        .map_err(|e| format!("cannot start coordinator: {e}"))?;
+    let ClusterConfig { m, k, n_users, epochs, seed, fsync, journal, .. } = config;
     println!(
-        "dauction coordinator: control plane on {}, m={m} providers (k={k}), {n} user \
+        "dauction coordinator: control plane on {}, m={m} providers (k={k}), {n_users} user \
          slots/epoch, {epochs} epochs, seed {seed}",
         coordinator.local_addr()
     );
-    if let Some(path) = &journal_path {
+    if let Some(path) = &journal {
         println!("journal armed: {} (fsync {fsync})", path.display());
     }
     let metrics_server = match &metrics_addr {
@@ -432,52 +298,23 @@ fn coordinator_main(argv: &[String]) -> Result<i32, String> {
 fn provider_main(argv: &[String]) -> Result<i32, String> {
     use dauctioneer::market::{run_provider, ProviderConfig};
 
-    let mut id: Option<usize> = None;
-    let mut join: Option<String> = None;
-    let mut mesh_listen: Option<String> = None;
-    let mut heartbeat_ms = 150u64;
-    let mut backoff_base_ms = 50u64;
-    let mut backoff_cap_ms = 2000u64;
-    let mut reconnect_budget = 40u32;
-
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
-        if is_help(flag) {
-            print_usage(HELP);
-        }
-        let value = argv.get(i + 1).ok_or_else(|| format!("missing value for {flag}"))?;
-        match flag {
-            "--id" => id = Some(value.parse().map_err(|e| format!("--id: {e}"))?),
-            "--join" => join = Some(value.clone()),
-            "--mesh-listen" => mesh_listen = Some(value.clone()),
-            "--heartbeat-ms" => {
-                heartbeat_ms = value.parse().map_err(|e| format!("--heartbeat-ms: {e}"))?
-            }
-            "--backoff-base-ms" => {
-                backoff_base_ms = value.parse().map_err(|e| format!("--backoff-base-ms: {e}"))?
-            }
-            "--backoff-cap-ms" => {
-                backoff_cap_ms = value.parse().map_err(|e| format!("--backoff-cap-ms: {e}"))?
-            }
-            "--reconnect-budget" => {
-                reconnect_budget = value.parse().map_err(|e| format!("--reconnect-budget: {e}"))?
-            }
-            other => return Err(format!("unknown provider flag {other}\n{HELP}")),
-        }
-        i += 2;
-    }
+    let (mut id, mut join) = (None, None::<String>);
+    // The flags default to the library's provider defaults; the id and
+    // the coordinator come from the required --id and --join below.
+    let mut config = ProviderConfig::new(0, "");
+    Flags::new("usage: dauction provider --id K --join HOST:PORT [FLAG]...")
+        .optional("--id K", "this provider's index, 0..M (required)", &mut id)
+        .optional("--join HOST:PORT", "the coordinator's address (required)", &mut join)
+        .value("--mesh-listen HOST:PORT", "provider-mesh listener", &mut config.mesh_listen)
+        .millis("--heartbeat-ms D", "liveness heartbeat period", &mut config.heartbeat)
+        .millis("--backoff-base-ms D", "first redial backoff", &mut config.backoff_base)
+        .millis("--backoff-cap-ms D", "largest redial backoff", &mut config.backoff_cap)
+        .value("--reconnect-budget N", "dials before giving up", &mut config.reconnect_budget)
+        .parse(argv);
     let id = id.ok_or("provider requires --id K")?;
     let join = join.ok_or("provider requires --join HOST:PORT")?;
-
-    let mut config = ProviderConfig::new(id, join.clone());
-    if let Some(addr) = mesh_listen {
-        config.mesh_listen = addr;
-    }
-    config.heartbeat = Duration::from_millis(heartbeat_ms);
-    config.backoff_base = Duration::from_millis(backoff_base_ms);
-    config.backoff_cap = Duration::from_millis(backoff_cap_ms);
-    config.reconnect_budget = reconnect_budget;
+    config.id = id;
+    config.coordinator = join.clone();
     // De-synchronize restart herds: jitter differs per process life.
     config.backoff_seed =
         (id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(std::process::id());
@@ -509,8 +346,9 @@ fn verify_log_main(argv: &[String]) -> i32 {
         eprintln!("{USAGE}");
         return 2;
     };
-    if is_help(path) {
-        print_usage(USAGE);
+    if path == "--help" || path == "-h" {
+        println!("{USAGE}");
+        return 0;
     }
     match verify_log(std::path::Path::new(path)) {
         Ok(summary) => {
@@ -541,8 +379,9 @@ fn flight_dump_main(argv: &[String]) -> i32 {
         eprintln!("{USAGE}");
         return 2;
     };
-    if is_help(path) {
-        print_usage(USAGE);
+    if path == "--help" || path == "-h" {
+        println!("{USAGE}");
+        return 0;
     }
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
@@ -624,80 +463,60 @@ mod usr1 {
 /// seeded Poisson arrival stream, printing each epoch as it closes and a
 /// stats summary at the end. Bounded by `--epochs`.
 fn serve_main(argv: &[String]) -> Result<(), String> {
-    let mut mechanism = MechanismSpec::default();
-    let mut rate = 400.0f64;
-    let mut epochs = 5u64;
-    let mut epoch_bids: Option<usize> = None;
-    let mut epoch_ms: Option<u64> = None;
-    let mut n = 16usize;
-    let mut m = 3usize;
-    let mut k: Option<usize> = None;
-    let mut seed = 42u64;
-    let mut transport = TransportKind::InProc;
-    let mut shards = 1usize;
-    let mut chaos: Option<dauctioneer::net::FaultPlan> = None;
-    let mut deadline_ms: Option<u64> = None;
-    let mut journal_path: Option<std::path::PathBuf> = None;
-    let mut fsync = FsyncPolicy::Always;
-    let mut recover = false;
-    let mut metrics_addr: Option<String> = None;
-    let mut flight_path: Option<std::path::PathBuf> = None;
-    let mut heartbeat_ms = 2000u64;
-
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
-        if is_help(flag) {
-            print_usage(HELP);
-        }
-        // Boolean flag: takes no value.
-        if flag == "--recover" {
-            recover = true;
-            i += 1;
-            continue;
-        }
-        let value = argv.get(i + 1).ok_or_else(|| format!("missing value for {flag}"))?;
-        match flag {
-            "--mechanism" => mechanism = value.parse().map_err(|e| format!("{e}"))?,
-            "--rate" => rate = value.parse().map_err(|e| format!("--rate: {e}"))?,
-            "--epochs" => epochs = value.parse().map_err(|e| format!("--epochs: {e}"))?,
-            "--epoch-bids" => {
-                epoch_bids = Some(value.parse().map_err(|e| format!("--epoch-bids: {e}"))?)
-            }
-            "--epoch-ms" => epoch_ms = Some(value.parse().map_err(|e| format!("--epoch-ms: {e}"))?),
-            "--n" => n = value.parse().map_err(|e| format!("--n: {e}"))?,
-            "--m" => m = value.parse().map_err(|e| format!("--m: {e}"))?,
-            "--k" => k = Some(value.parse().map_err(|e| format!("--k: {e}"))?),
-            "--seed" => seed = value.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--transport" => {
-                transport = match value.as_str() {
-                    "inproc" => TransportKind::InProc,
-                    "tcp" => TransportKind::Tcp,
-                    other => return Err(format!("unknown transport `{other}` (inproc|tcp)")),
-                }
-            }
-            "--shards" => shards = value.parse().map_err(|e| format!("--shards: {e}"))?,
-            "--chaos" => chaos = Some(value.parse().map_err(|e| format!("--chaos: {e}"))?),
-            "--deadline-ms" => {
-                deadline_ms = Some(value.parse().map_err(|e| format!("--deadline-ms: {e}"))?)
-            }
-            "--journal" => journal_path = Some(std::path::PathBuf::from(value)),
-            "--fsync" => fsync = value.parse().map_err(|e| format!("--fsync: {e}"))?,
-            "--metrics-addr" => metrics_addr = Some(value.clone()),
-            "--flight-path" => flight_path = Some(std::path::PathBuf::from(value)),
-            "--heartbeat-ms" => {
-                heartbeat_ms = value.parse().map_err(|e| format!("--heartbeat-ms: {e}"))?
-            }
-            other => return Err(format!("unknown serve flag {other}\n{HELP}")),
-        }
-        i += 2;
-    }
+    // Flags that name a market setting set it in place; k, the epoch
+    // policy, the asks, the deadline and the journal are derived below.
+    let mut config = MarketConfig::new(3, 0, 16, 0);
+    config.seed = 42;
+    let (mut rate, mut epochs, mut heartbeat_ms) = (400.0f64, 5u64, 2000u64);
+    let (mut epoch_bids, mut epoch_ms, mut k, mut deadline_ms) = (None, None, None, None::<u64>);
+    let (mut journal_path, mut metrics_addr) = (None::<std::path::PathBuf>, None::<String>);
+    let (mut fsync, mut recover) = (FsyncPolicy::Always, false);
+    Flags::new("usage: dauction serve [FLAG]...")
+        .value("--mechanism SPEC", MECHANISM_HELP, &mut config.mechanism)
+        .value("--rate BIDS_PER_SEC", "Poisson bid arrival rate", &mut rate)
+        .value("--epochs E", "stop after E epochs; 0 = recover, report, exit", &mut epochs)
+        .optional("--epoch-bids N", "bids per epoch (default 8 unless --epoch-ms)", &mut epoch_bids)
+        .optional(
+            "--epoch-ms D",
+            "close an epoch every D ms (with --epoch-bids: whichever is first)",
+            &mut epoch_ms,
+        )
+        .value("--n USERS", "user slots per epoch", &mut config.n_users)
+        .value("--m PROVIDERS", "providers", &mut config.m)
+        .optional("--k COALITION", "largest coalition tolerated (default (m-1)/2)", &mut k)
+        .value("--seed SEED", "arrival stream and protocol seed", &mut config.seed)
+        .choice("--transport", "provider mesh", &mut config.transport, TRANSPORTS)
+        .value("--shards S", "independent provider meshes", &mut config.shards)
+        .optional(
+            "--chaos SPEC",
+            "seeded link faults on the mesh: \
+             drop=P,dup=P,reorder=P,delay=P,delay-ms=A..B,corrupt=P,seed=S,hold-ms=H",
+            &mut config.chaos,
+        )
+        .optional(
+            "--deadline-ms D",
+            "session deadline (default 5000 under --chaos, else the market's)",
+            &mut deadline_ms,
+        )
+        .optional("--journal PATH", "write-ahead epoch journal", &mut journal_path)
+        .value("--fsync always|never|every=N", "journal sync policy", &mut fsync)
+        .switch("--recover", "resume the --journal after a crash", &mut recover)
+        .optional("--metrics-addr HOST:PORT", "serve /metrics", &mut metrics_addr)
+        .optional(
+            "--flight-path PATH",
+            "SIGUSR1 flight dump file (default stdout)",
+            &mut config.telemetry.flight_dump_path,
+        )
+        .value("--heartbeat-ms D", "stats heartbeat period, 0 = off", &mut heartbeat_ms)
+        .parse(argv);
 
     if !(rate > 0.0 && rate.is_finite()) {
         return Err(format!("--rate must be a positive number of bids per second, got {rate}"));
     }
-    let k = k.unwrap_or(m.saturating_sub(1) / 2);
-    let policy = match (epoch_bids, epoch_ms) {
+    let (m, n, seed, mechanism) = (config.m, config.n_users, config.seed, config.mechanism);
+    config.k = k.unwrap_or(m.saturating_sub(1) / 2);
+    config.n_asks = m;
+    config.epoch = match (epoch_bids, epoch_ms) {
         (Some(count), Some(ms)) => {
             EpochPolicy::Hybrid { count, max_wait: Duration::from_millis(ms) }
         }
@@ -707,17 +526,11 @@ fn serve_main(argv: &[String]) -> Result<(), String> {
     };
     // §6.2-shaped supply sized to the expected epoch demand, shared
     // with the repo benchmark (see workload::epoch_supply).
-    let expected_bids = match policy {
+    let expected_bids = match config.epoch {
         EpochPolicy::ByCount(c) | EpochPolicy::Hybrid { count: c, .. } => c as f64,
         EpochPolicy::ByTime(d) => (rate * d.as_secs_f64()).max(2.0),
     };
-    let mut config = MarketConfig::new(m, k, n, m)
-        .with_epoch(policy)
-        .with_transport(transport, shards)
-        .with_mechanism(mechanism);
     config.asks = epoch_supply(m, expected_bids);
-    config.seed = seed;
-    config.chaos = chaos;
     // Under chaos, epochs that lost a critical message wait out the full
     // session deadline before reading ⊥; default it down so a bounded
     // demo run stays bounded. `--deadline-ms` overrides either way.
@@ -737,11 +550,12 @@ fn serve_main(argv: &[String]) -> Result<(), String> {
         None if recover => return Err("--recover requires --journal PATH".into()),
         None => {}
     }
-    config.telemetry.flight_dump_path = flight_path.clone();
+    config.validate().map_err(|e| format!("invalid configuration: {e}"))?;
 
+    let MarketConfig { k, epoch, transport, shards, .. } = config;
     println!(
         "dauction serve: continuous {} market (spec `{mechanism}`), m={m} providers (k={k}), \
-         {n} user slots/epoch, {rate} bids/s Poisson, {policy:?}, {transport:?}×{shards} \
+         {n} user slots/epoch, {rate} bids/s Poisson, {epoch:?}, {transport:?}×{shards} \
          shard(s); stopping after {epochs} epochs",
         mechanism.name()
     );
@@ -757,6 +571,7 @@ fn serve_main(argv: &[String]) -> Result<(), String> {
             if jc.recover { ", recovering" } else { "" }
         );
     }
+    let flight_path = config.telemetry.flight_dump_path.clone();
 
     let mut market =
         MarketService::start_from_spec(config).map_err(|e| format!("cannot start market: {e}"))?;
@@ -980,27 +795,29 @@ fn serve_main(argv: &[String]) -> Result<(), String> {
 }
 
 fn run<P: dauctioneer::core::AllocatorProgram + 'static>(
-    args: &Args,
+    des: bool,
+    community: bool,
+    seed: u64,
     cfg: FrameworkConfig,
     program: Arc<P>,
     collected: Vec<dauctioneer::types::BidVector>,
 ) -> (Outcome, &'static str, Duration) {
-    if args.des {
-        let link = if args.community { LinkModel::community_net() } else { LinkModel::instant() };
+    if des {
+        let link = if community { LinkModel::community_net() } else { LinkModel::instant() };
         let timed = SchedulePolicy::Timed(link);
-        let report = run_auction_sim(&cfg, program, collected, &[], timed, args.seed);
+        let report = run_auction_sim(&cfg, program, collected, &[], timed, seed);
         (
             report.unanimous(),
             "virtual span (discrete-event, one CPU per provider)",
             report.span.unwrap_or(Duration::ZERO),
         )
     } else {
-        let latency = if args.community { LatencyModel::CommunityNet } else { LatencyModel::Zero };
+        let latency = if community { LatencyModel::CommunityNet } else { LatencyModel::Zero };
         let report = run_session(
             &cfg,
             program,
             collected,
-            &RunOptions { deadline: Duration::from_secs(600), latency, seed: args.seed },
+            &RunOptions { deadline: Duration::from_secs(600), latency, seed },
         );
         (report.unanimous(), "wall-clock (threaded)", report.elapsed)
     }

@@ -17,6 +17,9 @@
 //! | [`market`] | `dauctioneer-market` | continuous epochs, journal + recovery, runtime [`market::MechanismSpec`] selection |
 //! | [`telemetry`] | `dauctioneer-telemetry` | metrics registry, scrape endpoint, epoch traces, flight recorder |
 //!
+//! [`cli`] is this crate's own: the flag table behind the `dauction`
+//! binary and the `dauctioneer-bench` binaries.
+//!
 //! All four production mechanisms run behind the same replicated
 //! pipeline and can be selected at runtime from a spec string — see
 //! [`market::MechanismSpec`] and the `--mechanism` flag of the
@@ -105,6 +108,8 @@
 //! auction, a session with Byzantine bidders and a deviating provider,
 //! and `tcp_market` — the same auction as the first quick start, but
 //! carried over a real TCP socket mesh.
+
+pub mod cli;
 
 pub use dauctioneer_core as core;
 pub use dauctioneer_crypto as crypto;

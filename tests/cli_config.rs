@@ -66,3 +66,116 @@ fn help_prints_usage_and_exits_zero() {
         assert!(stderr.is_empty(), "{args:?} stderr: {stderr}");
     }
 }
+
+/// Every flag-taking entry point: its argv prefix, one numeric flag, and
+/// every flag its table declares.
+const TABLES: [(&[&str], &str, &[&str]); 4] = [
+    (&[], "--n", &["--mechanism", "--n", "--m", "--k", "--seed", "--runtime", "--latency"]),
+    (
+        &["serve"],
+        "--epochs",
+        &[
+            "--mechanism",
+            "--rate",
+            "--epochs",
+            "--epoch-bids",
+            "--epoch-ms",
+            "--n",
+            "--m",
+            "--k",
+            "--seed",
+            "--transport",
+            "--shards",
+            "--chaos",
+            "--deadline-ms",
+            "--journal",
+            "--fsync",
+            "--recover",
+            "--metrics-addr",
+            "--flight-path",
+            "--heartbeat-ms",
+        ],
+    ),
+    (
+        &["coordinator"],
+        "--providers",
+        &[
+            "--listen",
+            "--providers",
+            "--k",
+            "--n",
+            "--epochs",
+            "--seed",
+            "--deadline-ms",
+            "--mesh-budget-ms",
+            "--join-timeout-ms",
+            "--epoch-ms",
+            "--journal",
+            "--fsync",
+            "--metrics-addr",
+        ],
+    ),
+    (
+        &["provider"],
+        "--id",
+        &[
+            "--id",
+            "--join",
+            "--mesh-listen",
+            "--heartbeat-ms",
+            "--backoff-base-ms",
+            "--backoff-cap-ms",
+            "--reconnect-budget",
+        ],
+    ),
+];
+
+#[test]
+fn unknown_flags_are_usage_errors_naming_the_flag() {
+    for (prefix, _, _) in TABLES {
+        let args = [prefix, &["--bogus", "1"]].concat();
+        let (out, stderr) = dauction(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} stderr: {stderr}");
+        assert!(stderr.contains("--bogus"), "{args:?} stderr: {stderr}");
+    }
+}
+
+#[test]
+fn malformed_numbers_are_usage_errors_naming_flag_and_value() {
+    for (prefix, numeric, _) in TABLES {
+        let args = [prefix, &[numeric, "12x"]].concat();
+        let (out, stderr) = dauction(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} stderr: {stderr}");
+        assert!(stderr.contains(numeric) && stderr.contains("12x"), "{args:?} stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} stderr: {stderr}");
+    }
+}
+
+#[test]
+fn help_lists_every_flag_of_the_table() {
+    for (prefix, _, flags) in TABLES {
+        let args = [prefix, &["--help"]].concat();
+        let (out, stderr) = dauction(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{args:?} stderr: {stderr}");
+        for flag in flags {
+            let listed = stdout.lines().any(|line| line.split_whitespace().next() == Some(flag));
+            assert!(listed, "{args:?}: {flag} missing from\n{stdout}");
+        }
+    }
+}
+
+#[test]
+fn invalid_configurations_are_refused_before_any_side_effect() {
+    // `serve` prints nothing before it validates; `coordinator` validates
+    // before it binds (an unbindable address would otherwise fail first).
+    for args in [
+        &["serve", "--m", "2", "--k", "1"][..],
+        &["coordinator", "--listen", "not-an-address", "--providers", "2", "--k", "1"],
+    ] {
+        let (out, stderr) = dauction(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} stderr: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} stdout: {}", String::from_utf8_lossy(&out.stdout));
+        assert!(stderr.contains("invalid configuration"), "{args:?} stderr: {stderr}");
+    }
+}
