@@ -40,13 +40,6 @@ use dauctioneer_core::{
 use dauctioneer_types::SessionId;
 use dauctioneer_workload::DoubleAuctionWorkload;
 
-fn label(kind: TransportKind) -> &'static str {
-    match kind {
-        TransportKind::InProc => "inproc",
-        TransportKind::Tcp => "tcp",
-    }
-}
-
 fn main() {
     let mut common = CommonArgs::new(3);
     let (mut emit_json, mut n_users, mut m, mut mesh_size) = (false, 20usize, None, None);
@@ -178,7 +171,7 @@ fn main() {
                         &batch_cfg,
                     )
                 });
-                assert!(report.all_agreed(), "{} shards={shards} aborted", label(transport));
+                assert!(report.all_agreed(), "{} shards={shards} aborted", transport.name());
                 // The I/O-thread gauge of the batch's transport: 1 for a
                 // socket mesh (one reactor regardless of m and shards),
                 // 0 in process.
@@ -189,7 +182,7 @@ fn main() {
             let baseline = *baseline_mean.get_or_insert(stats.mean_s);
             table.row(vec![
                 batch.to_string(),
-                label(transport).to_string(),
+                transport.name().to_string(),
                 shards.to_string(),
                 fmt_secs(stats.mean_s),
                 format!("{:.1}", batch as f64 / stats.mean_s),
@@ -198,7 +191,7 @@ fn main() {
             ]);
             let mut row = JsonObject::new();
             row.int("sessions", batch as u64)
-                .str("transport", label(transport))
+                .str("transport", transport.name())
                 .int("shards", shards as u64)
                 .num("mean_s", stats.mean_s)
                 .num("sessions_per_s", batch as f64 / stats.mean_s)

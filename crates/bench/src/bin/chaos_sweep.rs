@@ -67,13 +67,6 @@ impl SweepRow {
 /// (`Some(true)`) an adversarial provider, or all of them (`None`).
 const FAULTY: &[(&str, Option<bool>)] = &[("0", Some(false)), ("1", Some(true)), ("all", None)];
 
-fn label(kind: TransportKind) -> &'static str {
-    match kind {
-        TransportKind::InProc => "inproc",
-        TransportKind::Tcp => "tcp",
-    }
-}
-
 fn sessions(n_users: usize, m: usize, count: usize, seed: u64) -> Vec<BatchSession> {
     (0..count)
         .map(|s| {
@@ -117,7 +110,11 @@ fn main() -> ExitCode {
             "--transport",
             "transports to sweep",
             &mut transports,
-            &[("inproc", &[TransportKind::InProc]), ("tcp", &[TransportKind::Tcp]), ("both", both)],
+            &[
+                (TransportKind::InProc.name(), &[TransportKind::InProc]),
+                (TransportKind::Tcp.name(), &[TransportKind::Tcp]),
+                ("both", both),
+            ],
         )
         .choice("--faulty", "scenarios without (0) or with (1) an adversary", &mut faulty, FAULTY)
         .optional("--sessions N", "sessions per batch (default 8, 4 with --quick)", &mut count)
@@ -222,7 +219,7 @@ fn main() -> ExitCode {
 
             rows.push(SweepRow {
                 scenario: scenario.name,
-                transport: label(transport),
+                transport: transport.name(),
                 sessions: report.sessions.len(),
                 cleared,
                 aborted: report.sessions.len() - cleared,

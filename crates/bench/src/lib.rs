@@ -108,18 +108,6 @@ pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, start.elapsed())
 }
 
-/// Run `rounds` invocations and summarise them.
-pub fn time_rounds(rounds: usize, mut f: impl FnMut(usize)) -> Stats {
-    let samples: Vec<Duration> = (0..rounds)
-        .map(|r| {
-            let start = Instant::now();
-            f(r);
-            start.elapsed()
-        })
-        .collect();
-    Stats::of(&samples)
-}
-
 /// A simple aligned-columns table writer that can also emit CSV.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -229,13 +217,6 @@ mod tests {
         assert!((s.mean_s - 0.020).abs() < 1e-9);
         assert!((s.min_s - 0.010).abs() < 1e-9);
         assert!((s.max_s - 0.030).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_rounds_runs_n_times() {
-        let mut count = 0;
-        let _ = time_rounds(5, |_| count += 1);
-        assert_eq!(count, 5);
     }
 
     #[test]

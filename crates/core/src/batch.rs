@@ -88,6 +88,17 @@ pub enum TransportKind {
     Tcp,
 }
 
+impl TransportKind {
+    /// The one spelling of the transport: the `--transport` flag word and
+    /// the label every table and JSON row prints.
+    pub const fn name(self) -> &'static str {
+        match self {
+            TransportKind::InProc => "inproc",
+            TransportKind::Tcp => "tcp",
+        }
+    }
+}
+
 /// How [`run_batch_with`] maps a batch onto transports and threads, and
 /// which faults it injects while doing so.
 ///

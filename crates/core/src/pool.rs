@@ -82,6 +82,10 @@ pub struct SessionPool {
     ids: Vec<Vec<ThreadId>>,
     handles: Vec<JoinHandle<()>>,
     m: usize,
+    /// Some provider runs an adversarial strategy.
+    adversarial: bool,
+    /// The links run a chaos plan that injects faults.
+    faulty_links: bool,
     /// Behind a lock only so the pool stays `Sync`: endpoints are not.
     mesh: Mutex<Option<Mesh>>,
 }
@@ -254,7 +258,8 @@ impl SessionPool {
             controls.push(shard_controls);
             ids.push(shard_ids);
         }
-        SessionPool { controls, ids, handles, m, mesh: Mutex::new(None) }
+        let (adversarial, faulty_links) = (!adversaries.is_empty(), !plan.is_benign());
+        SessionPool { controls, ids, handles, m, adversarial, faulty_links, mesh: Mutex::new(None) }
     }
 
     /// Number of shards the pool drives.
@@ -265,6 +270,18 @@ impl SessionPool {
     /// Providers per shard (`m`).
     pub fn providers(&self) -> usize {
         self.m
+    }
+
+    /// Whether the pool was started with adversarial providers: a ⊥ it
+    /// returns may be their doing.
+    pub fn runs_adversaries(&self) -> bool {
+        self.adversarial
+    }
+
+    /// Whether the pool's links run a chaos plan that is not benign: a ⊥
+    /// it returns may be a lost message.
+    pub fn injects_faults(&self) -> bool {
+        self.faulty_links
     }
 
     /// Worker threads spawned at construction (`m × shards`). Constant

@@ -99,7 +99,7 @@ pub fn run_session<P: AllocatorProgram + 'static>(
 mod tests {
     use super::*;
     use crate::adapters::DoubleAuctionProgram;
-    use dauctioneer_types::{Bw, Money, ProviderAsk, UserBid, UserId};
+    use dauctioneer_types::{Bw, Money, ProviderAsk, UserBid};
 
     fn bids(n: usize, a: usize) -> BidVector {
         let mut b = BidVector::builder(n, a);
@@ -168,7 +168,6 @@ mod tests {
         for o in &report.outcomes {
             assert_eq!(o, &unanimous);
         }
-        let _ = UserId(1);
     }
 
     #[test]

@@ -20,13 +20,25 @@
 //!       provider mesh (MuxEndpoint, kept across clean epochs)
 //! ```
 //!
-//! The coordinator is **not** part of the provider mesh — it owns the
-//! market loop (epoch identity, bid generation, the journal, the
-//! settlement chain) and one control TCP connection per provider. The
-//! providers run the paper's protocol among themselves over a
-//! [`MuxEndpoint`] mesh, brought up with the incarnation hello so
+//! The coordinator is **not** part of the provider mesh — it owns epoch
+//! identity, bid generation, the journal and one control TCP connection
+//! per provider. The providers run the paper's protocol among themselves
+//! over a [`MuxEndpoint`] mesh, brought up with the incarnation hello so
 //! frames from a killed provider's previous life are rejected at
 //! admission.
+//!
+//! ## One clear path, two backends
+//!
+//! A coordinator epoch is sealed, classified, counted and published by
+//! the same `Clearer` that clears a [`crate::MarketService`] epoch. Only
+//! where the sessions run differs: the service's backend is its
+//! in-process `SessionPool`, the coordinator is itself the backend here —
+//! one shard of `m` remote providers, reached by one `WorkOrder` write
+//! each and answered by one `OutcomeReport` each. So the seal order, the
+//! one commit before anything counts, the Definition-1 fold, the abort
+//! classification and the [`MarketStats`] in [`ClusterReport::stats`] are
+//! the service's, by construction. Epoch sessions and seeds derive from
+//! [`ClusterConfig`] by the service's own formulas.
 //!
 //! ## Mesh lifetime
 //!
@@ -40,12 +52,13 @@
 //! its peers' first *e+1* frames, time out, finish late again, and
 //! drag the cluster from ⊥ to ⊥. Hence the reuse rule:
 //!
-//! * **The mesh is reused only after a unanimous non-⊥ epoch under an
-//!   unchanged roster.** A non-⊥ fold means all `m` providers reported,
-//!   so all have left the previous session — the barrier is implied.
-//!   Only the coordinator sees the fold: after any other epoch, or when
-//!   the roster differs from the last one it dispatched, it sends
-//!   [`ControlMsg::ResetMesh`] ahead of the next work order. Providers
+//! * **The mesh is reused only after an epoch every provider decided,
+//!   under an unchanged roster.** `m` non-⊥ reports mean all `m`
+//!   providers have left the previous session — the barrier is implied.
+//!   Only the coordinator's backend sees every report: after any other
+//!   epoch, or when the roster differs from the last one it dispatched,
+//!   it sends [`ControlMsg::ResetMesh`] ahead of the next work order,
+//!   in the same write. Providers
 //!   drop their mesh on receipt and dial a fresh one — incarnation
 //!   hello, `min_incarnations` floor, mesh budget — which is the
 //!   barrier again. Steady state sends nothing extra.
@@ -68,10 +81,16 @@
 //!
 //! A [`LivenessTracker`] on the coordinator drives the
 //! `Up → Suspect → Down → Reconnecting` machine from control-plane
-//! heartbeats ([`ControlMsg::Ping`]) and connection resets. An epoch
-//! that touches a `Down` peer is aborted with `AbortReason::PeerDown`
-//! **immediately** — the close latency during an outage is bounded by
-//! detection, not by the session deadline. A restarted provider
+//! heartbeats ([`ControlMsg::Ping`]) and connection resets. The backend
+//! stops waiting **immediately** when a peer is not up at dispatch, a
+//! dispatch write fails, or every report still owed is owed by a `Down`
+//! peer — the close latency during an outage is bounded by detection,
+//! not by the session deadline — and at `deadline + mesh budget +` one
+//! second of grace for a live-looking peer that stays silent. Missing
+//! reports read as ⊥. The one classifier then names the abort: every
+//! provider decided but they disagree is `Divergence`; otherwise it is
+//! the backend's blame, `PeerDown` when it gave up on a peer or a peer
+//! is down or reconnecting, else `Deadline`. A restarted provider
 //! redials the coordinator under a jittered-exponential [`Backoff`]
 //! with a bounded budget, is handed a fresh incarnation number in its
 //! [`ControlMsg::JoinAck`], and rejoins at the next epoch boundary:
@@ -82,6 +101,7 @@
 //! hash-chained settlement log, so `dauction verify-log` certifies the
 //! coordinator's history across any number of provider deaths.
 
+use std::cell::{Cell, RefCell};
 use std::io::{self, Read, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -91,7 +111,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use dauctioneer_core::{
-    drive, unanimous, AllocatorProgram, DoubleAuctionProgram, FrameworkConfig, SessionEngine,
+    drive, AllocatorProgram, BatchSession, DoubleAuctionProgram, FrameworkConfig, SessionEngine,
 };
 use dauctioneer_net::{
     Backoff, LivenessConfig, LivenessMetrics, LivenessTracker, MeshOptions, MuxEndpoint, PeerState,
@@ -102,7 +122,12 @@ use dauctioneer_types::{
     SessionId, UserBid, Writer, MICRO,
 };
 
+use crate::config::TelemetryConfig;
 use crate::journal::{FsyncPolicy, Journal, JournalError};
+use crate::service::{
+    epoch_seed, epoch_session, ClearBackend, ClearJob, Clearer, Columns, DecideOffsets, Telemetry,
+};
+use crate::stats::{MarketStats, StatsShared};
 
 /// Hard ceiling on a control-plane frame (a [`ControlMsg::WorkOrder`]
 /// carries a whole bid vector; 16 MiB is orders of magnitude above any
@@ -202,8 +227,8 @@ pub enum ControlMsg {
     Shutdown,
     /// Coordinator → provider, ahead of a [`ControlMsg::WorkOrder`]:
     /// drop the mesh you kept, clear the next epoch over a fresh one.
-    /// Sent after every epoch that did not fold to a unanimous non-⊥
-    /// outcome and whenever the roster changed — the cases where some
+    /// Sent after every epoch some provider did not decide (report
+    /// non-⊥) and whenever the roster changed — the cases where some
     /// provider may still be inside the previous session.
     ResetMesh,
 }
@@ -489,7 +514,7 @@ pub struct ClusterEpoch {
     /// Abort classification (`None` when cleared).
     pub reason: Option<AbortReason>,
     /// Close latency: from the start of the epoch — before its bids are
-    /// synthesised and write-ahead committed — to its seal.
+    /// synthesised and write-ahead committed — to its unanimous outcome.
     pub latency: Duration,
 }
 
@@ -500,23 +525,10 @@ pub struct ClusterReport {
     pub epochs: Vec<ClusterEpoch>,
     /// Provider rejoins the liveness layer counted.
     pub reconnects: u64,
-}
-
-impl ClusterReport {
-    /// Epochs that reached a unanimous non-⊥ outcome.
-    pub fn cleared(&self) -> u64 {
-        self.epochs.iter().filter(|e| !e.outcome.is_abort()).count() as u64
-    }
-
-    /// Epochs that aborted.
-    pub fn aborted(&self) -> u64 {
-        self.epochs.iter().filter(|e| e.outcome.is_abort()).count() as u64
-    }
-
-    /// Aborts classified `PeerDown`.
-    pub fn peer_down_aborts(&self) -> u64 {
-        self.epochs.iter().filter(|e| e.reason == Some(AbortReason::PeerDown)).count() as u64
-    }
+    /// The run's counters — epochs cleared and aborted by reason, close
+    /// latency, accepted bids, journal — counted as a
+    /// [`crate::MarketService`] counts its own.
+    pub stats: MarketStats,
 }
 
 /// Liveness + connection state shared between the accept/reader
@@ -545,12 +557,13 @@ pub struct Coordinator {
     shared: Arc<Shared>,
     events: mpsc::Receiver<Event>,
     threads: Vec<JoinHandle<()>>,
-    /// The roster of the last work order dispatched (empty before the
-    /// first): the mesh the providers may still hold was built under it.
-    last_roster: Vec<PeerInfo>,
-    /// The previous epoch did not fold to a unanimous non-⊥ outcome, so
-    /// some provider may still be inside its session.
-    mesh_stale: bool,
+    /// The roster of the last work order dispatched, under which the
+    /// providers keep their mesh; `None` before the first and after a
+    /// session some provider did not decide (it may still be inside it).
+    last_roster: RefCell<Option<Vec<PeerInfo>>>,
+    /// The last drive stopped waiting on a peer — not up, unreachable,
+    /// dead or silent — so its ⊥ is that peer's.
+    gave_up: Cell<bool>,
 }
 
 impl Coordinator {
@@ -606,8 +619,8 @@ impl Coordinator {
             shared,
             events: rx,
             threads: vec![accept, ticker],
-            last_roster: Vec::new(),
-            mesh_stale: false,
+            last_roster: RefCell::new(None),
+            gave_up: Cell::new(false),
         })
     }
 
@@ -642,10 +655,10 @@ impl Coordinator {
     }
 
     fn run_inner(
-        &mut self,
+        &self,
         on_epoch: &mut impl FnMut(&ClusterEpoch),
     ) -> Result<ClusterReport, ClusterError> {
-        let config = self.config.clone();
+        let config = &self.config;
         // Bring-up: every provider must join once before epoch 0.
         let deadline = Instant::now() + config.join_timeout;
         loop {
@@ -669,6 +682,19 @@ impl Coordinator {
             None => None,
         };
         let mechanism = ClusterProgram::new().name();
+        // The epochs seal, count and publish through the market's own
+        // clear path, with the remote providers as its backend. Nothing
+        // reads flight events or traces of this process yet: both stay off.
+        let stats = StatsShared::new(0, mechanism);
+        let telemetry = Telemetry::new(&TelemetryConfig::disabled());
+        let clearer = Clearer {
+            backend: self,
+            deadline: config.session_deadline,
+            stats: &stats,
+            journal: journal.as_ref(),
+            telemetry: &telemetry,
+            mechanism,
+        };
 
         let mut epochs = Vec::with_capacity(config.epochs as usize);
         let mut previous_start: Option<Instant> = None;
@@ -681,10 +707,9 @@ impl Coordinator {
             }
             let started = Instant::now();
             previous_start = Some(started);
-            let session = config.first_session + epoch;
-            let seed = config.seed.wrapping_add((epoch + 1).wrapping_mul(7919));
+            let seed = epoch_seed(config.seed, epoch);
             let bids = generate_epoch_bids(config.n_users, config.m, seed);
-            let accepted = bids.valid_user_bids().count() as u64;
+            let accepted = bids.valid_user_bids().count();
             if let Some(journal) = &journal {
                 // Write-ahead: bids hit the disk — one commit for the
                 // whole epoch — before the epoch counts.
@@ -696,51 +721,53 @@ impl Coordinator {
                 }
                 journal.commit()?;
             }
-
-            let (outcome, reason) = self.clear_epoch(epoch, session, seed, &bids);
-            self.mesh_stale = outcome.is_abort();
-            if let Some(journal) = &journal {
-                journal.append_seal(
-                    epoch,
-                    SessionId(session),
-                    seed,
-                    accepted,
-                    bids,
-                    mechanism,
-                    outcome.clone(),
-                )?;
-            }
-            let record = ClusterEpoch {
+            stats.bids_accepted.fetch_add(accepted as u64, Ordering::Relaxed);
+            let job = ClearJob {
                 epoch,
-                session,
+                session: epoch_session(config.first_session, epoch),
+                seed,
                 accepted,
-                outcome,
-                reason,
-                latency: started.elapsed(),
+                bids,
+                closed_at: started,
+                origin: started,
+                trace: None,
             };
-            on_epoch(&record);
-            epochs.push(record);
+            clearer.clear(vec![job], |cleared| {
+                let record = ClusterEpoch {
+                    epoch: cleared.epoch,
+                    session: cleared.session.0,
+                    accepted: cleared.accepted_bids as u64,
+                    outcome: cleared.outcome,
+                    reason: cleared.reason,
+                    latency: cleared.latency,
+                };
+                on_epoch(&record);
+                epochs.push(record);
+            })?;
         }
 
         if let Some(journal) = &journal {
             journal.sync()?;
         }
-        let reconnects = self.metrics().reconnects_total();
-        Ok(ClusterReport { epochs, reconnects })
+        let stats = stats.snapshot(0, 0, 0, 0, journal.as_ref(), Default::default());
+        Ok(ClusterReport { epochs, reconnects: self.metrics().reconnects_total(), stats })
     }
 
-    /// Dispatch one epoch's work orders and fold the reports into the
-    /// unanimous Definition-1 outcome. Never blocks past
-    /// `session_deadline + mesh_budget +` grace; a peer that is `Down`
-    /// (and silent) resolves the epoch immediately.
-    fn clear_epoch(
-        &mut self,
-        epoch: u64,
-        session: u64,
-        seed: u64,
-        bids: &BidVector,
-    ) -> (Outcome, Option<AbortReason>) {
+    /// One session across the cluster: the roster, `ResetMesh` (when the
+    /// reuse rule of the module docs asks for it) and the work order in
+    /// one write per provider, then each provider's report with its
+    /// arrival offset. Never blocks past `deadline + mesh_budget +`
+    /// grace. It gives up — returns what arrived — at once when a peer is
+    /// not up, a write fails, or every report still owed is owed by a
+    /// dead peer; and at that bound when a live-looking peer stays silent.
+    fn dispatch_and_collect(
+        &self,
+        spec: &BatchSession,
+        deadline: Duration,
+    ) -> Vec<Option<(Outcome, Duration)>> {
         let m = self.config.m;
+        let started = Instant::now();
+        let mut reports = vec![None; m];
         let (all_up, peers) = {
             let tracker = self.shared.tracker.lock().expect("tracker lock");
             let mesh_addrs = self.shared.mesh_addrs.lock().expect("mesh_addrs lock");
@@ -754,99 +781,65 @@ impl Coordinator {
             (tracker.all_up(), peers)
         };
         if !all_up {
-            // Bounded degradation: do not dispatch into a hole.
-            return (Outcome::Abort, Some(AbortReason::PeerDown));
+            return reports; // bounded degradation: do not dispatch into a hole
         }
 
-        // One encoding per epoch, one write per provider. The reuse rule
-        // (module docs): providers may keep their mesh only across a
-        // unanimous non-⊥ epoch under an unchanged roster; otherwise a
-        // ResetMesh rides ahead of the order in the same write.
-        let rebuild = self.mesh_stale || peers != self.last_roster;
+        // One encoding per session, one write per provider. The
+        // coordinator's epochs are uniform: every provider clears the
+        // same vector, `collected[0]`.
+        let epoch = spec.session.0 - self.config.first_session;
+        let rebuild = self.last_roster.borrow().as_ref() != Some(&peers);
         let mut frames = Writer::new();
         let framed = (|| {
             if rebuild {
                 push_frame(&mut frames, |w| ControlMsg::ResetMesh.encode(w))?;
             }
-            push_frame(&mut frames, |w| encode_work_order(w, epoch, session, seed, bids, &peers))
+            push_frame(&mut frames, |w| {
+                encode_work_order(w, epoch, spec.session.0, spec.seed, &spec.collected[0], &peers)
+            })
         })();
         if framed.is_err() {
-            // An order no reader would accept either: nothing to send.
-            return (Outcome::Abort, Some(AbortReason::PeerDown));
+            return reports; // an order no reader would accept either
         }
         if rebuild {
             self.metrics().record_mesh_bringup();
         }
-        self.last_roster = peers;
-        let mut dispatched = vec![false; m];
-        {
-            let mut writers = self.shared.writers.lock().expect("writers lock");
-            for (peer, slot) in writers.iter_mut().enumerate() {
-                if let Some(stream) = slot.as_mut() {
-                    dispatched[peer] = stream.write_all(frames.as_slice()).is_ok();
-                }
-            }
-        }
-        if dispatched.iter().any(|d| !d) {
-            // A write failed mid-dispatch: the reader thread will mark
-            // the peer Down; the peers that did get the order resolve
-            // to ⊥ on their own deadline.
-            return (Outcome::Abort, Some(AbortReason::PeerDown));
+        *self.last_roster.borrow_mut() = Some(peers);
+        // After a failed write the reader thread marks the peer Down; the
+        // peers that did get the order resolve to ⊥ on their own deadline.
+        let mut writers = self.shared.writers.lock().expect("writers lock");
+        let written: Vec<bool> = (writers.iter_mut())
+            .map(|slot| slot.as_mut().is_some_and(|s| s.write_all(frames.as_slice()).is_ok()))
+            .collect();
+        drop(writers);
+        if written.contains(&false) {
+            return reports;
         }
 
-        let mut reports: Vec<Option<Outcome>> = vec![None; m];
-        let grace = Duration::from_secs(1);
-        let deadline =
-            Instant::now() + self.config.session_deadline + self.config.mesh_budget + grace;
-        loop {
-            if reports.iter().all(Option::is_some) {
-                break;
-            }
+        let until = Instant::now() + deadline + self.config.mesh_budget + Duration::from_secs(1);
+        while reports.contains(&None) {
             let missing_all_down = {
                 let tracker = self.shared.tracker.lock().expect("tracker lock");
                 reports.iter().enumerate().filter(|(_, r)| r.is_none()).all(|(p, _)| {
                     matches!(tracker.state(p), PeerState::Down | PeerState::Reconnecting)
                 })
             };
-            if missing_all_down {
-                // Every report still owed is owed by a dead peer: the
-                // epoch resolves now, not at the session deadline.
-                return (Outcome::Abort, Some(AbortReason::PeerDown));
-            }
-            if Instant::now() >= deadline {
-                // A live-looking peer never reported: it is unreachable
-                // for epoch purposes, which is the same outage.
-                return (Outcome::Abort, Some(AbortReason::PeerDown));
+            // Every report still owed is owed by a dead peer: the epoch
+            // resolves now, not at the session deadline. Past the bound,
+            // a live-looking peer that never reported is unreachable for
+            // epoch purposes, which is the same outage.
+            if missing_all_down || Instant::now() >= until {
+                break;
             }
             match self.events.recv_timeout(Duration::from_millis(25)) {
                 Ok(Event::Report { epoch: e, peer, outcome }) if e == epoch && peer < m => {
-                    reports[peer] = Some(outcome);
+                    reports[peer] = Some((outcome, started.elapsed()));
                 }
                 Ok(_) | Err(mpsc::RecvTimeoutError::Timeout) => {}
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
         }
-
-        let folded = unanimous(reports.iter().map(Option::as_ref));
-        if !folded.is_abort() {
-            return (folded, None);
-        }
-        // Classify the abort: all decided non-⊥ but disagreeing is the
-        // paper's divergence case; any ⊥ report with a death behind it
-        // is PeerDown; otherwise the session ran out of time.
-        let all_decided = reports.iter().all(|r| matches!(r, Some(o) if !o.is_abort()));
-        let any_down = {
-            let tracker = self.shared.tracker.lock().expect("tracker lock");
-            (0..m).any(|p| matches!(tracker.state(p), PeerState::Down | PeerState::Reconnecting))
-        };
-        let reason = if all_decided {
-            AbortReason::Divergence
-        } else if any_down {
-            AbortReason::PeerDown
-        } else {
-            AbortReason::Deadline
-        };
-        (Outcome::Abort, Some(reason))
+        reports
     }
 
     fn teardown(&mut self) {
@@ -862,6 +855,55 @@ impl Coordinator {
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
+    }
+}
+
+/// The remote backend of the [`Clearer`]: one shard of `m` provider
+/// processes, each behind its control connection.
+impl ClearBackend for Coordinator {
+    fn num_shards(&self) -> usize {
+        1
+    }
+
+    fn providers(&self) -> usize {
+        self.config.m
+    }
+
+    /// Each session in turn through [`Coordinator::dispatch_and_collect`].
+    /// A missing report reads as ⊥; a decide offset is the report's
+    /// arrival. The mesh is kept for the next session only if every
+    /// provider reported a decided outcome: then all have left this one.
+    fn run_epoch_traced(
+        &self,
+        shard_specs: Vec<Vec<BatchSession>>,
+        deadline: Duration,
+    ) -> (Columns, DecideOffsets) {
+        let m = self.config.m;
+        let (mut outcomes, mut offsets) = (vec![Vec::new(); m], vec![Vec::new(); m]);
+        let mut gave_up = false;
+        for spec in shard_specs.into_iter().flatten() {
+            let reports = self.dispatch_and_collect(&spec, deadline);
+            gave_up |= reports.contains(&None);
+            if !reports.iter().all(|r| matches!(r, Some((o, _)) if !o.is_abort())) {
+                *self.last_roster.borrow_mut() = None;
+            }
+            for (j, report) in reports.into_iter().enumerate() {
+                let (outcome, at) = report.map_or((Outcome::Abort, None), |(o, at)| (o, Some(at)));
+                outcomes[j].push(outcome);
+                offsets[j].push(at);
+            }
+        }
+        self.gave_up.set(gave_up);
+        (vec![outcomes], vec![offsets])
+    }
+
+    /// `PeerDown` when the drive gave up on a peer or a peer is down or
+    /// reconnecting now.
+    fn blame(&self) -> Option<AbortReason> {
+        let tracker = self.shared.tracker.lock().expect("tracker lock");
+        let any_down = (0..self.config.m)
+            .any(|p| matches!(tracker.state(p), PeerState::Down | PeerState::Reconnecting));
+        (self.gave_up.get() || any_down).then_some(AbortReason::PeerDown)
     }
 }
 
@@ -1020,6 +1062,12 @@ pub fn run_provider(config: ProviderConfig) -> Result<ProviderReport, ClusterErr
         config.reconnect_budget,
         config.backoff_seed,
     );
+    // Sleep out the next backoff delay, or give up once the budget is spent.
+    let pause = |backoff: &mut Backoff| {
+        let delay = backoff.next_delay();
+        let attempts = backoff.attempts();
+        delay.map(thread::sleep).ok_or(ClusterError::ReconnectExhausted { attempts })
+    };
     let mut report = ProviderReport::default();
     let mut joined_before = false;
 
@@ -1028,14 +1076,7 @@ pub fn run_provider(config: ProviderConfig) -> Result<ProviderReport, ClusterErr
         let mut stream = loop {
             match TcpStream::connect(&config.coordinator) {
                 Ok(stream) => break stream,
-                Err(_) => match backoff.next_delay() {
-                    Some(delay) => thread::sleep(delay),
-                    None => {
-                        return Err(ClusterError::ReconnectExhausted {
-                            attempts: backoff.attempts(),
-                        })
-                    }
-                },
+                Err(_) => pause(&mut backoff)?,
             }
         };
         let _ = stream.set_nodelay(true);
@@ -1048,15 +1089,8 @@ pub fn run_provider(config: ProviderConfig) -> Result<ProviderReport, ClusterErr
         let Ok(ControlMsg::JoinAck { incarnation, m, k, n_users, deadline_ms, mesh_budget_ms }) =
             handshake
         else {
-            match backoff.next_delay() {
-                Some(delay) => {
-                    thread::sleep(delay);
-                    continue;
-                }
-                None => {
-                    return Err(ClusterError::ReconnectExhausted { attempts: backoff.attempts() })
-                }
-            }
+            pause(&mut backoff)?;
+            continue;
         };
         backoff.reset();
         let _ = stream.set_read_timeout(None);
@@ -1255,6 +1289,7 @@ pub fn generate_epoch_bids(n_users: usize, m: usize, seed: u64) -> BidVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::EpochOutcome;
 
     fn roundtrip(msg: ControlMsg) {
         let bytes = msg.encode_to_bytes();
@@ -1339,16 +1374,16 @@ mod tests {
 
         let report = coordinator.run(|_| {}).expect("run");
         assert_eq!(report.epochs.len(), 3);
-        assert_eq!(report.cleared() + report.aborted(), 3);
+        assert_eq!(report.stats.epochs_closed, 3);
         assert_eq!(report.reconnects, 0, "no deaths, no reconnects");
         // A quiet loopback cluster should actually clear.
-        assert!(report.cleared() >= 1, "no epoch cleared: {:?}", report.epochs);
+        assert!(report.stats.epochs_cleared >= 1, "no epoch cleared: {:?}", report.epochs);
         for provider in providers {
             let provider_report = provider.join().expect("provider thread").expect("provider run");
             assert_eq!(provider_report.rejoins, 0);
             assert_eq!(provider_report.epochs, 3);
             assert!(
-                provider_report.mesh_bringups <= 1 + report.aborted(),
+                provider_report.mesh_bringups <= 1 + report.stats.epochs_aborted,
                 "one mesh, plus at most one rebuild per ⊥: {provider_report:?}"
             );
         }
@@ -1380,5 +1415,164 @@ mod tests {
                 assert_eq!(returned, Ok(true), "round {round}: a provider never heard Shutdown");
             }
         }
+    }
+
+    /// How a fake provider answers its first work order.
+    #[derive(Clone, Copy)]
+    enum Answer {
+        /// Report ⊥.
+        Bottom,
+        /// Close the control connection: a death after the dispatch.
+        Vanish,
+        /// Say nothing, and stay connected until joined.
+        Silent,
+    }
+
+    /// A cluster config whose fake providers, which send no heartbeats,
+    /// only a closed connection may declare dead.
+    fn fake_config(session_deadline: Duration) -> ClusterConfig {
+        let mut config = ClusterConfig::new(3, 1, 4);
+        config.session_deadline = session_deadline;
+        config.mesh_budget = Duration::ZERO;
+        config.liveness.suspect_after = Duration::from_secs(60);
+        config.liveness.down_after = Duration::from_secs(120);
+        config
+    }
+
+    /// Join one fake provider per answer — the control protocol only, no
+    /// mesh. The coordinator counts each Up before its `JoinAck` leaves.
+    fn join_fakes(coordinator: &Coordinator, answers: [Answer; 3]) -> Vec<JoinHandle<()>> {
+        let addr = coordinator.local_addr();
+        (0..3u32)
+            .zip(answers)
+            .map(|(id, answer)| {
+                let mut stream = TcpStream::connect(addr).expect("dial the coordinator");
+                let join = ControlMsg::Join { id, mesh_addr: "127.0.0.1:9".into() };
+                write_frame(&mut stream, &join).expect("join");
+                assert!(matches!(read_frame(&mut stream), Ok(ControlMsg::JoinAck { .. })));
+                thread::spawn(move || {
+                    let epoch = loop {
+                        match read_frame(&mut stream) {
+                            Ok(ControlMsg::WorkOrder { epoch, .. }) => break epoch,
+                            Ok(ControlMsg::Shutdown) | Err(_) => return,
+                            Ok(_) => {}
+                        }
+                    };
+                    match answer {
+                        Answer::Bottom => {
+                            let report =
+                                ControlMsg::OutcomeReport { epoch, id, outcome: Outcome::Abort };
+                            let _ = write_frame(&mut stream, &report);
+                            let _ = read_frame(&mut stream); // hold the link until Shutdown
+                        }
+                        Answer::Vanish => {}
+                        Answer::Silent => {
+                            let _ = read_frame(&mut stream);
+                        }
+                    }
+                })
+            })
+            .collect()
+    }
+
+    /// Clear epoch 0 through the market's [`Clearer`] with `coordinator`
+    /// as its backend, then tear the coordinator down: the published
+    /// outcome and how long the clear took.
+    fn clear_epoch_zero(mut coordinator: Coordinator) -> (EpochOutcome, Duration) {
+        let stats = StatsShared::new(0, "double-auction");
+        let telemetry = Telemetry::new(&TelemetryConfig::disabled());
+        let clearer = Clearer {
+            backend: &coordinator,
+            deadline: coordinator.config.session_deadline,
+            stats: &stats,
+            journal: None,
+            telemetry: &telemetry,
+            mechanism: "double-auction",
+        };
+        let started = Instant::now();
+        let job = ClearJob {
+            epoch: 0,
+            session: epoch_session(coordinator.config.first_session, 0),
+            seed: 7,
+            accepted: 4,
+            bids: generate_epoch_bids(4, 3, 7),
+            closed_at: started,
+            origin: started,
+            trace: None,
+        };
+        let mut cleared = None;
+        clearer.clear(vec![job], |outcome| cleared = Some(outcome)).expect("no journal to fail");
+        let took = started.elapsed();
+        coordinator.teardown();
+        (cleared.expect("the epoch is published"), took)
+    }
+
+    fn join_all(fakes: Vec<JoinHandle<()>>) {
+        for fake in fakes {
+            fake.join().expect("fake provider");
+        }
+    }
+
+    fn fake_coordinator(session_deadline: Duration) -> Coordinator {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        Coordinator::new(listener, fake_config(session_deadline)).expect("coordinator")
+    }
+
+    #[test]
+    fn a_peer_that_is_not_up_is_peer_down_without_a_dispatch() {
+        let coordinator = fake_coordinator(Duration::from_secs(30));
+        let (epoch, took) = clear_epoch_zero(coordinator);
+        assert_eq!((epoch.outcome, epoch.reason), (Outcome::Abort, Some(AbortReason::PeerDown)));
+        assert!(took < Duration::from_secs(5), "resolved at once, took {took:?}");
+    }
+
+    #[test]
+    fn a_failed_dispatch_write_is_peer_down() {
+        let coordinator = fake_coordinator(Duration::from_secs(30));
+        let fakes = join_fakes(&coordinator, [Answer::Silent; 3]);
+        // Provider 0 stays up, but its control writer refuses every write.
+        let sink = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let refusing = TcpStream::connect(sink.local_addr().expect("addr")).expect("dial");
+        refusing.shutdown(std::net::Shutdown::Write).expect("shut the writer");
+        let mut writers = coordinator.shared.writers.lock().expect("writers lock");
+        let link = writers[0].replace(refusing).expect("provider 0 joined");
+        drop(writers);
+        let (epoch, took) = clear_epoch_zero(coordinator);
+        assert_eq!((epoch.outcome, epoch.reason), (Outcome::Abort, Some(AbortReason::PeerDown)));
+        assert!(took < Duration::from_secs(5), "resolved at once, took {took:?}");
+        // Provider 0 got neither its order nor the Shutdown: end its link.
+        link.shutdown(std::net::Shutdown::Both).expect("close provider 0's link");
+        join_all(fakes);
+    }
+
+    #[test]
+    fn reports_owed_only_by_dead_peers_are_peer_down_by_detection() {
+        let coordinator = fake_coordinator(Duration::from_secs(30));
+        let fakes = join_fakes(&coordinator, [Answer::Bottom, Answer::Bottom, Answer::Vanish]);
+        let (epoch, took) = clear_epoch_zero(coordinator);
+        join_all(fakes);
+        assert_eq!(epoch.reason, Some(AbortReason::PeerDown));
+        assert!(took < Duration::from_secs(5), "resolved by detection, took {took:?}");
+        assert_eq!(epoch.outcomes, vec![Outcome::Abort; 3], "the reports that came, and a ⊥");
+    }
+
+    #[test]
+    fn a_silent_live_peer_is_peer_down_at_the_collection_bound() {
+        let coordinator = fake_coordinator(Duration::from_millis(50));
+        let fakes = join_fakes(&coordinator, [Answer::Silent, Answer::Bottom, Answer::Bottom]);
+        let (epoch, took) = clear_epoch_zero(coordinator);
+        join_all(fakes);
+        assert_eq!(epoch.reason, Some(AbortReason::PeerDown));
+        // deadline + mesh budget + one second of grace
+        assert!(took >= Duration::from_millis(1050), "gave up early, after {took:?}");
+    }
+
+    #[test]
+    fn bottom_reports_with_every_peer_up_are_a_deadline_miss() {
+        let coordinator = fake_coordinator(Duration::from_secs(30));
+        let fakes = join_fakes(&coordinator, [Answer::Bottom; 3]);
+        let (epoch, _) = clear_epoch_zero(coordinator);
+        join_all(fakes);
+        assert_eq!(epoch.reason, Some(AbortReason::Deadline));
     }
 }

@@ -17,7 +17,7 @@ use dauctioneer_telemetry::{
 };
 use dauctioneer_types::{BidVector, Outcome, ProviderAsk, SealRecord, SessionId, UserBid, UserId};
 
-use crate::config::{EpochPolicy, MarketConfig, MarketError};
+use crate::config::{EpochPolicy, MarketConfig, MarketError, TelemetryConfig};
 use crate::ingress::{IngressQueue, Pop, Submission, SubmitError};
 use crate::journal::{Journal, JournalError};
 use crate::stats::{MarketStats, StatsShared};
@@ -82,6 +82,9 @@ pub struct EpochOutcome {
     /// Definition 1 over `outcomes`: the agreed pair iff every provider
     /// decided it.
     pub outcome: Outcome,
+    /// Why the epoch aborted (`None` when it cleared): the reason counted
+    /// in [`MarketStats::epochs_aborted_by_reason`].
+    pub reason: Option<AbortReason>,
     /// Epoch close → unanimous outcome latency.
     pub latency: Duration,
     /// The mechanism the epoch cleared under (the program's
@@ -125,29 +128,27 @@ pub(crate) struct Telemetry {
 }
 
 impl Telemetry {
-    fn new(config: &MarketConfig) -> Telemetry {
+    pub(crate) fn new(config: &TelemetryConfig) -> Telemetry {
         Telemetry {
-            flight: Arc::new(FlightRecorder::new(config.telemetry.flight_capacity)),
-            traces: Arc::new(TraceRing::new(config.telemetry.trace_capacity)),
+            flight: Arc::new(FlightRecorder::new(config.flight_capacity)),
+            traces: Arc::new(TraceRing::new(config.trace_capacity)),
             chaos: ChaosMetrics::new(),
-            dump_path: config.telemetry.flight_dump_path.clone(),
+            dump_path: config.flight_dump_path.clone(),
         }
     }
 }
 
-/// Attribute an aborted epoch to the configuration that forced it.
+/// Attribute an aborted epoch.
 ///
 /// The classification is a structural argument, not guesswork: if every
 /// provider decided a real outcome yet unanimity still failed, the abort
 /// is ⊥-divergence by Definition 1. Otherwise at least one provider
-/// pinned ⊥, and the configured disturbances own it in order of intent —
-/// adversaries are targeted (they *aim* to force ⊥), chaos is
-/// environmental, and a clean configuration that still timed out is a
-/// plain deadline miss.
+/// pinned ⊥, and the backend's [`ClearBackend::blame`] names what forced
+/// it; a ⊥ nothing is blamed for is a plain deadline miss.
 fn classify_abort(
-    config: &MarketConfig,
     outcomes: &[Outcome],
     agreed: &Outcome,
+    blame: Option<AbortReason>,
 ) -> Option<AbortReason> {
     if !agreed.is_abort() {
         return None;
@@ -155,13 +156,7 @@ fn classify_abort(
     if !outcomes.is_empty() && outcomes.iter().all(|o| !o.is_abort()) {
         return Some(AbortReason::Divergence);
     }
-    if !config.adversaries.is_empty() {
-        return Some(AbortReason::Adversary);
-    }
-    if config.chaos.as_ref().is_some_and(|plan| !plan.is_benign()) {
-        return Some(AbortReason::ChaosFault);
-    }
-    Some(AbortReason::Deadline)
+    Some(blame.unwrap_or(AbortReason::Deadline))
 }
 
 /// The journal fail-stop path with a black box: record the error as a
@@ -290,23 +285,21 @@ impl MarketWatch {
 /// assert_eq!(stats.epochs_closed, 1);
 /// ```
 pub struct MarketService {
-    queue: Arc<IngressQueue>,
-    stats: Arc<StatsShared>,
-    metrics: Vec<TrafficMetrics>,
+    /// The shared state the scheduler and clearers update: ingress queue,
+    /// stats, journal, traffic counters and telemetry.
+    watch: MarketWatch,
     outcomes: Option<Receiver<EpochOutcome>>,
     subscribed: Arc<AtomicBool>,
     scheduler: Option<JoinHandle<()>>,
     worker_ids: Vec<Vec<ThreadId>>,
-    journal: Option<Arc<Journal>>,
     recovery: Option<RecoveryReport>,
-    telemetry: Telemetry,
 }
 
 impl std::fmt::Debug for MarketService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MarketService")
             .field("worker_threads", &self.worker_ids.iter().map(Vec::len).sum::<usize>())
-            .field("queue_depth", &self.queue.depth())
+            .field("queue_depth", &self.watch.queue.depth())
             .finish()
     }
 }
@@ -325,7 +318,7 @@ impl MarketService {
     ) -> Result<MarketService, MarketError> {
         config.validate()?;
         let framework = config.framework();
-        let telemetry = Telemetry::new(&config);
+        let telemetry = Telemetry::new(&config.telemetry);
         // Provenance: stamped on every outcome and sealed into the
         // journal's settlement chain.
         let mechanism = program.name();
@@ -392,9 +385,9 @@ impl MarketService {
             None => (None, 0, Vec::new()),
             Some(log) => {
                 let clearer = Clearer {
-                    config: &config,
+                    backend: &pool,
+                    deadline: config.session_deadline,
                     stats: &stats,
-                    pool: &pool,
                     journal: journal.as_deref(),
                     telemetry: &telemetry,
                     mechanism,
@@ -421,8 +414,8 @@ impl MarketService {
                             let closed_at = Instant::now();
                             ClearJob {
                                 epoch: in_flight.epoch,
-                                session: epoch_session(&config, in_flight.epoch),
-                                seed: epoch_seed(&config, in_flight.epoch),
+                                session: epoch_session(config.first_session, in_flight.epoch),
+                                seed: epoch_seed(config.seed, in_flight.epoch),
                                 accepted,
                                 bids: collector.close(),
                                 closed_at,
@@ -481,16 +474,12 @@ impl MarketService {
         };
 
         Ok(MarketService {
-            queue,
-            stats,
-            metrics,
+            watch: MarketWatch { queue, stats, journal, metrics, telemetry },
             outcomes: Some(outcomes_rx),
             subscribed,
             scheduler: Some(scheduler),
             worker_ids,
-            journal,
             recovery,
-            telemetry,
         })
     }
 
@@ -512,7 +501,7 @@ impl MarketService {
 
     /// A cloneable submitter handle. Any number of threads may hold one.
     pub fn handle(&self) -> MarketHandle {
-        MarketHandle { queue: Arc::clone(&self.queue) }
+        MarketHandle { queue: Arc::clone(&self.watch.queue) }
     }
 
     /// Take the epoch-outcome subscription (single consumer; `None` on
@@ -533,43 +522,30 @@ impl MarketService {
 
     /// Live counters and latency percentiles.
     pub fn stats(&self) -> MarketStats {
-        self.stats.snapshot(
-            self.queue.shed_bids_count(),
-            self.queue.shed_asks_count(),
-            self.queue.enqueued_count(),
-            self.queue.depth(),
-            self.journal.as_deref(),
-            self.telemetry.chaos.snapshot(),
-        )
+        self.watch.stats()
     }
 
     /// A cloneable, read-only observation handle: everything a metrics
     /// registry, heartbeat printer, or flight-dump trigger needs,
     /// without keeping a borrow of the service alive.
     pub fn watch(&self) -> MarketWatch {
-        MarketWatch {
-            queue: Arc::clone(&self.queue),
-            stats: Arc::clone(&self.stats),
-            journal: self.journal.clone(),
-            metrics: self.metrics.clone(),
-            telemetry: self.telemetry.clone(),
-        }
+        self.watch.clone()
     }
 
     /// Chaos fault-injection counters, cumulative since startup.
     pub fn chaos_stats(&self) -> ChaosStats {
-        self.telemetry.chaos.snapshot()
+        self.watch.chaos()
     }
 
     /// Dump the crash flight recorder as JSON (the `dauction
     /// flight-dump` input format).
     pub fn flight_dump_json(&self) -> String {
-        self.telemetry.flight.dump_json()
+        self.watch.flight_dump_json()
     }
 
     /// Snapshot the retained per-epoch traces, oldest first.
     pub fn recent_traces(&self) -> Vec<EpochTrace> {
-        self.telemetry.traces.recent()
+        self.watch.recent_traces()
     }
 
     /// What recovery reconstructed from the journal, if this service was
@@ -581,7 +557,7 @@ impl MarketService {
 
     /// The write-ahead journal, if the service runs with one.
     pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_deref()
+        self.watch.journal.as_deref()
     }
 
     /// Traffic counters of the persistent mesh, cumulative since
@@ -589,11 +565,7 @@ impl MarketService {
     /// epochs — the observable proof that every epoch rides the same
     /// transport.
     pub fn traffic(&self) -> TrafficSnapshot {
-        let mut total = TrafficSnapshot::default();
-        for m in &self.metrics {
-            total.merge(&m.snapshot());
-        }
-        total
+        self.watch.traffic()
     }
 
     /// Thread ids of the provider workers, recorded at spawn:
@@ -614,7 +586,7 @@ impl MarketService {
     }
 
     fn shutdown_in_place(&mut self) {
-        self.queue.close();
+        self.watch.queue.close();
         if let Some(handle) = self.scheduler.take() {
             let _ = handle.join();
         }
@@ -665,7 +637,7 @@ fn run_scheduler(
         // submitters instead of accumulating as unbounded shutdown
         // debt.
         let (tx, rx) = bounded::<ClearJob>(CLEAR_BACKLOG);
-        let config = config.clone();
+        let deadline = config.session_deadline;
         let stats = Arc::clone(&stats);
         let pool = Arc::clone(&pool);
         let outcomes_tx = outcomes_tx.clone();
@@ -677,9 +649,9 @@ fn run_scheduler(
                 .name(format!("market-clearer-{shard}"))
                 .spawn(move || {
                     let clearer = Clearer {
-                        config: &config,
+                        backend: &*pool,
+                        deadline,
                         stats: &stats,
-                        pool: &pool,
                         journal: journal.as_deref(),
                         telemetry: &telemetry,
                         mechanism,
@@ -808,8 +780,8 @@ fn run_scheduler(
         }
 
         if accepted > 0 {
-            let session = epoch_session(&config, epoch_index);
-            let seed = epoch_seed(&config, epoch_index);
+            let session = epoch_session(config.first_session, epoch_index);
+            let seed = epoch_seed(config.seed, epoch_index);
             let opened_at = opened.expect("accepted > 0 implies an opened epoch");
             let origin = origin.unwrap_or(opened_at);
             let closed_at = Instant::now();
@@ -873,25 +845,25 @@ fn run_scheduler(
 /// (at most [`MAX_GROUP`] epochs), which it took off this queue.
 const CLEAR_BACKLOG: usize = 32;
 
-/// A closed epoch on its way to the clearing pool.
-struct ClearJob {
-    epoch: u64,
-    session: SessionId,
-    seed: u64,
-    accepted: usize,
+/// A closed epoch on its way to a [`Clearer`].
+pub(crate) struct ClearJob {
+    pub(crate) epoch: u64,
+    pub(crate) session: SessionId,
+    pub(crate) seed: u64,
+    pub(crate) accepted: usize,
     /// The closed vector (every provider collected the same stream; m
     /// copies of this are the m per-provider `b̄ⱼ` inputs).
-    bids: BidVector,
+    pub(crate) bids: BidVector,
     /// When the epoch closed — the latency clock includes any wait for
     /// the shard's clearer, which is real backlog, not measurement slack.
-    closed_at: Instant,
+    pub(crate) closed_at: Instant,
     /// The trace origin: the queue-push instant of the opening bid
     /// (equal to the open instant when no stamp was available).
-    origin: Instant,
+    pub(crate) origin: Instant,
     /// The epoch's span tree so far (ingress + collect recorded by the
     /// scheduler); the clearer appends dispatch/session/seal and
     /// finishes it. `None` when tracing is disabled.
-    trace: Option<EpochTrace>,
+    pub(crate) trace: Option<EpochTrace>,
 }
 
 /// A fresh collector for a new epoch, with the configured default asks
@@ -1041,73 +1013,136 @@ fn apply(
 /// budget.
 const MAX_GROUP: usize = 3;
 
-/// The session id of epoch `epoch`.
-fn epoch_session(config: &MarketConfig, epoch: u64) -> SessionId {
-    SessionId(config.first_session + epoch)
+/// The session id of epoch `epoch`, for the market and the cluster alike.
+pub(crate) fn epoch_session(first_session: u64, epoch: u64) -> SessionId {
+    SessionId(first_session + epoch)
 }
 
-/// A distinct, reproducible seed per epoch (7919 = the 1000th prime, an
-/// arbitrary odd stride).
-fn epoch_seed(config: &MarketConfig, epoch: u64) -> u64 {
-    config.seed.wrapping_add((epoch + 1).wrapping_mul(7919))
+/// A distinct, reproducible seed per epoch, for the market and the
+/// cluster alike (7919 = the 1000th prime, an arbitrary odd stride).
+pub(crate) fn epoch_seed(seed: u64, epoch: u64) -> u64 {
+    seed.wrapping_add((epoch + 1).wrapping_mul(7919))
 }
 
-/// What clearing borrows from the service. The shard clearers and
-/// recovery's synchronous re-clears share [`Clearer::clear`] — one code
-/// path is what makes "replayed outcomes are byte-identical" structural
-/// rather than coincidental.
-struct Clearer<'a> {
-    config: &'a MarketConfig,
-    stats: &'a StatsShared,
-    pool: &'a SessionPool,
-    journal: Option<&'a Journal>,
-    telemetry: &'a Telemetry,
-    mechanism: &'static str,
+/// Outcomes of one drive, `[shard][provider][session]`.
+pub(crate) type Columns = Vec<Vec<Vec<Outcome>>>;
+
+/// Decide offsets of one drive, `[shard][provider][session]`; `None`
+/// where the provider never decided.
+pub(crate) type DecideOffsets = Vec<Vec<Vec<Option<Duration>>>>;
+
+/// Where a [`Clearer`]'s sessions run: the in-process [`SessionPool`] of
+/// a [`MarketService`], or the remote providers of a
+/// [`crate::Coordinator`].
+pub(crate) trait ClearBackend {
+    /// Shards the sessions spread over (by [`shard_for`]).
+    fn num_shards(&self) -> usize;
+
+    /// Providers per session (`m`).
+    fn providers(&self) -> usize;
+
+    /// Drive `shard_specs[s]` on shard `s` to decisions within
+    /// `deadline`, as [`SessionPool::run_epoch_traced`] does.
+    fn run_epoch_traced(
+        &self,
+        shard_specs: Vec<Vec<BatchSession>>,
+        deadline: Duration,
+    ) -> (Columns, DecideOffsets);
+
+    /// Whom to blame for a ⊥ of the last drive that is not a divergence;
+    /// `None` reads as a deadline miss.
+    fn blame(&self) -> Option<AbortReason>;
 }
 
-impl Clearer<'_> {
+impl ClearBackend for SessionPool {
+    fn num_shards(&self) -> usize {
+        SessionPool::num_shards(self)
+    }
+
+    fn providers(&self) -> usize {
+        SessionPool::providers(self)
+    }
+
+    fn run_epoch_traced(
+        &self,
+        shard_specs: Vec<Vec<BatchSession>>,
+        deadline: Duration,
+    ) -> (Columns, DecideOffsets) {
+        SessionPool::run_epoch_traced(self, shard_specs, deadline)
+    }
+
+    /// What the pool was started with, in order of intent: adversaries
+    /// are targeted (they *aim* to force ⊥), chaos is environmental.
+    fn blame(&self) -> Option<AbortReason> {
+        if self.runs_adversaries() {
+            Some(AbortReason::Adversary)
+        } else if self.injects_faults() {
+            Some(AbortReason::ChaosFault)
+        } else {
+            None
+        }
+    }
+}
+
+/// The one code path from closed epochs to sealed, classified, counted
+/// and published outcomes. The shard clearers, recovery's synchronous
+/// re-clears and the cluster coordinator all go through
+/// [`Clearer::clear`] — one code path is what makes "replayed outcomes
+/// are byte-identical" structural rather than coincidental.
+pub(crate) struct Clearer<'a, B> {
+    pub(crate) backend: &'a B,
+    /// Bounds each drive.
+    pub(crate) deadline: Duration,
+    pub(crate) stats: &'a StatsShared,
+    pub(crate) journal: Option<&'a Journal>,
+    pub(crate) telemetry: &'a Telemetry,
+    pub(crate) mechanism: &'static str,
+}
+
+impl<B: ClearBackend> Clearer<'_, B> {
     /// Clear a group of closed epochs (in epoch order) as one drive of
-    /// the persistent pool — one session per epoch, on the epoch's shard
-    /// — then seal them onto the settlement chain in epoch order, commit
-    /// once, and only then count, trace and `publish` each outcome in
-    /// epoch order. A ⊥ aborts only its own epoch; its group-mates keep
-    /// their outcomes. `session_deadline` bounds the whole drive.
+    /// the backend — one session per epoch, on the epoch's shard — then
+    /// seal them onto the settlement chain in epoch order, commit once,
+    /// and only then count, trace and `publish` each outcome in epoch
+    /// order. A ⊥ aborts only its own epoch; its group-mates keep their
+    /// outcomes. The deadline bounds the whole drive.
     ///
     /// # Errors
     ///
     /// The journal's error if a seal could not be staged or committed;
     /// nothing of the group was counted or published.
-    fn clear(
+    pub(crate) fn clear(
         &self,
         jobs: Vec<ClearJob>,
         mut publish: impl FnMut(EpochOutcome),
     ) -> Result<(), JournalError> {
         debug_assert!(jobs.windows(2).all(|pair| pair[0].epoch < pair[1].epoch), "epoch order");
         let group = jobs.len();
-        let num_shards = self.pool.num_shards();
+        let (num_shards, m) = (self.backend.num_shards(), self.backend.providers());
         let mut shard_specs: Vec<Vec<BatchSession>> = vec![Vec::new(); num_shards];
         // `(shard, index)` of each job's session in the drive.
         let slots: Vec<(usize, usize)> = jobs
             .iter()
             .map(|job| {
                 let shard = shard_for(job.session, num_shards);
-                let spec =
-                    BatchSession::uniform(job.session, job.bids.clone(), self.config.m, job.seed);
+                let spec = BatchSession::uniform(job.session, job.bids.clone(), m, job.seed);
                 shard_specs[shard].push(spec);
                 (shard, shard_specs[shard].len() - 1)
             })
             .collect();
 
         let drive_started = Instant::now();
-        let (columns, decided) =
-            self.pool.run_epoch_traced(shard_specs, self.config.session_deadline);
+        let (mut columns, decided) = self.backend.run_epoch_traced(shard_specs, self.deadline);
         let drive_duration = drive_started.elapsed();
+        let blame = self.backend.blame();
         let drive_ended = drive_started + drive_duration;
+        // Each slot is read once: its outcomes move out of the drive.
         let cleared: Vec<(Vec<Outcome>, Outcome)> = slots
             .iter()
             .map(|&(s, i)| {
-                let outcomes: Vec<Outcome> =
-                    columns[s].iter().map(|provider| provider[i].clone()).collect();
+                let outcomes: Vec<Outcome> = (columns[s].iter_mut())
+                    .map(|provider| std::mem::replace(&mut provider[i], Outcome::Abort))
+                    .collect();
                 let outcome = unanimous(outcomes.iter().map(Some));
                 (outcomes, outcome)
             })
@@ -1140,7 +1175,7 @@ impl Clearer<'_> {
 
         self.stats.clear_groups.fetch_add(1, Ordering::Relaxed);
         for ((job, (outcomes, outcome)), &(s, i)) in jobs.into_iter().zip(cleared).zip(&slots) {
-            let reason = classify_abort(self.config, &outcomes, &outcome);
+            let reason = classify_abort(&outcomes, &outcome, blame);
             let latency = drive_ended.saturating_duration_since(job.closed_at);
             self.stats.record_epoch(latency, reason);
             let (level, kind, status) = match reason {
@@ -1200,10 +1235,79 @@ impl Clearer<'_> {
                 bids: job.bids,
                 outcomes,
                 outcome,
+                reason,
                 latency,
                 mechanism: self.mechanism,
             });
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dauctioneer_core::{Adversary, AdversaryKind, DoubleAuctionProgram, FrameworkConfig};
+    use dauctioneer_net::{FaultPlan, LatencyModel};
+    use dauctioneer_telemetry::AbortReason::{
+        Adversary as Adv, ChaosFault, Deadline, Divergence, PeerDown,
+    };
+    use dauctioneer_types::{Allocation, AuctionResult, Payments, ProviderId};
+
+    /// An agreed outcome; different `n_users` make different outcomes.
+    fn agreed(n_users: usize) -> Outcome {
+        Outcome::Agreed(AuctionResult::new(Allocation::new(n_users, 1), Payments::zero(n_users, 1)))
+    }
+
+    #[test]
+    fn an_agreed_epoch_has_no_abort_reason() {
+        let unanimous = vec![agreed(1); 3];
+        assert_eq!(classify_abort(&unanimous, &agreed(1), Some(PeerDown)), None);
+    }
+
+    #[test]
+    fn all_decided_but_disagreeing_is_divergence_whatever_the_blame() {
+        let split = [agreed(1), agreed(1), agreed(2)];
+        for blame in [None, Some(PeerDown), Some(Adv), Some(ChaosFault)] {
+            assert_eq!(classify_abort(&split, &Outcome::Abort, blame), Some(Divergence));
+        }
+    }
+
+    #[test]
+    fn a_bottom_is_the_backends_blame() {
+        let one_bottom = [agreed(1), agreed(1), Outcome::Abort];
+        for blame in [PeerDown, Adv, ChaosFault] {
+            assert_eq!(classify_abort(&one_bottom, &Outcome::Abort, Some(blame)), Some(blame));
+        }
+    }
+
+    #[test]
+    fn a_bottom_nobody_is_blamed_for_is_a_deadline_miss() {
+        let bottoms = vec![Outcome::Abort; 3];
+        assert_eq!(classify_abort(&bottoms, &Outcome::Abort, None), Some(Deadline));
+        let one_bottom = [agreed(1), Outcome::Abort, agreed(1)];
+        assert_eq!(classify_abort(&one_bottom, &Outcome::Abort, None), Some(Deadline));
+        assert_eq!(classify_abort(&[], &Outcome::Abort, None), Some(Deadline));
+    }
+
+    #[test]
+    fn the_pool_blames_what_it_was_started_with() {
+        let cfg = FrameworkConfig::new(3, 1, 2, 1);
+        let program = Arc::new(DoubleAuctionProgram::new());
+        let lossy = Some(FaultPlan::none().with_drop(0.1));
+        let crash = vec![Adversary::new(ProviderId(1), AdversaryKind::Silent { after: 0 })];
+        for (chaos, adversaries, blame) in [
+            (None, Vec::new(), None),
+            (Some(FaultPlan::none()), Vec::new(), None),
+            (lossy, Vec::new(), Some(ChaosFault)),
+            (None, crash.clone(), Some(Adv)),
+            (lossy, crash, Some(Adv)),
+        ] {
+            let batch = BatchConfig { chaos, adversaries, ..BatchConfig::default() };
+            let pool = SessionPool::start(&cfg, &program, &batch, LatencyModel::Zero, 1, None)
+                .expect("in-process pool");
+            assert_eq!(ClearBackend::blame(&pool), blame, "chaos {chaos:?}");
+            pool.shutdown();
+        }
     }
 }

@@ -400,7 +400,10 @@ fn a_restarted_provider_forces_one_rebuild_under_the_new_floor() {
             Some(reason) => assert_eq!(reason, AbortReason::PeerDown, "{epoch:?}"),
         }
     }
-    assert!(report.peer_down_aborts() >= 1, "the outage cost at least one epoch");
+    assert!(
+        report.stats.epochs_aborted_by_reason.get(AbortReason::PeerDown) >= 1,
+        "the outage cost at least one epoch"
+    );
     assert!(
         epochs.iter().rev().take(8).all(|e| !e.outcome.is_abort()),
         "the cluster clears again after the rejoin: {epochs:?}"

@@ -64,13 +64,13 @@ use dauctioneer::core::{
     run_session, DoubleAuctionProgram, DynProgram, FrameworkConfig, RunOptions, TransportKind,
 };
 use dauctioneer::market::{
-    register_market_metrics, verify_log, EpochPolicy, FsyncPolicy, JournalConfig, MarketConfig,
-    MarketService, MechanismSpec,
+    register_market_metrics, verify_log, AbortReason, EpochOutcome, EpochPolicy, FsyncPolicy,
+    JournalConfig, MarketConfig, MarketService, MarketStats, MechanismSpec,
 };
 use dauctioneer::net::LatencyModel;
 use dauctioneer::sim::{run_auction_sim, LinkModel, SchedulePolicy};
 use dauctioneer::telemetry::{FlightDump, MetricsServer, Registry};
-use dauctioneer::types::{Outcome, ProviderId, UserId};
+use dauctioneer::types::{Outcome, ProviderId};
 use dauctioneer::workload::{
     epoch_supply, ArrivalProcess, DoubleAuctionWorkload, StandardAuctionWorkload,
 };
@@ -85,8 +85,6 @@ Each subcommand takes --help. One-shot flags:";
 
 const RUNTIMES: &[(&str, bool)] = &[("threads", false), ("des", true)];
 const LATENCIES: &[(&str, bool)] = &[("zero", false), ("community", true)];
-const TRANSPORTS: &[(&str, TransportKind)] =
-    &[("inproc", TransportKind::InProc), ("tcp", TransportKind::Tcp)];
 
 const MECHANISM_HELP: &str =
     "double | standard[,eps=PPM] | combinatorial[,budget=NODES] | divisible[,beta=PRICE]";
@@ -178,7 +176,6 @@ fn one_shot_main(argv: &[String]) -> Result<(), String> {
                     );
                 }
             }
-            let _ = UserId(0);
         }
     }
     Ok(())
@@ -236,50 +233,17 @@ fn coordinator_main(argv: &[String]) -> Result<i32, String> {
     if let Some(path) = &journal {
         println!("journal armed: {} (fsync {fsync})", path.display());
     }
-    let metrics_server = match &metrics_addr {
-        Some(addr) => {
-            let registry = Registry::new();
-            register_liveness_metrics(&registry, coordinator.metrics());
-            let server = MetricsServer::bind(addr, registry)
-                .map_err(|e| format!("cannot bind metrics endpoint {addr}: {e}"))?;
-            println!("metrics up: http://{}/metrics (Prometheus text format)", server.local_addr());
-            Some(server)
-        }
-        None => None,
-    };
+    let metrics_server = serve_metrics(metrics_addr.as_deref(), |registry| {
+        register_liveness_metrics(registry, coordinator.metrics());
+    })?;
 
-    let result = coordinator.run(|epoch| match &epoch.outcome {
-        Outcome::Abort => println!(
-            "epoch {:>3} (session {}): {} bids, outcome ⊥ ({}), {:?}",
-            epoch.epoch,
-            epoch.session,
-            epoch.accepted,
-            epoch.reason.map_or("unknown", |r| r.label()),
-            epoch.latency
-        ),
-        Outcome::Agreed(result) => println!(
-            "epoch {:>3} (session {}): {} bids → {} winners, volume {}, cleared in {:?}",
-            epoch.epoch,
-            epoch.session,
-            epoch.accepted,
-            result.allocation.winners().len(),
-            result.allocation.total(),
-            epoch.latency
-        ),
+    let result = coordinator.run(|e| {
+        print_epoch("epoch", e.epoch, e.session, e.accepted, &e.outcome, e.reason, e.latency);
     });
-    if let Some(mut server) = metrics_server {
-        server.shutdown();
-    }
+    drop(metrics_server);
     match result {
         Ok(report) => {
-            println!(
-                "survivability: {} epochs cleared, {} ⊥-aborted ({} peer_down), {} provider \
-                 reconnect(s)",
-                report.cleared(),
-                report.aborted(),
-                report.peer_down_aborts(),
-                report.reconnects
-            );
+            print_summary(&report.stats, Some(report.reconnects));
             Ok(0)
         }
         Err(e) => {
@@ -485,7 +449,12 @@ fn serve_main(argv: &[String]) -> Result<(), String> {
         .value("--m PROVIDERS", "providers", &mut config.m)
         .optional("--k COALITION", "largest coalition tolerated (default (m-1)/2)", &mut k)
         .value("--seed SEED", "arrival stream and protocol seed", &mut config.seed)
-        .choice("--transport", "provider mesh", &mut config.transport, TRANSPORTS)
+        .choice(
+            "--transport",
+            "provider mesh",
+            &mut config.transport,
+            &[TransportKind::InProc, TransportKind::Tcp].map(|t| (t.name(), t)),
+        )
         .value("--shards S", "independent provider meshes", &mut config.shards)
         .optional(
             "--chaos SPEC",
@@ -585,22 +554,7 @@ fn serve_main(argv: &[String]) -> Result<(), String> {
             report.next_epoch
         );
         for epoch in &report.replayed {
-            match &epoch.outcome {
-                Outcome::Abort => println!(
-                    "  replayed epoch {:>3} (session {}): {} bids, outcome ⊥",
-                    epoch.epoch, epoch.session, epoch.accepted_bids
-                ),
-                Outcome::Agreed(result) => println!(
-                    "  replayed epoch {:>3} (session {}): {} bids → {} winners, volume {}, \
-                     payments {}",
-                    epoch.epoch,
-                    epoch.session,
-                    epoch.accepted_bids,
-                    result.allocation.winners().len(),
-                    result.allocation.total(),
-                    result.payments.total_user_payments(),
-                ),
-            }
+            print_outcome("  replayed epoch", epoch);
         }
     }
     println!(
@@ -615,17 +569,9 @@ fn serve_main(argv: &[String]) -> Result<(), String> {
     // The unified telemetry plane: a scrape endpoint over the market's
     // own counters, a SIGUSR1-triggered flight dump, and a periodic
     // one-line heartbeat. All read-only observers of shared state.
-    let metrics_server = match &metrics_addr {
-        Some(addr) => {
-            let registry = Registry::new();
-            register_market_metrics(&registry, watch.clone());
-            let server = MetricsServer::bind(addr, registry)
-                .map_err(|e| format!("cannot bind metrics endpoint {addr}: {e}"))?;
-            println!("metrics up: http://{}/metrics (Prometheus text format)", server.local_addr());
-            Some(server)
-        }
-        None => None,
-    };
+    let metrics_server = serve_metrics(metrics_addr.as_deref(), |registry| {
+        register_market_metrics(registry, watch.clone());
+    })?;
     let ops_stop = Arc::new(AtomicBool::new(false));
     usr1::install();
     let flight_poller = {
@@ -709,23 +655,7 @@ fn serve_main(argv: &[String]) -> Result<(), String> {
             break;
         };
         seen += 1;
-        match &epoch.outcome {
-            Outcome::Abort => println!(
-                "epoch {:>3} (session {}): {} bids, outcome ⊥, {:?}",
-                epoch.epoch, epoch.session, epoch.accepted_bids, epoch.latency
-            ),
-            Outcome::Agreed(result) => println!(
-                "epoch {:>3} (session {}): {} bids → {} winners, volume {}, payments {}, \
-                 cleared in {:?}",
-                epoch.epoch,
-                epoch.session,
-                epoch.accepted_bids,
-                result.allocation.winners().len(),
-                result.allocation.total(),
-                result.payments.total_user_payments(),
-                epoch.latency
-            ),
-        }
+        print_outcome("epoch", &epoch);
     }
 
     stop.store(true, Ordering::Relaxed);
@@ -738,9 +668,63 @@ fn serve_main(argv: &[String]) -> Result<(), String> {
         let _ = heartbeat.join();
     }
     let stats = market.shutdown();
-    if let Some(mut server) = metrics_server {
-        server.shutdown();
+    drop(metrics_server);
+    print_summary(&stats, None);
+    Ok(())
+}
+
+/// Serve `/metrics` on `addr`, if given, over what `register` adds to a
+/// fresh registry. The server stops when dropped.
+fn serve_metrics(
+    addr: Option<&str>,
+    register: impl FnOnce(&Registry),
+) -> Result<Option<MetricsServer>, String> {
+    let Some(addr) = addr else { return Ok(None) };
+    let registry = Registry::new();
+    register(&registry);
+    let server = MetricsServer::bind(addr, registry)
+        .map_err(|e| format!("cannot bind metrics endpoint {addr}: {e}"))?;
+    println!("metrics up: http://{}/metrics (Prometheus text format)", server.local_addr());
+    Ok(Some(server))
+}
+
+/// A market epoch's line: [`print_epoch`] of an [`EpochOutcome`].
+fn print_outcome(label: &str, e: &EpochOutcome) {
+    let (session, bids) = (e.session.0, e.accepted_bids as u64);
+    print_epoch(label, e.epoch, session, bids, &e.outcome, e.reason, e.latency);
+}
+
+/// One epoch's line, for `serve` and `coordinator` alike:
+/// `epoch N (session S): B bids, outcome ⊥ (reason), LATENCY` or
+/// `... → W winners, volume V, payments P, cleared in LATENCY`.
+fn print_epoch(
+    label: &str,
+    epoch: u64,
+    session: u64,
+    bids: u64,
+    outcome: &Outcome,
+    reason: Option<AbortReason>,
+    latency: Duration,
+) {
+    let head = format!("{label} {epoch:>3} (session {session}): {bids} bids");
+    match outcome {
+        Outcome::Abort => {
+            let reason = reason.map_or("unknown", AbortReason::label);
+            println!("{head}, outcome ⊥ ({reason}), {latency:?}");
+        }
+        Outcome::Agreed(result) => println!(
+            "{head} → {} winners, volume {}, payments {}, cleared in {latency:?}",
+            result.allocation.winners().len(),
+            result.allocation.total(),
+            result.payments.total_user_payments(),
+        ),
     }
+}
+
+/// The end-of-run summary of `serve` and `coordinator` alike:
+/// survivability (with the provider reconnects a coordinator counts),
+/// injected chaos, throughput and latency, and the journal.
+fn print_summary(stats: &MarketStats, reconnects: Option<u64>) {
     let aborted_by: Vec<String> = stats
         .epochs_aborted_by_reason
         .iter()
@@ -748,10 +732,11 @@ fn serve_main(argv: &[String]) -> Result<(), String> {
         .map(|(reason, count)| format!("{reason}={count}"))
         .collect();
     println!(
-        "survivability: {} epochs cleared, {} ⊥-aborted{}",
+        "survivability: {} epochs cleared, {} ⊥-aborted{}{}",
         stats.epochs_cleared,
         stats.epochs_aborted,
-        if aborted_by.is_empty() { String::new() } else { format!(" ({})", aborted_by.join(", ")) }
+        if aborted_by.is_empty() { String::new() } else { format!(" ({})", aborted_by.join(", ")) },
+        reconnects.map_or(String::new(), |r| format!(", {r} provider reconnect(s)"))
     );
     if stats.chaos.total() > 0 {
         println!(
@@ -791,7 +776,6 @@ fn serve_main(argv: &[String]) -> Result<(), String> {
             stats.journal_fsync_max,
         );
     }
-    Ok(())
 }
 
 fn run<P: dauctioneer::core::AllocatorProgram + 'static>(
