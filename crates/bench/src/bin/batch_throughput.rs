@@ -77,7 +77,7 @@ fn main() {
     // faults, branch warm-up) — previously the batched column ran first
     // and absorbed all of it, which read as a phantom 1-session
     // "regression".
-    let _ = run_batch(&cfg, Arc::clone(&program), sessions(999_999_000, 1), &options);
+    run_batch(&cfg, Arc::clone(&program), sessions(999_999_000, 1), &options).expect("warm-up run");
 
     // Sweep 1: batched (one shared mesh) vs sequential (per-session mesh).
     let batch_sizes: &[usize] = if common.quick { &[1, 4, 8] } else { &[1, 2, 4, 8, 16, 32] };
@@ -95,6 +95,7 @@ fn main() {
 
             let (report, elapsed) = time_once(|| {
                 run_batch(&cfg, Arc::clone(&program), sessions(base, batch), &options)
+                    .expect("batched run")
             });
             assert!(report.all_agreed(), "batched session aborted");
             batched.push(elapsed);
@@ -106,7 +107,8 @@ fn main() {
                         Arc::clone(&program),
                         spec.collected,
                         &RunOptions { seed: spec.seed, ..options.clone() },
-                    );
+                    )
+                    .expect("sequential run");
                     !report.unanimous().is_abort()
                 })
             });
@@ -170,6 +172,7 @@ fn main() {
                         &options,
                         &batch_cfg,
                     )
+                    .expect("sharded run")
                 });
                 assert!(report.all_agreed(), "{} shards={shards} aborted", transport.name());
                 // The I/O-thread gauge of the batch's transport: 1 for a

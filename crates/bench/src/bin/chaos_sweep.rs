@@ -87,6 +87,7 @@ fn run_scenario(
     let (chaos, adversaries) = scenario.faults(seed, cfg.m);
     let batch = BatchConfig { shards: 1, transport, chaos, adversaries };
     run_batch_with(cfg, Arc::new(DoubleAuctionProgram::new()), specs.to_vec(), options, &batch)
+        .expect("scenario run")
 }
 
 /// Per-provider outcome vectors of a report, in session order.

@@ -32,7 +32,7 @@ const TAG_ALLOCATOR: u64 = 2;
 /// # Example
 ///
 /// Construction; driving the block requires a runtime — see
-/// [`crate::runtime::run_session`] for the threaded one.
+/// [`crate::batch::run_session`] for the threaded one.
 ///
 /// ```
 /// use std::sync::Arc;

@@ -1,5 +1,13 @@
-//! Multiplexed multi-session batching: many concurrent auctions over one
-//! shared transport.
+//! Running auctions on threads: one session, or many concurrent sessions
+//! multiplexed over one shared transport.
+//!
+//! This is the workspace's stand-in for the paper's deployment on Guifi
+//! nodes (`docs/ARCHITECTURE.md`, "One engine, one threaded driver, one
+//! simulator"): provider threads give real CPU parallelism for the
+//! computation-bound standard auction, and injected link latency
+//! reproduces the communication-bound regime of the double auction. Every
+//! provider's [`SessionEngine`] runs to completion, or to a deadline,
+//! which yields ⊥ (the paper's external abort mechanism).
 //!
 //! The paper runs one auction at a time; a production marketplace clears
 //! **many** (one per resource pool, region, or time slot — the regime of
@@ -13,6 +21,7 @@
 //! [`run_batch`] is the entry point; [`BatchReport`] makes throughput
 //! (sessions per second) a first-class measured quantity, reported by the
 //! `batch_throughput` bench binary alongside the per-figure benches.
+//! [`run_session`] is a batch of one, reported as a [`SessionReport`].
 //!
 //! [`run_batch_with`] adds two independent scaling knobs via
 //! [`BatchConfig`]: **sharding** — sessions partitioned across `N`
@@ -26,6 +35,11 @@
 //! [`SessionPool`]**: bring the pool and its mesh up, clear the sessions,
 //! shut down. `dauctioneer-market`'s long-lived daemon runs the same pool
 //! through many epochs without respawning anything.
+//!
+//! A run that cannot start is a [`RunError`], never a panic:
+//! [`BatchConfig::validate`] is the one check of a run's configuration,
+//! shared by [`SessionPool::start`] and the market's own validation, and
+//! [`run_batch_with`] adds the checks on the session list.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -41,27 +55,95 @@
 //! let sessions = (0..4)
 //!     .map(|s| BatchSession::uniform(SessionId(s), bids.clone(), 3, 100 + s))
 //!     .collect();
-//! let report = run_batch(&cfg, Arc::new(DoubleAuctionProgram::new()), sessions, &RunOptions::default());
+//! let program = Arc::new(DoubleAuctionProgram::new());
+//! let report = run_batch(&cfg, program, sessions, &RunOptions::default())?;
 //! assert!(report.all_agreed());
 //! assert!(report.sessions_per_sec() > 0.0);
+//! # Ok::<(), dauctioneer_core::RunError>(())
 //! ```
 //!
 //! [`SessionEngine`]: crate::engine::SessionEngine
 //! [`drive_multi`]: crate::engine::drive_multi
 
 use std::collections::HashSet;
+use std::error::Error;
+use std::fmt;
+use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dauctioneer_net::{shard_for, FaultPlan, TrafficSnapshot};
+use dauctioneer_net::{shard_for, FaultPlan, FaultPlanError, LatencyModel, TrafficSnapshot};
 use dauctioneer_types::{BidVector, Outcome, ProviderId, SessionId};
 
 use crate::adversary::{Adversary, AdversaryKind};
 use crate::allocator::AllocatorProgram;
-use crate::config::FrameworkConfig;
+use crate::config::{ConfigError, FrameworkConfig};
 use crate::engine::unanimous;
 use crate::pool::SessionPool;
-use crate::runtime::RunOptions;
+
+/// Why a run could not start.
+#[derive(Debug)]
+pub enum RunError {
+    /// The framework configuration is invalid (`m > 2k`, `m ≥ 1`).
+    Framework(ConfigError),
+    /// Real TCP sockets impose their own latency; a non-zero
+    /// [`LatencyModel`] cannot be injected into them.
+    TcpWithModelledLatency,
+    /// The fault plan is impossible (probability outside `[0, 1]`,
+    /// inverted delay range).
+    Chaos(FaultPlanError),
+    /// An adversary names a provider index outside the mesh.
+    AdversaryOutOfRange {
+        /// The named provider index.
+        provider: usize,
+        /// Providers in the mesh.
+        m: usize,
+    },
+    /// A session's `collected` does not hold one vector per provider.
+    CollectedLength(SessionId),
+    /// Two sessions of one batch share a tag.
+    DuplicateSession(SessionId),
+    /// The transport failed to come up (TCP listener or dial errors, or
+    /// a worker thread that could not be spawned).
+    Transport(io::Error),
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::Framework(e) => write!(f, "framework configuration: {e}"),
+            RunError::TcpWithModelledLatency => f.write_str("TCP cannot take modelled latency"),
+            RunError::Chaos(e) => write!(f, "chaos plan: {e}"),
+            RunError::AdversaryOutOfRange { provider, m } => {
+                write!(f, "adversary names provider {provider} but the mesh has {m} providers")
+            }
+            RunError::CollectedLength(s) => write!(f, "{s}: one collected vector per provider"),
+            RunError::DuplicateSession(s) => write!(f, "duplicate session tag {s} in batch"),
+            RunError::Transport(e) => write!(f, "transport bring-up failed: {e}"),
+        }
+    }
+}
+
+/// The message already names the cause, so no `source` repeats it.
+impl Error for RunError {}
+
+/// Options for a threaded run.
+#[derive(Debug, Clone)]
+pub struct RunOptions {
+    /// Wall-clock budget; providers that haven't decided by then output ⊥.
+    pub deadline: Duration,
+    /// Link latency injected between providers.
+    pub latency: LatencyModel,
+    /// Seed for latency jitter and each provider's local randomness
+    /// (provider `j` uses `seed + j + 1`).
+    pub seed: u64,
+}
+
+impl Default for RunOptions {
+    fn default() -> Self {
+        RunOptions { deadline: Duration::from_secs(60), latency: LatencyModel::Zero, seed: 0 }
+    }
+}
 
 /// Which message substrate a batch runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -72,7 +154,6 @@ pub enum TransportKind {
     ///
     /// [`ThreadedHub`]: dauctioneer_net::ThreadedHub
     /// [`ShardedHub`]: dauctioneer_net::ShardedHub
-    /// [`LatencyModel`]: dauctioneer_net::LatencyModel
     #[default]
     InProc,
     /// Real loopback TCP sockets ([`MuxMesh`]): every frame crosses the
@@ -81,8 +162,7 @@ pub enum TransportKind {
     /// reactor thread), with the shard id folded into the wire tag — so
     /// `shards` adds worker parallelism without multiplying connections
     /// or I/O threads. Link latency is whatever the sockets really
-    /// impose, so modelled latency must be
-    /// [`LatencyModel::Zero`][dauctioneer_net::LatencyModel::Zero].
+    /// impose, so modelled latency must be [`LatencyModel::Zero`].
     ///
     /// [`MuxMesh`]: dauctioneer_net::MuxMesh
     Tcp,
@@ -156,6 +236,27 @@ impl BatchConfig {
         self.adversaries.push(Adversary::new(provider, kind));
         self
     }
+
+    /// The one check of a run's configuration, made before any thread or
+    /// socket exists: `cfg` itself, TCP without modelled `latency`, the
+    /// chaos plan, and every adversary inside the mesh.
+    ///
+    /// # Errors
+    ///
+    /// The [`RunError`] naming the first violated constraint.
+    pub fn validate(&self, cfg: &FrameworkConfig, latency: LatencyModel) -> Result<(), RunError> {
+        cfg.validate().map_err(RunError::Framework)?;
+        if self.transport == TransportKind::Tcp && !latency.is_zero() {
+            return Err(RunError::TcpWithModelledLatency);
+        }
+        if let Some(plan) = &self.chaos {
+            plan.validate().map_err(RunError::Chaos)?;
+        }
+        if let Some(a) = self.adversaries.iter().find(|a| a.provider.index() >= cfg.m) {
+            return Err(RunError::AdversaryOutOfRange { provider: a.provider.index(), m: cfg.m });
+        }
+        Ok(())
+    }
 }
 
 /// One auction session of a batch.
@@ -223,6 +324,27 @@ impl BatchReport {
     }
 }
 
+/// What a single threaded session ([`run_session`]) produced.
+#[derive(Debug, Clone)]
+pub struct SessionReport {
+    /// Outcome at each provider, by provider index. A correct simulation
+    /// yields the same agreed pair everywhere (or ⊥ everywhere).
+    pub outcomes: Vec<Outcome>,
+    /// Wall-clock duration from session start to the last provider's
+    /// decision.
+    pub elapsed: Duration,
+    /// Traffic counters for the whole session.
+    pub traffic: TrafficSnapshot,
+}
+
+impl SessionReport {
+    /// The unanimous outcome of the session per Definition 1: the agreed
+    /// pair if *all* providers output it, else ⊥.
+    pub fn unanimous(&self) -> Outcome {
+        unanimous(self.outcomes.iter().map(Some))
+    }
+}
+
 /// Run `sessions.len()` concurrent auction sessions over one shared
 /// in-process mesh of `cfg.m` providers (the default [`BatchConfig`]:
 /// one shard, [`TransportKind::InProc`]).
@@ -232,16 +354,17 @@ impl BatchReport {
 /// `options` bounds the *whole batch*: sessions undecided when it passes
 /// output ⊥ at the affected providers.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a session's `collected` length is not `cfg.m`, two sessions
-/// share a tag, or — for a non-empty batch — the configuration is invalid.
+/// [`RunError::CollectedLength`] if a session's `collected` length is not
+/// `cfg.m`, [`RunError::DuplicateSession`] if two sessions share a tag,
+/// and — for a non-empty batch — whatever [`SessionPool::start`] returns.
 pub fn run_batch<P: AllocatorProgram + 'static>(
     cfg: &FrameworkConfig,
     program: Arc<P>,
     sessions: Vec<BatchSession>,
     options: &RunOptions,
-) -> BatchReport {
+) -> Result<BatchReport, RunError> {
     run_batch_with(cfg, program, sessions, options, &BatchConfig::default())
 }
 
@@ -253,11 +376,11 @@ pub fn run_batch<P: AllocatorProgram + 'static>(
 /// independent of the [`BatchConfig`] — the protocol cannot observe which
 /// substrate carried its frames — only wall-clock throughput changes.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics under the same conditions as [`run_batch`], and wherever
-/// [`SessionPool::start`] fails or panics: notably if `batch.transport`
-/// is [`TransportKind::Tcp`] while `options.latency` is a non-zero model
+/// The same as [`run_batch`]; among them [`BatchConfig::validate`]'s,
+/// such as [`RunError::TcpWithModelledLatency`] when `batch.transport` is
+/// [`TransportKind::Tcp`] while `options.latency` is a non-zero model
 /// (real sockets impose their own latency; the two cannot compose).
 pub fn run_batch_with<P: AllocatorProgram + 'static>(
     cfg: &FrameworkConfig,
@@ -265,11 +388,15 @@ pub fn run_batch_with<P: AllocatorProgram + 'static>(
     sessions: Vec<BatchSession>,
     options: &RunOptions,
     batch: &BatchConfig,
-) -> BatchReport {
+) -> Result<BatchReport, RunError> {
     let mut tags = HashSet::new();
     for spec in &sessions {
-        assert_eq!(spec.collected.len(), cfg.m, "one collected vector per provider per session");
-        assert!(tags.insert(spec.session), "duplicate session tag {} in batch", spec.session);
+        if spec.collected.len() != cfg.m {
+            return Err(RunError::CollectedLength(spec.session));
+        }
+        if !tags.insert(spec.session) {
+            return Err(RunError::DuplicateSession(spec.session));
+        }
     }
     let shards = batch.shards.max(1);
     let n_sessions = sessions.len();
@@ -298,8 +425,7 @@ pub fn run_batch_with<P: AllocatorProgram + 'static>(
     } else {
         let occupied = BatchConfig { shards: shard_specs.len(), ..batch.clone() };
         let pool =
-            SessionPool::start(cfg, &program, &occupied, options.latency, options.seed, None)
-                .unwrap_or_else(|err| panic!("batch mesh bring-up failed: {err}"));
+            SessionPool::start(cfg, &program, &occupied, options.latency, options.seed, None)?;
         let metrics = pool.traffic_metrics();
         let columns = pool.run_epoch(shard_specs, options.deadline);
         pool.shutdown();
@@ -325,14 +451,39 @@ pub fn run_batch_with<P: AllocatorProgram + 'static>(
         .zip(outcomes)
         .map(|(session, outcomes)| BatchSessionReport { session, outcomes })
         .collect();
-    BatchReport { sessions, elapsed, traffic }
+    Ok(BatchReport { sessions, elapsed, traffic })
+}
+
+/// Run one full distributed-auction session on threads: a batch of one,
+/// tagged `cfg.session`, with the same mesh, threads, seeding (provider
+/// `j` draws from `options.seed + j + 1`) and ⊥ handling.
+///
+/// `collected[j]` is the bid vector provider `j` gathered from the bidders
+/// (they may differ — that is exactly what bid agreement resolves).
+///
+/// # Errors
+///
+/// [`RunError::CollectedLength`] if `collected.len() != cfg.m`, and
+/// whatever [`SessionPool::start`] returns.
+pub fn run_session<P: AllocatorProgram + 'static>(
+    cfg: &FrameworkConfig,
+    program: Arc<P>,
+    collected: Vec<BidVector>,
+    options: &RunOptions,
+) -> Result<SessionReport, RunError> {
+    let spec = BatchSession { session: cfg.session, collected, seed: options.seed };
+    let mut report = run_batch(cfg, program, vec![spec], options)?;
+    Ok(SessionReport {
+        outcomes: report.sessions.remove(0).outcomes,
+        elapsed: report.elapsed,
+        traffic: report.traffic,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adapters::DoubleAuctionProgram;
-    use crate::runtime::run_session;
     use dauctioneer_types::{Bw, Money, ProviderAsk, UserBid};
 
     fn bids(valuation: f64) -> BidVector {
@@ -356,7 +507,8 @@ mod tests {
             Arc::new(DoubleAuctionProgram::new()),
             sessions,
             &RunOptions::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(report.sessions.len(), 8);
         assert!(report.all_agreed(), "every session must clear");
         assert!(report.sessions_per_sec() > 0.0);
@@ -379,14 +531,16 @@ mod tests {
             Arc::new(DoubleAuctionProgram::new()),
             sessions.clone(),
             &RunOptions::default(),
-        );
+        )
+        .unwrap();
         for (s, spec) in sessions.into_iter().enumerate() {
             let alone = run_session(
                 &cfg.clone().with_session(spec.session),
                 Arc::new(DoubleAuctionProgram::new()),
                 spec.collected,
                 &RunOptions { seed: spec.seed, ..RunOptions::default() },
-            );
+            )
+            .unwrap();
             assert_eq!(
                 batch.sessions[s].unanimous(),
                 alone.unanimous(),
@@ -406,14 +560,16 @@ mod tests {
             Arc::new(DoubleAuctionProgram::new()),
             sessions.clone(),
             &RunOptions::default(),
-        );
+        )
+        .unwrap();
         let sharded = run_batch_with(
             &cfg,
             Arc::new(DoubleAuctionProgram::new()),
             sessions,
             &RunOptions::default(),
             &BatchConfig::sharded(4),
-        );
+        )
+        .unwrap();
         assert!(sharded.all_agreed());
         for (a, b) in single.sessions.iter().zip(&sharded.sessions) {
             assert_eq!(a.session, b.session, "input order preserved");
@@ -432,14 +588,16 @@ mod tests {
             Arc::new(DoubleAuctionProgram::new()),
             sessions.clone(),
             &RunOptions::default(),
-        );
+        )
+        .unwrap();
         let tcp = run_batch_with(
             &cfg,
             Arc::new(DoubleAuctionProgram::new()),
             sessions,
             &RunOptions::default(),
             &BatchConfig::tcp(2),
-        );
+        )
+        .unwrap();
         assert!(tcp.all_agreed(), "TCP batch must clear");
         assert!(tcp.traffic.total_messages() > 0);
         for (a, b) in inproc.sessions.iter().zip(&tcp.sessions) {
@@ -448,7 +606,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "modelled link latency cannot be injected")]
     fn tcp_rejects_modelled_latency() {
         let cfg = FrameworkConfig::new(3, 1, 2, 1);
         let sessions = vec![BatchSession::uniform(SessionId(0), bids(1.0), 3, 1)];
@@ -456,13 +613,9 @@ mod tests {
             latency: dauctioneer_net::LatencyModel::ConstantMicros(100),
             ..RunOptions::default()
         };
-        run_batch_with(
-            &cfg,
-            Arc::new(DoubleAuctionProgram::new()),
-            sessions,
-            &options,
-            &BatchConfig::tcp(1),
-        );
+        let program = Arc::new(DoubleAuctionProgram::new());
+        let err = run_batch_with(&cfg, program, sessions, &options, &BatchConfig::tcp(1));
+        assert!(matches!(err, Err(RunError::TcpWithModelledLatency)), "{err:?}");
     }
 
     #[test]
@@ -481,7 +634,8 @@ mod tests {
                 sessions.clone(),
                 &RunOptions::default(),
                 &config,
-            );
+            )
+            .unwrap();
             assert!(report.all_agreed(), "{config:?}");
             assert_eq!(report.sessions[0].session, SessionId(0));
             assert_eq!(report.sessions[1].session, SessionId(1));
@@ -498,28 +652,112 @@ mod tests {
             sessions,
             &RunOptions::default(),
             &BatchConfig::sharded(0),
-        );
+        )
+        .unwrap();
         assert!(report.all_agreed());
     }
 
     #[test]
-    #[should_panic(expected = "duplicate session tag")]
     fn duplicate_tags_are_rejected() {
         let cfg = FrameworkConfig::new(3, 1, 2, 1);
         let sessions = vec![
             BatchSession::uniform(SessionId(1), bids(1.0), 3, 1),
             BatchSession::uniform(SessionId(1), bids(1.1), 3, 2),
         ];
-        run_batch(&cfg, Arc::new(DoubleAuctionProgram::new()), sessions, &RunOptions::default());
+        let program = Arc::new(DoubleAuctionProgram::new());
+        let err = run_batch(&cfg, program, sessions, &RunOptions::default());
+        assert!(matches!(err, Err(RunError::DuplicateSession(SessionId(1)))), "{err:?}");
     }
 
     #[test]
     fn empty_batch_reports_nothing() {
         let cfg = FrameworkConfig::new(3, 1, 2, 1);
         let report =
-            run_batch(&cfg, Arc::new(DoubleAuctionProgram::new()), vec![], &RunOptions::default());
+            run_batch(&cfg, Arc::new(DoubleAuctionProgram::new()), vec![], &RunOptions::default())
+                .unwrap();
         assert!(report.sessions.is_empty());
         assert!(!report.all_agreed());
         assert_eq!(report.sessions_per_sec(), 0.0);
+    }
+
+    fn spread_bids(n: usize, a: usize) -> BidVector {
+        let mut b = BidVector::builder(n, a);
+        for i in 0..n {
+            b = b.user_bid(
+                i,
+                UserBid::new(Money::from_f64(1.0 + 0.01 * i as f64), Bw::from_f64(0.5)),
+            );
+        }
+        for j in 0..a {
+            b = b.provider_ask(
+                j,
+                ProviderAsk::new(Money::from_f64(0.1 + 0.1 * j as f64), Bw::from_f64(1.0)),
+            );
+        }
+        b.build()
+    }
+
+    #[test]
+    fn threaded_double_auction_session_agrees() {
+        let cfg = FrameworkConfig::new(3, 1, 4, 2);
+        let shared_bids = spread_bids(4, 2);
+        let report = run_session(
+            &cfg,
+            Arc::new(DoubleAuctionProgram::new()),
+            vec![shared_bids.clone(); 3],
+            &RunOptions::default(),
+        )
+        .unwrap();
+        let outcome = report.unanimous();
+        let result = outcome.as_result().expect("honest run must agree");
+        assert!(!result.allocation.is_empty());
+        assert!(report.traffic.total_messages() > 0);
+        // All three providers returned the identical pair.
+        for o in &report.outcomes {
+            assert_eq!(o, &outcome);
+        }
+    }
+
+    #[test]
+    fn divergent_collections_still_agree_on_something() {
+        // Each provider saw a different bid from user 0 (an equivocating
+        // bidder); the session must still converge to one outcome.
+        let cfg = FrameworkConfig::new(3, 1, 2, 1);
+        let collected: Vec<BidVector> = (0..3)
+            .map(|j| {
+                BidVector::builder(2, 1)
+                    .user_bid(
+                        0,
+                        UserBid::new(Money::from_f64(1.0 + j as f64 * 0.1), Bw::from_f64(0.4)),
+                    )
+                    .user_bid(1, UserBid::new(Money::from_f64(0.9), Bw::from_f64(0.4)))
+                    .provider_ask(0, ProviderAsk::new(Money::from_f64(0.2), Bw::from_f64(2.0)))
+                    .build()
+            })
+            .collect();
+        let report = run_session(
+            &cfg,
+            Arc::new(DoubleAuctionProgram::new()),
+            collected,
+            &RunOptions::default(),
+        )
+        .unwrap();
+        assert!(!report.unanimous().is_abort());
+        // Validity: the consistent bidder (user 1) was preserved — check
+        // that each provider's outcome equals the unanimous one.
+        let unanimous = report.unanimous();
+        for o in &report.outcomes {
+            assert_eq!(o, &unanimous);
+        }
+    }
+
+    #[test]
+    fn unanimous_of_empty_is_abort() {
+        let report = SessionReport {
+            outcomes: vec![],
+            elapsed: Duration::ZERO,
+            traffic: TrafficSnapshot::default(),
+        };
+        assert!(report.unanimous().is_abort());
     }
 }

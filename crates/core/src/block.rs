@@ -9,7 +9,7 @@
 //! Blocks are transport-agnostic: the same state machine runs under the
 //! deterministic turn-based game scheduler (`dauctioneer-sim`) used by the
 //! correctness and deviation tests, and under real threads
-//! (`crate::runtime`) used by the wall-clock benchmarks.
+//! (`crate::pool`) used by the wall-clock benchmarks.
 
 use bytes::Bytes;
 use dauctioneer_net::frame;
@@ -53,7 +53,7 @@ impl<T> BlockResult<T> {
 }
 
 /// The sending context a block runs in. Implementations deliver to a real
-/// transport ([`crate::runtime`]), collect into an outbox (the simulator),
+/// transport ([`crate::pool`]), collect into an outbox (the simulator),
 /// or wrap a parent context with a channel tag ([`TaggedCtx`]).
 pub trait Ctx {
     /// The provider executing this block.
@@ -229,14 +229,6 @@ impl<B: Block> SubSlot<B> {
 
     /// The child, if active.
     pub fn active(&self) -> Option<&B> {
-        match self {
-            SubSlot::Pending(_) => None,
-            SubSlot::Active(b) => Some(b),
-        }
-    }
-
-    /// The child, mutably, if active.
-    pub fn active_mut(&mut self) -> Option<&mut B> {
         match self {
             SubSlot::Pending(_) => None,
             SubSlot::Active(b) => Some(b),

@@ -34,7 +34,7 @@
 //!   `Arc<dyn AllocatorProgram>` for runtime mechanism selection.
 //! * [`engine::SessionEngine`] — the shared per-provider protocol loop
 //!   (session framing, dispatch, external ⊥) that every driver runs: the
-//!   threaded [`SessionPool`] (behind [`runtime::run_session`] and
+//!   threaded [`SessionPool`] (behind [`batch::run_session`] and
 //!   [`batch::run_batch`]), and `dauctioneer-sim`'s simulator
 //!   (turn-based and virtual-time schedules).
 //! * [`batch::run_batch`] — N concurrent sessions multiplexed over one
@@ -64,8 +64,9 @@
 //!     Arc::new(DoubleAuctionProgram::new()),
 //!     vec![bids; 3],               // every provider collected the same bids
 //!     &RunOptions::default(),
-//! );
+//! )?;                              // an invalid run is a `RunError`, not a panic
 //! assert!(!report.unanimous().is_abort());
+//! # Ok::<(), dauctioneer_core::RunError>(())
 //! ```
 
 pub mod adapters;
@@ -80,7 +81,6 @@ pub mod distribution;
 pub mod engine;
 pub mod exchange;
 pub mod pool;
-pub mod runtime;
 pub mod submission;
 pub mod task_graph;
 
@@ -92,14 +92,13 @@ pub use adversary::{strategy_for, Adversary, AdversaryKind, AdversaryTransport};
 pub use allocator::{AllocatorProgram, ParallelAllocator};
 pub use auctioneer::Auctioneer;
 pub use batch::{
-    run_batch, run_batch_with, BatchConfig, BatchReport, BatchSession, BatchSessionReport,
-    TransportKind,
+    run_batch, run_batch_with, run_session, BatchConfig, BatchReport, BatchSession,
+    BatchSessionReport, RunError, RunOptions, SessionReport, TransportKind,
 };
 pub use block::{Block, BlockResult, Ctx, OutboxCtx, SubSlot, TaggedCtx};
 pub use config::{ConfigError, FrameworkConfig};
 pub use distribution::Distribution;
 pub use engine::{drive, drive_multi, unanimous, SessionEngine, Transport};
 pub use pool::SessionPool;
-pub use runtime::{run_session, RunOptions, SessionReport};
 pub use submission::{BidCollector, SubmissionOutcome};
 pub use task_graph::{TaskGraphError, TaskGraphSpec, TaskId, TaskSpec, TransferEdge};

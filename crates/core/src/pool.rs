@@ -18,7 +18,9 @@
 //! it — exactly the isolation the engine already guarantees for
 //! concurrent sessions, extended across time.
 //!
-//! The pool is the only code that turns a [`TransportKind`] into a mesh.
+//! The pool is the only code that turns a [`TransportKind`] into a mesh,
+//! and [`SessionPool::start`] refuses an invalid run with a [`RunError`]
+//! before any of it exists.
 //! The market daemon runs one pool for its whole life; a one-shot batch
 //! ([`crate::batch::run_batch_with`]), and with it a single session, is
 //! one epoch of a pool that then shuts down.
@@ -34,9 +36,9 @@ use dauctioneer_net::{
 };
 use dauctioneer_types::{BidVector, Outcome, ProviderId, SessionId};
 
-use crate::adversary::{strategy_for, Adversary, AdversaryTransport};
+use crate::adversary::{strategy_for, AdversaryTransport};
 use crate::allocator::AllocatorProgram;
-use crate::batch::{BatchConfig, TransportKind};
+use crate::batch::{BatchConfig, RunError, TransportKind};
 use crate::config::FrameworkConfig;
 use crate::engine::{drive_multi, SessionEngine, Transport};
 
@@ -115,14 +117,9 @@ impl SessionPool {
     ///
     /// # Errors
     ///
-    /// Real TCP sockets with a non-zero modelled `latency` (they impose
-    /// their own), or a socket-level failure bringing the TCP mesh up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration or the chaos plan is invalid, or an
-    /// adversary names a provider `>= m` (local programming errors; the
-    /// market service validates its operator input before this point).
+    /// [`BatchConfig::validate`]'s error, checked before any thread or
+    /// socket exists; [`RunError::Transport`] for a socket-level failure
+    /// bringing the TCP mesh up or a worker thread that could not spawn.
     pub fn start<P: AllocatorProgram + 'static>(
         cfg: &FrameworkConfig,
         program: &Arc<P>,
@@ -130,34 +127,24 @@ impl SessionPool {
         latency: LatencyModel,
         seed: u64,
         chaos_metrics: Option<ChaosMetrics>,
-    ) -> io::Result<SessionPool> {
+    ) -> Result<SessionPool, RunError> {
+        batch.validate(cfg, latency)?;
         let shards = batch.shards.max(1);
-        let (chaos, adversaries) = (batch.chaos, batch.adversaries.as_slice());
-        let (mut pool, mesh) = match batch.transport {
+        let pool = match batch.transport {
             TransportKind::InProc => {
                 let mut hub = ShardedHub::new(cfg.m, shards, latency, seed);
                 let endpoints = hub.take_endpoints();
-                let pool =
-                    SessionPool::spawn(cfg, program, endpoints, chaos, adversaries, chaos_metrics);
-                (pool, Mesh::InProc(hub))
-            }
-            TransportKind::Tcp if !latency.is_zero() => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "modelled link latency cannot be injected into real TCP sockets; \
-                     use TransportKind::InProc for latency experiments",
-                ))
+                let mesh = Some(Mesh::InProc(hub));
+                SessionPool::spawn(cfg, program, endpoints, batch, chaos_metrics, mesh)
             }
             TransportKind::Tcp => {
-                let mut mesh = MuxMesh::loopback(cfg.m, shards)?;
+                let mut mesh = MuxMesh::loopback(cfg.m, shards).map_err(RunError::Transport)?;
                 let endpoints = mesh.take_lane_endpoints();
-                let pool =
-                    SessionPool::spawn(cfg, program, endpoints, chaos, adversaries, chaos_metrics);
-                (pool, Mesh::Tcp(mesh))
+                let mesh = Some(Mesh::Tcp(mesh));
+                SessionPool::spawn(cfg, program, endpoints, batch, chaos_metrics, mesh)
             }
         };
-        pool.mesh = Mutex::new(Some(mesh));
-        Ok(pool)
+        pool.map_err(RunError::Transport)
     }
 
     /// Spawn the workers over endpoints the caller built and keeps alive:
@@ -168,8 +155,8 @@ impl SessionPool {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid or any shard does not have
-    /// exactly `cfg.m` endpoints.
+    /// Panics if the configuration is invalid, any shard does not have
+    /// exactly `cfg.m` endpoints, or a worker thread cannot be spawned.
     pub fn new<P, T>(
         cfg: &FrameworkConfig,
         program: &Arc<P>,
@@ -179,49 +166,51 @@ impl SessionPool {
         P: AllocatorProgram + 'static,
         T: Transport + Send + 'static,
     {
-        SessionPool::spawn(cfg, program, shard_endpoints, None, &[], None)
+        cfg.validate().expect("invalid framework configuration");
+        let full = shard_endpoints.iter().all(|endpoints| endpoints.len() == cfg.m);
+        assert!(full, "one endpoint per provider per shard");
+        SessionPool::spawn(cfg, program, shard_endpoints, &BatchConfig::default(), None, None)
+            .expect("spawn pool worker thread")
     }
 
-    /// Validate, wrap every endpoint in the chaos/adversary stack, and
-    /// spawn one worker per endpoint.
+    /// Wrap every endpoint of a validated run in the chaos/adversary
+    /// stack and spawn one worker per endpoint; the pool keeps `mesh`
+    /// (if it brought the endpoints up itself) until its workers are
+    /// gone. A worker that cannot spawn drops the pool, which joins the
+    /// workers already running.
     fn spawn<P, T>(
         cfg: &FrameworkConfig,
         program: &Arc<P>,
         shard_endpoints: Vec<Vec<T>>,
-        chaos: Option<FaultPlan>,
-        adversaries: &[Adversary],
+        batch: &BatchConfig,
         chaos_metrics: Option<ChaosMetrics>,
-    ) -> SessionPool
+        mesh: Option<Mesh>,
+    ) -> io::Result<SessionPool>
     where
         P: AllocatorProgram + 'static,
         T: Transport + Send + 'static,
     {
-        cfg.validate().expect("invalid framework configuration");
-        let plan = chaos.unwrap_or_else(FaultPlan::none);
-        plan.validate().expect("invalid fault plan");
-        for adversary in adversaries {
-            assert!(
-                adversary.provider.index() < cfg.m,
-                "adversary names provider {} but the mesh has only {} providers",
-                adversary.provider,
-                cfg.m
-            );
-        }
-        let m = cfg.m;
-        let mut controls = Vec::with_capacity(shard_endpoints.len());
-        let mut ids = Vec::with_capacity(shard_endpoints.len());
-        let mut handles = Vec::new();
+        let plan = batch.chaos.unwrap_or_else(FaultPlan::none);
+        let mut pool = SessionPool {
+            controls: Vec::with_capacity(shard_endpoints.len()),
+            ids: Vec::with_capacity(shard_endpoints.len()),
+            handles: Vec::new(),
+            m: cfg.m,
+            adversarial: !batch.adversaries.is_empty(),
+            faulty_links: !plan.is_benign(),
+            mesh: Mutex::new(mesh),
+        };
         for (s, endpoints) in shard_endpoints.into_iter().enumerate() {
-            assert_eq!(endpoints.len(), m, "shard {s}: one endpoint per provider");
-            let mut shard_controls = Vec::with_capacity(m);
-            let mut shard_ids = Vec::with_capacity(m);
+            pool.controls.push(Vec::with_capacity(cfg.m));
+            pool.ids.push(Vec::with_capacity(cfg.m));
             for (j, endpoint) in endpoints.into_iter().enumerate() {
                 let me = ProviderId(j as u32);
                 let mut chaos = ChaosTransport::with_salt(endpoint, plan, s as u64);
                 if let Some(metrics) = &chaos_metrics {
                     chaos = chaos.with_metrics(metrics.clone());
                 }
-                let mut transport = AdversaryTransport::new(chaos, strategy_for(adversaries, me));
+                let strategy = strategy_for(&batch.adversaries, me);
+                let mut transport = AdversaryTransport::new(chaos, strategy);
                 let (tx, rx): (Sender<WorkOrder>, Receiver<WorkOrder>) = unbounded();
                 let cfg = cfg.clone();
                 let program = Arc::clone(program);
@@ -249,17 +238,13 @@ impl SessionPool {
                                 drive_multi(&mut engines, &mut transport, order.deadline);
                             let _ = order.reply.send((id, outcomes, decided_at));
                         }
-                    })
-                    .expect("spawn pool worker thread");
-                shard_controls.push(tx);
-                shard_ids.push(handle.thread().id());
-                handles.push(handle);
+                    })?;
+                pool.controls[s].push(tx);
+                pool.ids[s].push(handle.thread().id());
+                pool.handles.push(handle);
             }
-            controls.push(shard_controls);
-            ids.push(shard_ids);
         }
-        let (adversarial, faulty_links) = (!adversaries.is_empty(), !plan.is_benign());
-        SessionPool { controls, ids, handles, m, adversarial, faulty_links, mesh: Mutex::new(None) }
+        Ok(pool)
     }
 
     /// Number of shards the pool drives.
@@ -320,7 +305,9 @@ impl SessionPool {
     /// # Panics
     ///
     /// Panics if `shard_specs.len()` differs from [`Self::num_shards`],
-    /// a session's `collected` length is not `m`, or a reply arrives
+    /// a session's `collected` length is not `m` (a batch run checks
+    /// that first and returns [`RunError::CollectedLength`]), or a
+    /// reply arrives
     /// from a thread that is not the worker spawned for that slot (the
     /// per-epoch-churn detector).
     pub fn run_epoch(

@@ -87,7 +87,7 @@ fn row(
         .collect();
     let options = RunOptions { latency, seed: 11, ..RunOptions::default() };
     let config = BatchConfig { shards, transport, ..BatchConfig::default() };
-    let report = run_batch_with(&cfg, program, sessions, &options, &config);
+    let report = run_batch_with(&cfg, program, sessions, &options, &config).unwrap();
     let outcomes: Vec<String> =
         report.sessions.iter().map(|s| render_outcome(&s.unanimous())).collect();
     format!(

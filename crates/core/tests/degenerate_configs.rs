@@ -60,7 +60,8 @@ fn minimum_viable_coalition_configs_run() {
             Arc::new(DoubleAuctionProgram::new()),
             vec![bids; m],
             &RunOptions::default(),
-        );
+        )
+        .unwrap();
         assert!(!report.unanimous().is_abort(), "m = {m}, k = {k} must complete");
     }
 }
@@ -76,7 +77,8 @@ fn zero_users_auction_completes_with_empty_result() {
         Arc::new(DoubleAuctionProgram::new()),
         vec![bids; 3],
         &RunOptions::default(),
-    );
+    )
+    .unwrap();
     let outcome = report.unanimous();
     let result = outcome.as_result().expect("empty auction still agrees");
     assert!(result.allocation.is_empty());
@@ -94,7 +96,8 @@ fn all_neutral_bids_clear_to_empty_allocation() {
         Arc::new(DoubleAuctionProgram::new()),
         vec![bids; 3],
         &RunOptions::default(),
-    );
+    )
+    .unwrap();
     let result = report.unanimous().into_result().expect("agrees");
     assert!(result.allocation.is_empty());
 }

@@ -50,7 +50,8 @@ fn threaded_session_survives_stale_frames_in_inboxes() {
         Arc::new(DoubleAuctionProgram::new()),
         vec![bids(1.1); 3],
         &RunOptions::default(),
-    );
+    )
+    .unwrap();
     let clean_outcome = clean.unanimous();
     assert!(!clean_outcome.is_abort());
 
@@ -109,6 +110,7 @@ fn concurrent_sessions_are_isolated_under_injected_stragglers() {
                 vec![bids.clone(); 3],
                 &RunOptions { seed: *seed, ..RunOptions::default() },
             )
+            .unwrap()
             .unanimous()
         })
         .collect();
@@ -174,7 +176,8 @@ fn batch_sessions_match_isolated_outcomes() {
         Arc::clone(&program),
         specs.clone(),
         &RunOptions::default(),
-    );
+    )
+    .unwrap();
     assert!(batch.all_agreed());
     for (s, spec) in specs.into_iter().enumerate() {
         let expected = run_session(
@@ -183,6 +186,7 @@ fn batch_sessions_match_isolated_outcomes() {
             spec.collected,
             &RunOptions { seed: spec.seed, ..RunOptions::default() },
         )
+        .unwrap()
         .unanimous();
         assert_eq!(batch.sessions[s].unanimous(), expected);
     }

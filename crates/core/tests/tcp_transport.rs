@@ -63,7 +63,8 @@ fn tcp_session_agrees_and_matches_inproc() {
         Arc::new(DoubleAuctionProgram::new()),
         vec![bids(1.2); 3],
         &RunOptions { seed: 42, ..RunOptions::default() },
-    );
+    )
+    .unwrap();
     assert_eq!(tcp_outcome, inproc.unanimous());
 }
 
@@ -113,7 +114,8 @@ fn concurrent_sessions_stay_isolated_on_a_shared_socket_mesh() {
             Arc::new(DoubleAuctionProgram::new()),
             vec![bids(valuation); 3],
             &RunOptions { seed, ..RunOptions::default() },
-        );
+        )
+        .unwrap();
         assert_eq!(multiplexed, alone.unanimous(), "session {session} perturbed by its neighbour");
     }
 }
@@ -213,14 +215,16 @@ fn sharded_tcp_batch_matches_inproc_batch() {
         sessions.clone(),
         &RunOptions::default(),
         &BatchConfig::default(),
-    );
+    )
+    .unwrap();
     let tcp = run_batch_with(
         &cfg,
         Arc::new(DoubleAuctionProgram::new()),
         sessions,
         &RunOptions::default(),
         &BatchConfig::tcp(3),
-    );
+    )
+    .unwrap();
     assert!(tcp.all_agreed());
     for (a, b) in inproc.sessions.iter().zip(&tcp.sessions) {
         assert_eq!(a.session, b.session);

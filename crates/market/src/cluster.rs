@@ -111,7 +111,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use dauctioneer_core::{
-    drive, AllocatorProgram, BatchSession, DoubleAuctionProgram, FrameworkConfig, SessionEngine,
+    drive, AllocatorProgram, DoubleAuctionProgram, FrameworkConfig, SessionEngine,
 };
 use dauctioneer_net::{
     Backoff, LivenessConfig, LivenessMetrics, LivenessTracker, MeshOptions, MuxEndpoint, PeerState,
@@ -481,18 +481,15 @@ impl ClusterConfig {
         }
     }
 
-    /// Check the paper's `m > 2k` bound and basic sanity.
+    /// Check the paper's `m > 2k` bound ([`FrameworkConfig::validate`])
+    /// and basic sanity.
     ///
     /// # Errors
     ///
     /// [`ClusterError::Config`] naming the violated constraint.
     pub fn validate(&self) -> Result<(), ClusterError> {
-        if self.m == 0 || self.m <= 2 * self.k {
-            return Err(ClusterError::Config(format!(
-                "m must exceed 2k (got m={}, k={})",
-                self.m, self.k
-            )));
-        }
+        let framework = FrameworkConfig::new(self.m, self.k, self.n_users, self.m);
+        framework.validate().map_err(|e| ClusterError::Config(e.to_string()))?;
         if self.n_users == 0 {
             return Err(ClusterError::Config("n_users must be at least 1".into()));
         }
@@ -762,7 +759,7 @@ impl Coordinator {
     /// dead peer; and at that bound when a live-looking peer stays silent.
     fn dispatch_and_collect(
         &self,
-        spec: &BatchSession,
+        job: &ClearJob,
         deadline: Duration,
     ) -> Vec<Option<(Outcome, Duration)>> {
         let m = self.config.m;
@@ -784,10 +781,9 @@ impl Coordinator {
             return reports; // bounded degradation: do not dispatch into a hole
         }
 
-        // One encoding per session, one write per provider. The
-        // coordinator's epochs are uniform: every provider clears the
-        // same vector, `collected[0]`.
-        let epoch = spec.session.0 - self.config.first_session;
+        // One encoding per session, one write per provider: every
+        // provider clears the same vector, the job's `bids`.
+        let epoch = job.session.0 - self.config.first_session;
         let rebuild = self.last_roster.borrow().as_ref() != Some(&peers);
         let mut frames = Writer::new();
         let framed = (|| {
@@ -795,7 +791,7 @@ impl Coordinator {
                 push_frame(&mut frames, |w| ControlMsg::ResetMesh.encode(w))?;
             }
             push_frame(&mut frames, |w| {
-                encode_work_order(w, epoch, spec.session.0, spec.seed, &spec.collected[0], &peers)
+                encode_work_order(w, epoch, job.session.0, job.seed, &job.bids, &peers)
             })
         })();
         if framed.is_err() {
@@ -865,24 +861,20 @@ impl ClearBackend for Coordinator {
         1
     }
 
-    fn providers(&self) -> usize {
-        self.config.m
-    }
-
     /// Each session in turn through [`Coordinator::dispatch_and_collect`].
     /// A missing report reads as ⊥; a decide offset is the report's
     /// arrival. The mesh is kept for the next session only if every
     /// provider reported a decided outcome: then all have left this one.
     fn run_epoch_traced(
         &self,
-        shard_specs: Vec<Vec<BatchSession>>,
+        shard_jobs: Vec<Vec<&ClearJob>>,
         deadline: Duration,
     ) -> (Columns, DecideOffsets) {
         let m = self.config.m;
         let (mut outcomes, mut offsets) = (vec![Vec::new(); m], vec![Vec::new(); m]);
         let mut gave_up = false;
-        for spec in shard_specs.into_iter().flatten() {
-            let reports = self.dispatch_and_collect(&spec, deadline);
+        for job in shard_jobs.into_iter().flatten() {
+            let reports = self.dispatch_and_collect(job, deadline);
             gave_up |= reports.contains(&None);
             if !reports.iter().all(|r| matches!(r, Some((o, _)) if !o.is_abort())) {
                 *self.last_roster.borrow_mut() = None;

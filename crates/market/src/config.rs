@@ -6,8 +6,10 @@ use std::fmt;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use dauctioneer_core::{Adversary, AdversaryKind, ConfigError, FrameworkConfig, TransportKind};
-use dauctioneer_net::{FaultPlan, FaultPlanError, LatencyModel};
+use dauctioneer_core::{
+    Adversary, AdversaryKind, BatchConfig, FrameworkConfig, RunError, TransportKind,
+};
+use dauctioneer_net::{FaultPlan, LatencyModel};
 use dauctioneer_types::{ProviderAsk, ProviderId};
 
 use crate::journal::{FsyncPolicy, JournalError};
@@ -263,17 +265,28 @@ impl MarketConfig {
         FrameworkConfig::new(self.m, self.k, self.n_users, self.n_asks)
     }
 
-    /// Reject invalid knob combinations up front, before any thread or
-    /// mesh exists.
+    /// The persistent mesh every epoch's session runs over: what
+    /// [`MarketConfig::validate`] checks and [`crate::MarketService::start`]
+    /// brings up.
+    pub fn batch(&self) -> BatchConfig {
+        BatchConfig {
+            shards: self.shards,
+            transport: self.transport,
+            chaos: self.chaos,
+            adversaries: self.adversaries.clone(),
+        }
+    }
+
+    /// Reject invalid knob combinations up front, before any journal,
+    /// thread or mesh exists.
     ///
     /// # Errors
     ///
-    /// Returns the [`MarketError`] naming the violated constraint —
-    /// mirroring `run_batch_with`'s checks, but as typed errors instead
-    /// of panics, because a daemon's misconfiguration is an operator
-    /// input, not a programming bug.
+    /// Returns the [`MarketError`] naming the violated constraint; the
+    /// run's own checks are [`BatchConfig::validate`]'s, as
+    /// [`MarketError::Run`].
     pub fn validate(&self) -> Result<(), MarketError> {
-        self.framework().validate().map_err(MarketError::Framework)?;
+        self.batch().validate(&self.framework(), self.latency).map_err(MarketError::Run)?;
         if self.n_users == 0 {
             return Err(MarketError::NoUserSlots);
         }
@@ -289,25 +302,11 @@ impl MarketConfig {
             }
             _ => {}
         }
-        if self.transport == TransportKind::Tcp && !self.latency.is_zero() {
-            return Err(MarketError::TcpWithModelledLatency);
-        }
         if self.asks.len() > self.n_asks {
             return Err(MarketError::TooManyAsks { asks: self.asks.len(), slots: self.n_asks });
         }
         if self.session_deadline.is_zero() {
             return Err(MarketError::ZeroSessionDeadline);
-        }
-        if let Some(plan) = &self.chaos {
-            plan.validate().map_err(MarketError::Chaos)?;
-        }
-        for adversary in &self.adversaries {
-            if adversary.provider.index() >= self.m {
-                return Err(MarketError::AdversaryOutOfRange {
-                    provider: adversary.provider.index(),
-                    m: self.m,
-                });
-            }
         }
         if let Some(journal) = &self.journal {
             if journal.fsync == FsyncPolicy::EveryN(0) {
@@ -323,9 +322,11 @@ impl MarketConfig {
 /// Why a [`MarketConfig`] cannot run, or a market could not start.
 #[derive(Debug)]
 pub enum MarketError {
-    /// The underlying framework configuration is invalid (`m > 2k`,
-    /// `m ≥ 1`).
-    Framework(ConfigError),
+    /// The run itself cannot start: an invalid framework configuration,
+    /// TCP with modelled latency, an impossible fault plan or an
+    /// adversary outside the mesh (checked before any journal exists),
+    /// or a transport that failed to come up.
+    Run(RunError),
     /// `n_users == 0`: no bid could ever be accepted, so no epoch could
     /// ever close.
     NoUserSlots,
@@ -335,9 +336,6 @@ pub enum MarketError {
     /// The epoch policy can never trigger (`ByCount(0)`, a zero
     /// duration, or a hybrid with either).
     EmptyEpochTarget,
-    /// Real TCP sockets impose their own latency; a non-zero
-    /// [`LatencyModel`] cannot be injected into them.
-    TcpWithModelledLatency,
     /// More per-epoch default asks than ask slots.
     TooManyAsks {
         /// Default asks configured.
@@ -347,18 +345,6 @@ pub enum MarketError {
     },
     /// A zero session deadline would ⊥ every epoch on arrival.
     ZeroSessionDeadline,
-    /// The transport failed to come up (TCP listener/dial errors).
-    Transport(String),
-    /// The fault plan is impossible (probability outside `[0, 1]`,
-    /// inverted delay range).
-    Chaos(FaultPlanError),
-    /// An adversary names a provider index outside the mesh.
-    AdversaryOutOfRange {
-        /// The named provider index.
-        provider: usize,
-        /// Providers in the mesh.
-        m: usize,
-    },
     /// The write-ahead journal could not be created, recovered, or is
     /// misconfigured.
     Journal(JournalError),
@@ -384,7 +370,7 @@ pub enum MarketError {
 impl fmt::Display for MarketError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MarketError::Framework(e) => write!(f, "framework configuration: {e}"),
+            MarketError::Run(e) => write!(f, "{e}"),
             MarketError::NoUserSlots => {
                 write!(f, "n_users must be non-zero: no bid could ever be accepted")
             }
@@ -394,21 +380,11 @@ impl fmt::Display for MarketError {
             MarketError::EmptyEpochTarget => {
                 write!(f, "epoch policy can never trigger (zero count or zero duration)")
             }
-            MarketError::TcpWithModelledLatency => write!(
-                f,
-                "modelled link latency cannot be injected into real TCP sockets; \
-                 use the in-process transport for latency experiments"
-            ),
             MarketError::TooManyAsks { asks, slots } => {
                 write!(f, "{asks} default asks configured but only {slots} ask slots")
             }
             MarketError::ZeroSessionDeadline => {
                 write!(f, "session deadline must be non-zero or every epoch reads ⊥")
-            }
-            MarketError::Transport(e) => write!(f, "transport bring-up failed: {e}"),
-            MarketError::Chaos(e) => write!(f, "chaos plan: {e}"),
-            MarketError::AdversaryOutOfRange { provider, m } => {
-                write!(f, "adversary names provider {provider} but the mesh has {m} providers")
             }
             MarketError::Journal(e) => write!(f, "journal: {e}"),
             MarketError::MechanismSpec { spec, reason } => {
@@ -427,8 +403,7 @@ impl fmt::Display for MarketError {
 impl Error for MarketError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            MarketError::Framework(e) => Some(e),
-            MarketError::Chaos(e) => Some(e),
+            MarketError::Run(e) => Some(e),
             MarketError::Journal(e) => Some(e),
             _ => None,
         }
@@ -438,6 +413,7 @@ impl Error for MarketError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dauctioneer_core::ConfigError;
     use dauctioneer_types::{Bw, Money};
 
     #[test]
@@ -449,7 +425,7 @@ mod tests {
     fn rejects_bad_framework() {
         assert!(matches!(
             MarketConfig::new(2, 1, 8, 0).validate(),
-            Err(MarketError::Framework(ConfigError::TooFewProviders { m: 2, k: 1 }))
+            Err(MarketError::Run(RunError::Framework(ConfigError::TooFewProviders { m: 2, k: 1 })))
         ));
     }
 
@@ -477,7 +453,7 @@ mod tests {
     fn rejects_tcp_with_modelled_latency() {
         let mut cfg = MarketConfig::new(3, 1, 8, 0).with_transport(TransportKind::Tcp, 1);
         cfg.latency = LatencyModel::ConstantMicros(100);
-        assert!(matches!(cfg.validate(), Err(MarketError::TcpWithModelledLatency)));
+        assert!(matches!(cfg.validate(), Err(MarketError::Run(RunError::TcpWithModelledLatency))));
         cfg.latency = LatencyModel::Zero;
         assert!(cfg.validate().is_ok(), "TCP with zero latency is fine");
     }
@@ -500,12 +476,12 @@ mod tests {
     #[test]
     fn rejects_bad_chaos_plans_and_out_of_range_adversaries() {
         let cfg = MarketConfig::new(3, 1, 8, 0).with_chaos(FaultPlan::seeded(1).with_drop(2.0));
-        assert!(matches!(cfg.validate(), Err(MarketError::Chaos(_))));
+        assert!(matches!(cfg.validate(), Err(MarketError::Run(RunError::Chaos(_)))));
         let cfg =
             MarketConfig::new(3, 1, 8, 0).with_adversary(ProviderId(3), AdversaryKind::Replay);
         assert!(matches!(
             cfg.validate(),
-            Err(MarketError::AdversaryOutOfRange { provider: 3, m: 3 })
+            Err(MarketError::Run(RunError::AdversaryOutOfRange { provider: 3, m: 3 }))
         ));
         let cfg = MarketConfig::new(3, 1, 8, 0)
             .with_chaos(FaultPlan::seeded(1).with_drop(0.1))
@@ -516,7 +492,7 @@ mod tests {
     #[test]
     fn errors_display_their_constraint() {
         assert!(MarketError::ZeroIngressCapacity.to_string().contains("non-zero"));
-        assert!(MarketError::TcpWithModelledLatency.to_string().contains("TCP"));
+        assert!(MarketError::Run(RunError::TcpWithModelledLatency).to_string().contains("TCP"));
         assert!(MarketError::EmptyEpochTarget.to_string().contains("never trigger"));
     }
 }

@@ -8,9 +8,7 @@ use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
-use dauctioneer_core::{
-    unanimous, AllocatorProgram, BatchConfig, BatchSession, BidCollector, SessionPool,
-};
+use dauctioneer_core::{unanimous, AllocatorProgram, BatchSession, BidCollector, SessionPool};
 use dauctioneer_net::{shard_for, ChaosMetrics, ChaosStats, TrafficMetrics, TrafficSnapshot};
 use dauctioneer_telemetry::{
     AbortReason, EpochTrace, FlightLevel, FlightRecorder, Histogram, TraceRing,
@@ -250,13 +248,6 @@ impl MarketWatch {
     pub fn recent_traces(&self) -> Vec<EpochTrace> {
         self.telemetry.traces.recent()
     }
-
-    /// Record a custom flight event (e.g. the daemon noting "serve
-    /// started" or "shutdown requested" so operator actions land in the
-    /// same black box as market events).
-    pub fn record_flight(&self, level: FlightLevel, kind: &str, fields: &[(&str, String)]) {
-        self.telemetry.flight.record(level, kind, fields);
-    }
 }
 
 /// A long-lived auction daemon: accepts streaming bid/ask submissions,
@@ -356,16 +347,10 @@ impl MarketService {
         // The one and only transport/thread bring-up of the service's
         // life: every epoch reuses this mesh and these workers. Over TCP
         // it is one multiplexed mesh with a lane per shard.
-        let mesh = BatchConfig {
-            shards: config.shards,
-            transport: config.transport,
-            chaos: config.chaos,
-            adversaries: config.adversaries.clone(),
-        };
-        let chaos = Some(telemetry.chaos.clone());
+        let (mesh, chaos) = (config.batch(), Some(telemetry.chaos.clone()));
         let pool =
             SessionPool::start(&framework, &program, &mesh, config.latency, config.seed, chaos)
-                .map_err(|e| MarketError::Transport(e.to_string()))?;
+                .map_err(MarketError::Run)?;
         let metrics = pool.traffic_metrics();
 
         let queue = Arc::new(IngressQueue::new(config.ingress_capacity, config.backpressure));
@@ -530,11 +515,6 @@ impl MarketService {
     /// without keeping a borrow of the service alive.
     pub fn watch(&self) -> MarketWatch {
         self.watch.clone()
-    }
-
-    /// Chaos fault-injection counters, cumulative since startup.
-    pub fn chaos_stats(&self) -> ChaosStats {
-        self.watch.chaos()
     }
 
     /// Dump the crash flight recorder as JSON (the `dauction
@@ -1038,14 +1018,12 @@ pub(crate) trait ClearBackend {
     /// Shards the sessions spread over (by [`shard_for`]).
     fn num_shards(&self) -> usize;
 
-    /// Providers per session (`m`).
-    fn providers(&self) -> usize;
-
-    /// Drive `shard_specs[s]` on shard `s` to decisions within
-    /// `deadline`, as [`SessionPool::run_epoch_traced`] does.
+    /// Drive the epochs `shard_jobs[s]` on shard `s` to decisions within
+    /// `deadline`, as [`SessionPool::run_epoch_traced`] does. Every
+    /// provider clears the same vector, the job's `bids`.
     fn run_epoch_traced(
         &self,
-        shard_specs: Vec<Vec<BatchSession>>,
+        shard_jobs: Vec<Vec<&ClearJob>>,
         deadline: Duration,
     ) -> (Columns, DecideOffsets);
 
@@ -1059,15 +1037,20 @@ impl ClearBackend for SessionPool {
         SessionPool::num_shards(self)
     }
 
-    fn providers(&self) -> usize {
-        SessionPool::providers(self)
-    }
-
+    /// The pool's workers each take their own copy of the vector.
     fn run_epoch_traced(
         &self,
-        shard_specs: Vec<Vec<BatchSession>>,
+        shard_jobs: Vec<Vec<&ClearJob>>,
         deadline: Duration,
     ) -> (Columns, DecideOffsets) {
+        let m = self.providers();
+        let shard_specs = (shard_jobs.into_iter())
+            .map(|jobs| {
+                (jobs.into_iter())
+                    .map(|job| BatchSession::uniform(job.session, job.bids.clone(), m, job.seed))
+                    .collect()
+            })
+            .collect();
         SessionPool::run_epoch_traced(self, shard_specs, deadline)
     }
 
@@ -1118,21 +1101,20 @@ impl<B: ClearBackend> Clearer<'_, B> {
     ) -> Result<(), JournalError> {
         debug_assert!(jobs.windows(2).all(|pair| pair[0].epoch < pair[1].epoch), "epoch order");
         let group = jobs.len();
-        let (num_shards, m) = (self.backend.num_shards(), self.backend.providers());
-        let mut shard_specs: Vec<Vec<BatchSession>> = vec![Vec::new(); num_shards];
+        let num_shards = self.backend.num_shards();
+        let mut shard_jobs: Vec<Vec<&ClearJob>> = vec![Vec::new(); num_shards];
         // `(shard, index)` of each job's session in the drive.
         let slots: Vec<(usize, usize)> = jobs
             .iter()
             .map(|job| {
                 let shard = shard_for(job.session, num_shards);
-                let spec = BatchSession::uniform(job.session, job.bids.clone(), m, job.seed);
-                shard_specs[shard].push(spec);
-                (shard, shard_specs[shard].len() - 1)
+                shard_jobs[shard].push(job);
+                (shard, shard_jobs[shard].len() - 1)
             })
             .collect();
 
         let drive_started = Instant::now();
-        let (mut columns, decided) = self.backend.run_epoch_traced(shard_specs, self.deadline);
+        let (mut columns, decided) = self.backend.run_epoch_traced(shard_jobs, self.deadline);
         let drive_duration = drive_started.elapsed();
         let blame = self.backend.blame();
         let drive_ended = drive_started + drive_duration;
@@ -1247,7 +1229,9 @@ impl<B: ClearBackend> Clearer<'_, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dauctioneer_core::{Adversary, AdversaryKind, DoubleAuctionProgram, FrameworkConfig};
+    use dauctioneer_core::{
+        Adversary, AdversaryKind, BatchConfig, DoubleAuctionProgram, FrameworkConfig,
+    };
     use dauctioneer_net::{FaultPlan, LatencyModel};
     use dauctioneer_telemetry::AbortReason::{
         Adversary as Adv, ChaosFault, Deadline, Divergence, PeerDown,

@@ -68,7 +68,8 @@ fn assert_matches_one_shot(epoch: &EpochOutcome) {
         Arc::new(DoubleAuctionProgram::new()),
         vec![epoch.bids.clone(); 3],
         &RunOptions { seed: epoch.seed, ..RunOptions::default() },
-    );
+    )
+    .unwrap();
     assert_eq!(
         replay.unanimous(),
         epoch.outcome,

@@ -58,7 +58,8 @@ fn tcp_batches_and_markets_join_every_thread_they_start() {
         sessions,
         &RunOptions::default(),
         &BatchConfig::tcp(2),
-    );
+    )
+    .unwrap();
     assert!(report.all_agreed());
     assert_no_threads_left("after run_batch_with over TCP");
 

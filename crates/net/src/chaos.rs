@@ -632,11 +632,6 @@ impl<T: Transport> ChaosTransport<T> {
         self.stats
     }
 
-    /// Unwrap, discarding any in-flight held/parked messages.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-
     fn park(&mut self, from: ProviderId, payload: Bytes, deliver_at: Instant) {
         let seq = self.seq;
         self.seq += 1;

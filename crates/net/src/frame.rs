@@ -313,11 +313,6 @@ impl FrameAssembler {
         self.start += consumed;
         Ok(Some(&self.buf[payload]))
     }
-
-    /// Bytes accumulated but not yet consumed as complete frames.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.start
-    }
 }
 
 /// Bits of the packed mux tag carrying the lane (= shard) id.

@@ -776,11 +776,6 @@ impl MuxMesh {
         Ok(MuxMesh { endpoints, metrics, io_threads })
     }
 
-    /// Number of lanes multiplexed over the mesh.
-    pub fn num_lanes(&self) -> usize {
-        self.endpoints.len()
-    }
-
     /// Take ownership of the endpoints: `result[lane][provider]`.
     ///
     /// # Panics

@@ -11,12 +11,12 @@
 use std::sync::Arc;
 
 use dauctioneer::core::{
-    run_batch, BatchSession, DoubleAuctionProgram, FrameworkConfig, RunOptions,
+    run_batch, BatchSession, DoubleAuctionProgram, FrameworkConfig, RunError, RunOptions,
 };
 use dauctioneer::types::SessionId;
 use dauctioneer::workload::DoubleAuctionWorkload;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let m = 3; // providers jointly simulating the auctioneer
     let k = 1; // tolerated coalition size (m > 2k)
     let n_users = 12; // bidders per market
@@ -32,7 +32,7 @@ fn main() {
 
     println!("clearing {} markets over one {m}-provider mesh…", sessions.len());
     let report =
-        run_batch(&cfg, Arc::new(DoubleAuctionProgram::new()), sessions, &RunOptions::default());
+        run_batch(&cfg, Arc::new(DoubleAuctionProgram::new()), sessions, &RunOptions::default())?;
 
     for session in &report.sessions {
         let outcome = session.unanimous();
@@ -55,4 +55,5 @@ fn main() {
         report.traffic.total_messages(),
     );
     assert!(report.all_agreed(), "every market should clear");
+    Ok(())
 }

@@ -7,10 +7,10 @@
 
 use std::sync::Arc;
 
-use dauctioneer::core::{run_session, DoubleAuctionProgram, FrameworkConfig, RunOptions};
+use dauctioneer::core::{run_session, DoubleAuctionProgram, FrameworkConfig, RunError, RunOptions};
 use dauctioneer::types::{BidVector, Bw, Money, ProviderAsk, ProviderId, UserBid, UserId};
 
-fn main() {
+fn main() -> Result<(), RunError> {
     // Three gateway owners jointly simulate the auctioneer (k = 1: any
     // single provider may deviate without being able to cheat the rest).
     let m = 3;
@@ -33,7 +33,7 @@ fn main() {
         Arc::new(DoubleAuctionProgram::new()),
         vec![bids.clone(); m],
         &RunOptions::default(),
-    );
+    )?;
 
     let outcome = report.unanimous();
     println!(
@@ -43,7 +43,7 @@ fn main() {
     );
     let Some(result) = outcome.as_result() else {
         println!("outcome: ⊥ (aborted)");
-        return;
+        return Ok(());
     };
     println!("outcome: agreed allocation");
     for user in UserId::all(4) {
@@ -58,4 +58,5 @@ fn main() {
     }
     println!("budget surplus (buyers pay − sellers receive): {}", result.payments.budget_surplus());
     assert!(result.payments.is_budget_balanced());
+    Ok(())
 }

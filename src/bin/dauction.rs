@@ -61,7 +61,8 @@ use std::time::Duration;
 
 use dauctioneer::cli::Flags;
 use dauctioneer::core::{
-    run_session, DoubleAuctionProgram, DynProgram, FrameworkConfig, RunOptions, TransportKind,
+    run_session, DoubleAuctionProgram, DynProgram, FrameworkConfig, RunError, RunOptions,
+    TransportKind,
 };
 use dauctioneer::market::{
     register_market_metrics, verify_log, AbortReason, EpochOutcome, EpochPolicy, FsyncPolicy,
@@ -143,7 +144,8 @@ fn one_shot_main(argv: &[String]) -> Result<(), String> {
             let cfg = FrameworkConfig::new(m, k, n, 0);
             run(des, community, seed, cfg, Arc::new(program), vec![bids; m])
         }
-    };
+    }
+    .map_err(|e| format!("run failed: {e}"))?;
 
     println!("{elapsed_label}: {elapsed:?}");
     match outcome {
@@ -785,16 +787,16 @@ fn run<P: dauctioneer::core::AllocatorProgram + 'static>(
     cfg: FrameworkConfig,
     program: Arc<P>,
     collected: Vec<dauctioneer::types::BidVector>,
-) -> (Outcome, &'static str, Duration) {
+) -> Result<(Outcome, &'static str, Duration), RunError> {
     if des {
         let link = if community { LinkModel::community_net() } else { LinkModel::instant() };
         let timed = SchedulePolicy::Timed(link);
         let report = run_auction_sim(&cfg, program, collected, &[], timed, seed);
-        (
+        Ok((
             report.unanimous(),
             "virtual span (discrete-event, one CPU per provider)",
             report.span.unwrap_or(Duration::ZERO),
-        )
+        ))
     } else {
         let latency = if community { LatencyModel::CommunityNet } else { LatencyModel::Zero };
         let report = run_session(
@@ -802,7 +804,7 @@ fn run<P: dauctioneer::core::AllocatorProgram + 'static>(
             program,
             collected,
             &RunOptions { deadline: Duration::from_secs(600), latency, seed },
-        );
-        (report.unanimous(), "wall-clock (threaded)", report.elapsed)
+        )?;
+        Ok((report.unanimous(), "wall-clock (threaded)", report.elapsed))
     }
 }

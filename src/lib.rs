@@ -56,7 +56,7 @@
 //!     Arc::new(DoubleAuctionProgram::new()),
 //!     vec![bids.clone(); 3],
 //!     &RunOptions::default(),
-//! );
+//! )?; // an invalid run (say m ≤ 2k) is a `RunError`, not a panic
 //!
 //! // Definition 1: the auction stands iff every provider decided the
 //! // same valid (allocation, payments) pair.
@@ -67,6 +67,7 @@
 //! let sold: f64 = ProviderId::all(2).map(|p| result.allocation.provider_total(p).as_f64()).sum();
 //! assert!(sold > 0.0, "somebody sells bandwidth");
 //! assert!(result.payments.is_budget_balanced());
+//! # Ok::<(), dauctioneer::core::RunError>(())
 //! ```
 //!
 //! ## Quick start: a batch of concurrent sessions
@@ -98,9 +99,10 @@
 //!     sessions,
 //!     &RunOptions::default(),
 //!     &BatchConfig::sharded(2), // 2 independent hub shards
-//! );
+//! )?;
 //! assert!(report.all_agreed(), "every session cleared");
 //! assert!(report.sessions_per_sec() > 0.0);
+//! # Ok::<(), dauctioneer::core::RunError>(())
 //! ```
 //!
 //! See the `examples/` directory for larger scenarios: the community-

@@ -58,6 +58,7 @@ fn run_sharded(
         &options(),
         &BatchConfig { shards, transport, chaos, adversaries },
     )
+    .unwrap()
 }
 
 fn run(scenario: &ChaosScenario, transport: TransportKind, seed: u64) -> BatchReport {
@@ -146,7 +147,8 @@ fn tcp_mux_replays_and_matches_the_fault_free_reference() {
         specs(88),
         &options(),
         &BatchConfig { shards: 2, transport: TransportKind::Tcp, ..BatchConfig::default() },
-    );
+    )
+    .unwrap();
     let wrapped = run_batch_with(
         &cfg(),
         Arc::new(DoubleAuctionProgram::new()),
@@ -158,7 +160,8 @@ fn tcp_mux_replays_and_matches_the_fault_free_reference() {
             chaos: Some(FaultPlan::seeded(5)),
             ..BatchConfig::default()
         },
-    );
+    )
+    .unwrap();
     assert!(wrapped.all_agreed());
     assert_eq!(outcome_matrix(&unwrapped), outcome_matrix(&wrapped));
 }
@@ -186,7 +189,8 @@ fn benign_plan_is_outcome_identical_to_the_unwrapped_transport() {
             specs(77),
             &options(),
             &BatchConfig { shards: 1, transport, ..BatchConfig::default() },
-        );
+        )
+        .unwrap();
         let wrapped = run_batch_with(
             &cfg(),
             Arc::new(DoubleAuctionProgram::new()),
@@ -198,7 +202,8 @@ fn benign_plan_is_outcome_identical_to_the_unwrapped_transport() {
                 chaos: Some(FaultPlan::seeded(123)),
                 ..BatchConfig::default()
             },
-        );
+        )
+        .unwrap();
         assert!(wrapped.all_agreed());
         assert_eq!(outcome_matrix(&unwrapped), outcome_matrix(&wrapped), "{transport:?}");
     }
@@ -252,6 +257,7 @@ fn run_mechanism(
         &options(),
         &BatchConfig { shards: 1, transport, chaos, adversaries },
     )
+    .unwrap()
 }
 
 #[test]

@@ -62,7 +62,8 @@ fn the_coordinator_seals_counts_and_publishes_what_a_session_decides() {
         let cfg = FrameworkConfig::new(M, K, N_USERS, M).with_session(SessionId(epoch.session));
         let options = RunOptions { seed: epoch_seed(e), ..RunOptions::default() };
         let one_shot =
-            run_session(&cfg, Arc::new(DoubleAuctionProgram::new()), vec![bids; M], &options);
+            run_session(&cfg, Arc::new(DoubleAuctionProgram::new()), vec![bids; M], &options)
+                .unwrap();
         assert_eq!(
             epoch.outcome.encode_to_bytes(),
             one_shot.unanimous().encode_to_bytes(),

@@ -81,7 +81,8 @@ fn collector_bottoms_survive_a_full_session() {
         Arc::new(DoubleAuctionProgram::new()),
         vec![bids; 3],
         &RunOptions::default(),
-    );
+    )
+    .unwrap();
     let outcome = report.unanimous();
     let result = outcome.as_result().expect("honest session clears");
 
@@ -123,7 +124,8 @@ fn duplicate_first_bid_decides_the_outcome() {
         Arc::new(DoubleAuctionProgram::new()),
         vec![bids; 3],
         &RunOptions::default(),
-    );
+    )
+    .unwrap();
     let result = report.unanimous().as_result().expect("clears").clone();
     assert!(result.allocation.user_total(UserId(2)).is_zero(), "the kept lowball bid must lose");
 }
@@ -177,7 +179,8 @@ fn market_service_matches_direct_collector_path() {
         Arc::new(DoubleAuctionProgram::new()),
         vec![direct; 3],
         &RunOptions { seed: epoch.seed, ..RunOptions::default() },
-    );
+    )
+    .unwrap();
     assert_eq!(replay.unanimous(), epoch.outcome);
     assert!(!matches!(epoch.outcome, Outcome::Abort));
 
