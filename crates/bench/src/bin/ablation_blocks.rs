@@ -93,7 +93,8 @@ fn main() {
             mean_span(args.rounds, |r| {
                 let cfg = FrameworkConfig::new(M, K, n, M);
                 let program = Arc::new(program.clone());
-                let report = run_auction_sim(&cfg, program, vec![bids.clone(); M], &[], timed(), r);
+                let report = run_auction_sim(&cfg, program, vec![bids.clone(); M], &[], timed(), r)
+                    .expect("valid run");
                 assert!(!report.unanimous().is_abort());
                 report.span.expect("decided")
             })

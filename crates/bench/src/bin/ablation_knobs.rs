@@ -64,7 +64,8 @@ fn main() {
                             &[],
                             SchedulePolicy::Timed(LinkModel::community_net()),
                             r as u64,
-                        );
+                        )
+                        .expect("valid run");
                         assert!(!report.unanimous().is_abort());
                         report.span.expect("decided")
                     })

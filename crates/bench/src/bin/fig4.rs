@@ -80,7 +80,8 @@ fn main() {
                         &[],
                         SchedulePolicy::Timed(LinkModel::community_net()),
                         1000 + r as u64,
-                    );
+                    )
+                    .expect("valid run");
                     assert!(!report.unanimous().is_abort(), "honest run aborted (n={n}, k={k})");
                     last_msgs = report.delivered;
                     last_bytes = report.bytes;

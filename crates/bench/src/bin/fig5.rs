@@ -96,7 +96,8 @@ fn main() {
                         &[],
                         SchedulePolicy::Timed(LinkModel::community_net()),
                         2000 + r as u64,
-                    );
+                    )
+                    .expect("valid run");
                     assert!(!report.unanimous().is_abort(), "honest run aborted (n={n}, k={k})");
                     report.span.expect("all providers decided")
                 })

@@ -123,7 +123,7 @@ impl JsonArray {
 
 /// Format an `f64` as a JSON number: integral values lose the trailing
 /// `.0`, non-finite values (which JSON cannot carry) become `null`.
-pub fn fmt_f64(value: f64) -> String {
+fn fmt_f64(value: f64) -> String {
     if !value.is_finite() {
         return "null".into();
     }

@@ -4,10 +4,11 @@
 //! This is the workspace's stand-in for the paper's deployment on Guifi
 //! nodes (`docs/ARCHITECTURE.md`, "One engine, one threaded driver, one
 //! simulator"): provider threads give real CPU parallelism for the
-//! computation-bound standard auction, and injected link latency
-//! reproduces the communication-bound regime of the double auction. Every
-//! provider's [`SessionEngine`] runs to completion, or to a deadline,
-//! which yields ⊥ (the paper's external abort mechanism).
+//! computation-bound standard auction, and a chaos delay plan
+//! ([`FaultPlan::community_net`]) reproduces the communication-bound
+//! regime of the double auction. Every provider's [`SessionEngine`] runs
+//! to completion, or to a deadline, which yields ⊥ (the paper's external
+//! abort mechanism).
 //!
 //! The paper runs one auction at a time; a production marketplace clears
 //! **many** (one per resource pool, region, or time slot — the regime of
@@ -38,8 +39,9 @@
 //!
 //! A run that cannot start is a [`RunError`], never a panic:
 //! [`BatchConfig::validate`] is the one check of a run's configuration,
-//! shared by [`SessionPool::start`] and the market's own validation, and
-//! [`run_batch_with`] adds the checks on the session list.
+//! shared by [`SessionPool::start`], the market's own validation and
+//! the simulator, and [`run_batch_with`] adds the checks on the session
+//! list ([`validate_collected`] is the per-session one).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -72,7 +74,7 @@ use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dauctioneer_net::{shard_for, FaultPlan, FaultPlanError, LatencyModel, TrafficSnapshot};
+use dauctioneer_net::{shard_for, FaultPlan, FaultPlanError, TrafficSnapshot};
 use dauctioneer_types::{BidVector, Outcome, ProviderId, SessionId};
 
 use crate::adversary::{Adversary, AdversaryKind};
@@ -86,9 +88,6 @@ use crate::pool::SessionPool;
 pub enum RunError {
     /// The framework configuration is invalid (`m > 2k`, `m ≥ 1`).
     Framework(ConfigError),
-    /// Real TCP sockets impose their own latency; a non-zero
-    /// [`LatencyModel`] cannot be injected into them.
-    TcpWithModelledLatency,
     /// The fault plan is impossible (probability outside `[0, 1]`,
     /// inverted delay range).
     Chaos(FaultPlanError),
@@ -112,7 +111,6 @@ impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RunError::Framework(e) => write!(f, "framework configuration: {e}"),
-            RunError::TcpWithModelledLatency => f.write_str("TCP cannot take modelled latency"),
             RunError::Chaos(e) => write!(f, "chaos plan: {e}"),
             RunError::AdversaryOutOfRange { provider, m } => {
                 write!(f, "adversary names provider {provider} but the mesh has {m} providers")
@@ -132,16 +130,15 @@ impl Error for RunError {}
 pub struct RunOptions {
     /// Wall-clock budget; providers that haven't decided by then output ⊥.
     pub deadline: Duration,
-    /// Link latency injected between providers.
-    pub latency: LatencyModel,
-    /// Seed for latency jitter and each provider's local randomness
-    /// (provider `j` uses `seed + j + 1`).
+    /// Seed for each provider's local randomness in [`run_session`]
+    /// (provider `j` uses `seed + j + 1`); a batch's sessions carry
+    /// their own.
     pub seed: u64,
 }
 
 impl Default for RunOptions {
     fn default() -> Self {
-        RunOptions { deadline: Duration::from_secs(60), latency: LatencyModel::Zero, seed: 0 }
+        RunOptions { deadline: Duration::from_secs(60), seed: 0 }
     }
 }
 
@@ -149,8 +146,7 @@ impl Default for RunOptions {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
     /// In-process crossbeam channels ([`ThreadedHub`] /
-    /// [`ShardedHub`]): fastest, supports injected [`LatencyModel`]
-    /// link latency.
+    /// [`ShardedHub`]): fastest.
     ///
     /// [`ThreadedHub`]: dauctioneer_net::ThreadedHub
     /// [`ShardedHub`]: dauctioneer_net::ShardedHub
@@ -161,8 +157,7 @@ pub enum TransportKind {
     /// share **one** socket mesh (one connection per provider pair, one
     /// reactor thread), with the shard id folded into the wire tag — so
     /// `shards` adds worker parallelism without multiplying connections
-    /// or I/O threads. Link latency is whatever the sockets really
-    /// impose, so modelled latency must be [`LatencyModel::Zero`].
+    /// or I/O threads.
     ///
     /// [`MuxMesh`]: dauctioneer_net::MuxMesh
     Tcp,
@@ -196,7 +191,8 @@ pub struct BatchConfig {
     pub transport: TransportKind,
     /// Seeded link-fault injection applied to every endpoint
     /// ([`ChaosTransport`](dauctioneer_net::ChaosTransport), salted per
-    /// shard). `None` (and the benign plan) is an exact pass-through.
+    /// shard), link delay included ([`FaultPlan::community_net`]). `None`
+    /// (and the benign plan) is an exact pass-through.
     pub chaos: Option<FaultPlan>,
     /// Providers running an adversarial strategy instead of the honest
     /// protocol (everyone unlisted is honest).
@@ -238,17 +234,14 @@ impl BatchConfig {
     }
 
     /// The one check of a run's configuration, made before any thread or
-    /// socket exists: `cfg` itself, TCP without modelled `latency`, the
-    /// chaos plan, and every adversary inside the mesh.
+    /// socket exists: `cfg` itself, the chaos plan, and every adversary
+    /// inside the mesh.
     ///
     /// # Errors
     ///
     /// The [`RunError`] naming the first violated constraint.
-    pub fn validate(&self, cfg: &FrameworkConfig, latency: LatencyModel) -> Result<(), RunError> {
+    pub fn validate(&self, cfg: &FrameworkConfig) -> Result<(), RunError> {
         cfg.validate().map_err(RunError::Framework)?;
-        if self.transport == TransportKind::Tcp && !latency.is_zero() {
-            return Err(RunError::TcpWithModelledLatency);
-        }
         if let Some(plan) = &self.chaos {
             plan.validate().map_err(RunError::Chaos)?;
         }
@@ -256,6 +249,24 @@ impl BatchConfig {
             return Err(RunError::AdversaryOutOfRange { provider: a.provider.index(), m: cfg.m });
         }
         Ok(())
+    }
+}
+
+/// The one check of a session's bids: `collected` holds one vector per
+/// provider of `cfg`.
+///
+/// # Errors
+///
+/// [`RunError::CollectedLength`] naming `session` otherwise.
+pub fn validate_collected(
+    cfg: &FrameworkConfig,
+    session: SessionId,
+    collected: &[BidVector],
+) -> Result<(), RunError> {
+    if collected.len() == cfg.m {
+        Ok(())
+    } else {
+        Err(RunError::CollectedLength(session))
     }
 }
 
@@ -378,10 +389,7 @@ pub fn run_batch<P: AllocatorProgram + 'static>(
 ///
 /// # Errors
 ///
-/// The same as [`run_batch`]; among them [`BatchConfig::validate`]'s,
-/// such as [`RunError::TcpWithModelledLatency`] when `batch.transport` is
-/// [`TransportKind::Tcp`] while `options.latency` is a non-zero model
-/// (real sockets impose their own latency; the two cannot compose).
+/// The same as [`run_batch`]; among them [`BatchConfig::validate`]'s.
 pub fn run_batch_with<P: AllocatorProgram + 'static>(
     cfg: &FrameworkConfig,
     program: Arc<P>,
@@ -391,9 +399,7 @@ pub fn run_batch_with<P: AllocatorProgram + 'static>(
 ) -> Result<BatchReport, RunError> {
     let mut tags = HashSet::new();
     for spec in &sessions {
-        if spec.collected.len() != cfg.m {
-            return Err(RunError::CollectedLength(spec.session));
-        }
+        validate_collected(cfg, spec.session, &spec.collected)?;
         if !tags.insert(spec.session) {
             return Err(RunError::DuplicateSession(spec.session));
         }
@@ -424,8 +430,7 @@ pub fn run_batch_with<P: AllocatorProgram + 'static>(
         (Vec::new(), TrafficSnapshot::default())
     } else {
         let occupied = BatchConfig { shards: shard_specs.len(), ..batch.clone() };
-        let pool =
-            SessionPool::start(cfg, &program, &occupied, options.latency, options.seed, None)?;
+        let pool = SessionPool::start(cfg, &program, &occupied, None)?;
         let metrics = pool.traffic_metrics();
         let columns = pool.run_epoch(shard_specs, options.deadline);
         pool.shutdown();
@@ -603,19 +608,6 @@ mod tests {
         for (a, b) in inproc.sessions.iter().zip(&tcp.sessions) {
             assert_eq!(a.unanimous(), b.unanimous(), "transport changed an outcome");
         }
-    }
-
-    #[test]
-    fn tcp_rejects_modelled_latency() {
-        let cfg = FrameworkConfig::new(3, 1, 2, 1);
-        let sessions = vec![BatchSession::uniform(SessionId(0), bids(1.0), 3, 1)];
-        let options = RunOptions {
-            latency: dauctioneer_net::LatencyModel::ConstantMicros(100),
-            ..RunOptions::default()
-        };
-        let program = Arc::new(DoubleAuctionProgram::new());
-        let err = run_batch_with(&cfg, program, sessions, &options, &BatchConfig::tcp(1));
-        assert!(matches!(err, Err(RunError::TcpWithModelledLatency)), "{err:?}");
     }
 
     #[test]

@@ -62,12 +62,6 @@ impl DataTransfer {
         }
     }
 
-    /// Whether this provider participates at all.
-    pub fn is_participant(&self) -> bool {
-        self.senders.binary_search(&self.me).is_ok()
-            || self.receivers.binary_search(&self.me).is_ok()
-    }
-
     fn abort(&mut self) {
         if self.result.is_none() {
             self.result = Some(BlockResult::Abort);
@@ -229,7 +223,6 @@ mod tests {
     #[test]
     fn bystander_completes_immediately() {
         let mut bystander = DataTransfer::new(ProviderId(5), p(&[0]), p(&[1]), None);
-        assert!(!bystander.is_participant());
         let mut ctx = OutboxCtx::new(ProviderId(5), 6);
         bystander.start(&mut ctx);
         assert!(matches!(bystander.result(), Some(BlockResult::Value(_))));

@@ -20,7 +20,7 @@ use dauctioneer_types::{ProviderId, SessionId};
 /// // The paper's Fig. 5 settings: m = 8, k = 1 gives p = 4.
 /// let cfg = FrameworkConfig::new(8, 1, 100, 0);
 /// assert_eq!(cfg.parallelism(), 4);
-/// assert_eq!(FrameworkConfig::providers_required(1), 3); // k=1 needs 3
+/// assert!(FrameworkConfig::new(2, 1, 100, 0).validate().is_err()); // k=1 needs m ≥ 3
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameworkConfig {
@@ -109,13 +109,6 @@ impl FrameworkConfig {
         Ok(())
     }
 
-    /// Minimum providers needed to tolerate coalitions of size `k`
-    /// (`2k + 1`); the paper's §6 uses exactly these: 3 when k = 1, 5 when
-    /// k = 2, 8 providers engaged when k = 3.
-    pub fn providers_required(k: usize) -> usize {
-        2 * k + 1
-    }
-
     /// Maximum parallelism `p = ⌊m/(k+1)⌋` (§6: p = 4 for k = 1, p = 2 for
     /// k = 3 with m = 8).
     pub fn parallelism(&self) -> usize {
@@ -155,10 +148,6 @@ mod tests {
         assert_eq!(FrameworkConfig::new(8, 1, 0, 0).parallelism(), 4);
         assert_eq!(FrameworkConfig::new(8, 3, 0, 0).parallelism(), 2);
         assert_eq!(FrameworkConfig::new(8, 2, 0, 0).parallelism(), 2);
-        // §6.2: minimum providers for each k.
-        assert_eq!(FrameworkConfig::providers_required(1), 3);
-        assert_eq!(FrameworkConfig::providers_required(2), 5);
-        assert_eq!(FrameworkConfig::providers_required(3), 7);
     }
 
     #[test]

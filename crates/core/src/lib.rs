@@ -92,8 +92,8 @@ pub use adversary::{strategy_for, Adversary, AdversaryKind, AdversaryTransport};
 pub use allocator::{AllocatorProgram, ParallelAllocator};
 pub use auctioneer::Auctioneer;
 pub use batch::{
-    run_batch, run_batch_with, run_session, BatchConfig, BatchReport, BatchSession,
-    BatchSessionReport, RunError, RunOptions, SessionReport, TransportKind,
+    run_batch, run_batch_with, run_session, validate_collected, BatchConfig, BatchReport,
+    BatchSession, BatchSessionReport, RunError, RunOptions, SessionReport, TransportKind,
 };
 pub use block::{Block, BlockResult, Ctx, OutboxCtx, SubSlot, TaggedCtx};
 pub use config::{ConfigError, FrameworkConfig};

@@ -56,9 +56,9 @@ struct WorkOrder {
     reply: Sender<(ThreadId, Vec<Outcome>, Vec<Option<Duration>>)>,
 }
 
-/// The mesh a pool brought up itself. It must outlive the workers: a
-/// hub's drop joins its delayer thread, which runs until every endpoint
-/// is gone.
+/// The mesh a pool brought up itself. The pool keeps a hub only for its
+/// shard traffic counters; a TCP mesh must outlive the workers, so its
+/// sockets drain every queued frame before they close.
 enum Mesh {
     InProc(ShardedHub),
     Tcp(MuxMesh),
@@ -106,8 +106,7 @@ impl SessionPool {
     /// Bring up `batch.shards` (at least one) meshes of `cfg.m` providers
     /// over `batch.transport` and spawn the workers over them.
     ///
-    /// In process that is a [`ShardedHub`] with `latency` and `seed`
-    /// (shard `s` samples from `seed + s`); over TCP it is one loopback
+    /// In process that is a [`ShardedHub`]; over TCP it is one loopback
     /// [`MuxMesh`] with a lane per shard. Every endpoint is wrapped in a
     /// [`ChaosTransport`] executing `batch.chaos` (salted by its shard
     /// index, so shards don't suffer lock-stepped faults; counted into
@@ -124,15 +123,13 @@ impl SessionPool {
         cfg: &FrameworkConfig,
         program: &Arc<P>,
         batch: &BatchConfig,
-        latency: LatencyModel,
-        seed: u64,
         chaos_metrics: Option<ChaosMetrics>,
     ) -> Result<SessionPool, RunError> {
-        batch.validate(cfg, latency)?;
+        batch.validate(cfg)?;
         let shards = batch.shards.max(1);
         let pool = match batch.transport {
             TransportKind::InProc => {
-                let mut hub = ShardedHub::new(cfg.m, shards, latency, seed);
+                let mut hub = ShardedHub::new(cfg.m, shards, LatencyModel::Zero, 0);
                 let endpoints = hub.take_endpoints();
                 let mesh = Some(Mesh::InProc(hub));
                 SessionPool::spawn(cfg, program, endpoints, batch, chaos_metrics, mesh)

@@ -114,11 +114,6 @@ impl BidCollector {
         self.entries.iter().filter(|e| e.is_valid()).count()
     }
 
-    /// Whether the given user has submitted (validly or not).
-    pub fn has_submitted(&self, user: UserId) -> bool {
-        self.submitted.get(user.index()).copied().unwrap_or(false)
-    }
-
     /// Deadline: stop accepting submissions and produce the vector `b̄ⱼ`
     /// this provider inputs to bid agreement. Further submissions are
     /// rejected as late (the collector can still be inspected).
@@ -179,8 +174,7 @@ mod tests {
         assert!(c.submit(UserId(0), bid(1.0, 0.5)).is_accepted());
         let _ = c.close();
         assert_eq!(c.submit(UserId(1), bid(1.0, 0.5)), SubmissionOutcome::RejectedLate);
-        assert!(c.has_submitted(UserId(0)));
-        assert!(!c.has_submitted(UserId(1)));
+        assert_eq!(c.submitted, [true, false]);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! rendering against a recorded value: per session, the first 16 hex
 //! digits of the SHA-256 of its unanimous outcome's encoding (or `⊥`),
 //! then the batch's total sent messages and payload bytes. Rows cover
-//! the transports in-process (zero latency and `CommunityNet` latency)
-//! and loopback TCP; 1 and 3 shards; batches of 1 and 3 sessions; and the
+//! the transports in-process (without and with the community-network
+//! delay plan, `FaultPlan::community_net`) and loopback TCP; 1 and 3 shards; batches of 1 and 3 sessions; and the
 //! double auction and the exact standard auction. A change to how a batch
 //! maps onto meshes, shards, seeds or chaos salts moves some row here —
 //! the 1-session rows are the `run_session` path.
@@ -21,7 +21,7 @@ use dauctioneer_core::{
 };
 use dauctioneer_crypto::sha256;
 use dauctioneer_mechanisms::{StandardAuction, StandardAuctionConfig};
-use dauctioneer_net::LatencyModel;
+use dauctioneer_net::FaultPlan;
 use dauctioneer_types::codec::Encode;
 use dauctioneer_types::{BidVector, Outcome, SessionId};
 use dauctioneer_workload::{DoubleAuctionWorkload, StandardAuctionWorkload};
@@ -38,10 +38,11 @@ enum Program {
 const PROGRAMS: [(&str, Program); 2] =
     [("double", Program::Double), ("standard", Program::Standard)];
 
-const TRANSPORTS: [(&str, TransportKind, LatencyModel); 3] = [
-    ("inproc", TransportKind::InProc, LatencyModel::Zero),
-    ("community", TransportKind::InProc, LatencyModel::CommunityNet),
-    ("tcp", TransportKind::Tcp, LatencyModel::Zero),
+/// `(name, transport, link delayed by the community-network plan)`.
+const TRANSPORTS: [(&str, TransportKind, bool); 3] = [
+    ("inproc", TransportKind::InProc, false),
+    ("community", TransportKind::InProc, true),
+    ("tcp", TransportKind::Tcp, false),
 ];
 
 /// The configuration, program and per-session bids of an `n`-session
@@ -75,7 +76,7 @@ fn render_outcome(outcome: &Outcome) -> String {
 fn row(
     program: Program,
     transport: TransportKind,
-    latency: LatencyModel,
+    community: bool,
     shards: usize,
     n: u64,
 ) -> String {
@@ -85,9 +86,9 @@ fn row(
         .enumerate()
         .map(|(s, bids)| BatchSession::uniform(SessionId(s as u64), bids, M, 100 + 17 * s as u64))
         .collect();
-    let options = RunOptions { latency, seed: 11, ..RunOptions::default() };
-    let config = BatchConfig { shards, transport, ..BatchConfig::default() };
-    let report = run_batch_with(&cfg, program, sessions, &options, &config).unwrap();
+    let chaos = community.then(|| FaultPlan::community_net(11));
+    let config = BatchConfig { shards, transport, chaos, ..BatchConfig::default() };
+    let report = run_batch_with(&cfg, program, sessions, &RunOptions::default(), &config).unwrap();
     let outcomes: Vec<String> =
         report.sessions.iter().map(|s| render_outcome(&s.unanimous())).collect();
     format!(
@@ -135,12 +136,12 @@ fn expected(name: &str) -> Option<&'static str> {
 fn batches_match_the_recorded_table() {
     let mut rows = 0;
     let mut diffs = Vec::new();
-    for (transport_name, transport, latency) in TRANSPORTS {
+    for (transport_name, transport, community) in TRANSPORTS {
         for shards in [1, 3] {
             for n in [1, 3] {
                 for (program_name, program) in PROGRAMS {
                     let name = format!("{transport_name}.s{shards}.n{n}.{program_name}");
-                    let got = row(program, transport, latency, shards, n);
+                    let got = row(program, transport, community, shards, n);
                     if expected(&name) != Some(got.as_str()) {
                         diffs.push(format!("    (\"{name}\", \"{got}\"),"));
                     }

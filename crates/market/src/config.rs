@@ -9,7 +9,7 @@ use std::time::Duration;
 use dauctioneer_core::{
     Adversary, AdversaryKind, BatchConfig, FrameworkConfig, RunError, TransportKind,
 };
-use dauctioneer_net::{FaultPlan, LatencyModel};
+use dauctioneer_net::FaultPlan;
 use dauctioneer_types::{ProviderAsk, ProviderId};
 
 use crate::journal::{FsyncPolicy, JournalError};
@@ -149,9 +149,6 @@ pub struct MarketConfig {
     /// Independent meshes; each epoch's session is routed to one by the
     /// stable hash of its session id. Clamped to at least 1.
     pub shards: usize,
-    /// Modelled link latency (in-process transport only; real TCP
-    /// sockets impose their own).
-    pub latency: LatencyModel,
     /// Wall-clock budget for clearing one epoch; providers undecided by
     /// then output ⊥ for that session.
     pub session_deadline: Duration,
@@ -197,7 +194,6 @@ impl MarketConfig {
             backpressure: Backpressure::Shed,
             transport: TransportKind::InProc,
             shards: 1,
-            latency: LatencyModel::Zero,
             session_deadline: Duration::from_secs(60),
             seed: 0,
             first_session: 0,
@@ -286,7 +282,7 @@ impl MarketConfig {
     /// run's own checks are [`BatchConfig::validate`]'s, as
     /// [`MarketError::Run`].
     pub fn validate(&self) -> Result<(), MarketError> {
-        self.batch().validate(&self.framework(), self.latency).map_err(MarketError::Run)?;
+        self.batch().validate(&self.framework()).map_err(MarketError::Run)?;
         if self.n_users == 0 {
             return Err(MarketError::NoUserSlots);
         }
@@ -323,8 +319,7 @@ impl MarketConfig {
 #[derive(Debug)]
 pub enum MarketError {
     /// The run itself cannot start: an invalid framework configuration,
-    /// TCP with modelled latency, an impossible fault plan or an
-    /// adversary outside the mesh (checked before any journal exists),
+    /// an impossible fault plan or an adversary outside the mesh (checked before any journal exists),
     /// or a transport that failed to come up.
     Run(RunError),
     /// `n_users == 0`: no bid could ever be accepted, so no epoch could
@@ -414,7 +409,7 @@ impl Error for MarketError {
 mod tests {
     use super::*;
     use dauctioneer_core::ConfigError;
-    use dauctioneer_types::{Bw, Money};
+    use dauctioneer_types::{Bw, Money, SessionId};
 
     #[test]
     fn default_config_is_valid() {
@@ -447,15 +442,6 @@ mod tests {
             let cfg = MarketConfig::new(3, 1, 8, 0).with_epoch(epoch);
             assert!(matches!(cfg.validate(), Err(MarketError::EmptyEpochTarget)), "{epoch:?}");
         }
-    }
-
-    #[test]
-    fn rejects_tcp_with_modelled_latency() {
-        let mut cfg = MarketConfig::new(3, 1, 8, 0).with_transport(TransportKind::Tcp, 1);
-        cfg.latency = LatencyModel::ConstantMicros(100);
-        assert!(matches!(cfg.validate(), Err(MarketError::Run(RunError::TcpWithModelledLatency))));
-        cfg.latency = LatencyModel::Zero;
-        assert!(cfg.validate().is_ok(), "TCP with zero latency is fine");
     }
 
     #[test]
@@ -492,7 +478,8 @@ mod tests {
     #[test]
     fn errors_display_their_constraint() {
         assert!(MarketError::ZeroIngressCapacity.to_string().contains("non-zero"));
-        assert!(MarketError::Run(RunError::TcpWithModelledLatency).to_string().contains("TCP"));
+        let collected = MarketError::Run(RunError::CollectedLength(SessionId(3)));
+        assert!(collected.to_string().contains("one collected vector per provider"));
         assert!(MarketError::EmptyEpochTarget.to_string().contains("never trigger"));
     }
 }

@@ -349,8 +349,7 @@ impl MarketService {
         // it is one multiplexed mesh with a lane per shard.
         let (mesh, chaos) = (config.batch(), Some(telemetry.chaos.clone()));
         let pool =
-            SessionPool::start(&framework, &program, &mesh, config.latency, config.seed, chaos)
-                .map_err(MarketError::Run)?;
+            SessionPool::start(&framework, &program, &mesh, chaos).map_err(MarketError::Run)?;
         let metrics = pool.traffic_metrics();
 
         let queue = Arc::new(IngressQueue::new(config.ingress_capacity, config.backpressure));
@@ -1232,7 +1231,7 @@ mod tests {
     use dauctioneer_core::{
         Adversary, AdversaryKind, BatchConfig, DoubleAuctionProgram, FrameworkConfig,
     };
-    use dauctioneer_net::{FaultPlan, LatencyModel};
+    use dauctioneer_net::FaultPlan;
     use dauctioneer_telemetry::AbortReason::{
         Adversary as Adv, ChaosFault, Deadline, Divergence, PeerDown,
     };
@@ -1288,8 +1287,7 @@ mod tests {
             (lossy, crash, Some(Adv)),
         ] {
             let batch = BatchConfig { chaos, adversaries, ..BatchConfig::default() };
-            let pool = SessionPool::start(&cfg, &program, &batch, LatencyModel::Zero, 1, None)
-                .expect("in-process pool");
+            let pool = SessionPool::start(&cfg, &program, &batch, None).expect("in-process pool");
             assert_eq!(ClearBackend::blame(&pool), blame, "chaos {chaos:?}");
             pool.shutdown();
         }

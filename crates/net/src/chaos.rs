@@ -34,6 +34,15 @@
 //! [`FaultPlan::reorder_hold`], whichever comes first. A chaos run
 //! therefore always terminates — sessions that lost a critical message
 //! simply hit their deadline and read ⊥, the paper's external abort.
+//!
+//! # Link delay
+//!
+//! A delay is counted from the moment the receiver pulls the frame off
+//! its transport, not from the moment it was sent: a receiver busy
+//! computing starts a frame's delay only when it next reads. A plan
+//! with `delay = 1` is the one way to run real-time link latency, over
+//! either transport; [`FaultPlan::community_net`] is the paper's
+//! community-network profile.
 
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
@@ -43,6 +52,7 @@ use bytes::Bytes;
 use dauctioneer_types::ProviderId;
 
 use crate::hub::RecvError;
+use crate::latency::COMMUNITY_NET_MICROS;
 use crate::transport::Transport;
 
 /// Per-link fault probabilities and their seed: the full description of
@@ -77,7 +87,8 @@ pub struct FaultPlan {
     /// message on its link (FIFO violation).
     pub reorder: f64,
     /// Probability a message is delayed by a duration sampled from
-    /// [`FaultPlan::delay_range`].
+    /// [`FaultPlan::delay_range`], counted from when the receiver pulls
+    /// it off the transport (see the module docs, "Link delay").
     pub delay: f64,
     /// Probability one payload byte is flipped.
     pub corrupt: f64,
@@ -137,6 +148,21 @@ impl FaultPlan {
     pub fn with_duplicate(mut self, p: f64) -> FaultPlan {
         self.duplicate = p;
         self
+    }
+
+    /// Community-network link latency as a plan: every message is
+    /// delayed uniformly within [`COMMUNITY_NET_MICROS`] (1.5–6 ms, the
+    /// profile of [`LatencyModel::CommunityNet`]), and nothing else is
+    /// faulted. The delay starts at the receiving edge.
+    ///
+    /// [`LatencyModel::CommunityNet`]: crate::LatencyModel::CommunityNet
+    pub fn community_net(seed: u64) -> FaultPlan {
+        let (min, max) = COMMUNITY_NET_MICROS;
+        FaultPlan::seeded(seed).with_delay(
+            1.0,
+            Duration::from_micros(min),
+            Duration::from_micros(max),
+        )
     }
 
     /// Set the reorder probability.
@@ -410,18 +436,6 @@ pub struct FaultDecision {
     pub corrupt: bool,
     /// PRF residue driving the corruption position/mask.
     entropy: u64,
-}
-
-impl FaultDecision {
-    /// `true` when the message passes through untouched.
-    pub fn is_clean(&self) -> bool {
-        !self.partitioned
-            && !self.drop
-            && !self.duplicate
-            && !self.reorder
-            && !self.corrupt
-            && self.delay.is_none()
-    }
 }
 
 /// Counters of the faults a [`ChaosTransport`] actually injected —
@@ -848,8 +862,8 @@ mod tests {
     use crate::latency::LatencyModel;
 
     fn pair() -> (crate::hub::Endpoint, crate::hub::Endpoint) {
-        // Endpoints own their channels; the zero-latency hub has no
-        // delayer thread, so it can be dropped immediately.
+        // Endpoints own their channels, so the hub can be dropped
+        // immediately.
         let mut hub = ThreadedHub::new(2, LatencyModel::Zero, 1);
         let mut eps = hub.take_endpoints();
         let b = eps.pop().unwrap();
@@ -988,6 +1002,19 @@ mod tests {
     }
 
     #[test]
+    fn community_net_delays_every_message_within_the_profile() {
+        let plan = FaultPlan::community_net(11);
+        assert!(plan.validate().is_ok());
+        let (min, max) = COMMUNITY_NET_MICROS;
+        for index in 0..200 {
+            let d = plan.decide(0, ProviderId(0), ProviderId(1), index);
+            let delay = d.delay.expect("every message is delayed");
+            assert!(delay >= Duration::from_micros(min) && delay <= Duration::from_micros(max));
+            assert!(!(d.partitioned || d.drop || d.duplicate || d.reorder || d.corrupt));
+        }
+    }
+
+    #[test]
     fn decisions_are_deterministic_in_the_seed() {
         let plan = FaultPlan::seeded(42)
             .with_drop(0.3)
@@ -1094,7 +1121,8 @@ mod tests {
         for index in 0..10 {
             let d = plan.decide(0, ProviderId(dead.0), ProviderId(dead.1), index);
             assert!(d.partitioned, "dead link swallows message {index}");
-            assert!(!d.is_clean() && !d.drop && !d.corrupt, "partition suppresses lanes");
+            let lanes = d.drop || d.duplicate || d.reorder || d.corrupt || d.delay.is_some();
+            assert!(!lanes, "partition suppresses lanes");
             assert!(!plan.decide(0, ProviderId(alive.0), ProviderId(alive.1), index).partitioned);
         }
         for index in 10..20 {

@@ -1,19 +1,18 @@
-//! The threaded transport: one endpoint per provider, crossbeam channels,
-//! and an optional delay stage injecting modelled link latency.
+//! The in-process transport: one endpoint per provider over crossbeam
+//! channels.
 //!
 //! Topology is a full mesh, as in the paper's deployment: every provider
-//! can message every other provider directly. When the latency model is
-//! non-zero, sends are routed through a dedicated *delayer* thread that
-//! holds each message until its sampled delivery time — the sender never
-//! blocks, mirroring asynchronous sends in the ØMQ prototype.
+//! can message every other provider directly, and a send never blocks,
+//! mirroring asynchronous sends in the ØMQ prototype. The hub adds no
+//! delay of its own; a run that wants community-network link latency
+//! wraps its endpoints in a [`ChaosTransport`](crate::ChaosTransport)
+//! executing [`FaultPlan::community_net`](crate::FaultPlan::community_net),
+//! which works the same over either transport.
 
-use std::collections::BinaryHeap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use dauctioneer_types::ProviderId;
 
@@ -40,43 +39,13 @@ impl std::fmt::Display for RecvError {
 
 impl std::error::Error for RecvError {}
 
-/// A message in flight through the delay stage.
-struct Delayed {
-    deliver_at: Instant,
-    seq: u64,
-    from: ProviderId,
-    to: ProviderId,
-    payload: Bytes,
-}
-
-impl PartialEq for Delayed {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.seq == other.seq
-    }
-}
-impl Eq for Delayed {}
-impl PartialOrd for Delayed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Delayed {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; reverse so the earliest deadline pops
-        // first, with the enqueue sequence breaking ties (FIFO per link).
-        other.deliver_at.cmp(&self.deliver_at).then(other.seq.cmp(&self.seq))
-    }
-}
-
 /// One provider's handle onto the mesh.
 #[derive(Debug)]
 pub struct Endpoint {
     me: ProviderId,
     m: usize,
-    /// Direct channels into each peer's inbox (fast path, Zero latency).
+    /// Channels into each peer's inbox.
     direct: Vec<Sender<(ProviderId, Bytes)>>,
-    /// Channel into the delayer thread (latency path), if any.
-    delayer: Option<Sender<(ProviderId, ProviderId, Bytes)>>,
     inbox: Receiver<(ProviderId, Bytes)>,
     metrics: TrafficMetrics,
 }
@@ -104,22 +73,14 @@ impl Endpoint {
     /// [`crate::TrafficSnapshot`].
     pub fn send(&self, to: ProviderId, payload: Bytes) {
         self.metrics.record_send(self.me, payload.len());
-        match &self.delayer {
-            Some(d) => {
+        match self.direct.get(to.index()) {
+            Some(ch) => {
                 let len = payload.len();
-                if d.send((self.me, to, payload)).is_err() {
+                if ch.send((self.me, payload)).is_err() {
                     self.metrics.record_drop(self.me, len);
                 }
             }
-            None => match self.direct.get(to.index()) {
-                Some(ch) => {
-                    let len = payload.len();
-                    if ch.send((self.me, payload)).is_err() {
-                        self.metrics.record_drop(self.me, len);
-                    }
-                }
-                None => self.metrics.record_drop(self.me, payload.len()),
-            },
+            None => self.metrics.record_drop(self.me, payload.len()),
         }
     }
 
@@ -160,46 +121,31 @@ impl Endpoint {
 /// A full mesh of `m` providers over crossbeam channels.
 ///
 /// Construct, [`ThreadedHub::take_endpoints`], and hand one endpoint to
-/// each provider thread. The hub owns the delayer thread (when latency is
-/// modelled); dropping the hub after all endpoints are dropped shuts the
-/// delayer down.
+/// each provider thread. The endpoints own their channels, so the hub
+/// may be dropped at any time; it stays useful only for its
+/// [`ThreadedHub::metrics`].
 #[derive(Debug)]
 pub struct ThreadedHub {
     endpoints: Vec<Endpoint>,
     metrics: TrafficMetrics,
-    delayer_handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl ThreadedHub {
-    /// Build a mesh of `m` providers with the given latency model. The
-    /// `seed` drives latency sampling (reproducible jitter).
+    /// Build a mesh of `m` providers.
+    ///
+    /// `latency` and `seed` are kept for one release so existing callers
+    /// compile: the hub models no latency of its own (delay a run with
+    /// [`FaultPlan::community_net`](crate::FaultPlan::community_net)),
+    /// and `seed` is ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `latency` is not [`LatencyModel::Zero`].
     pub fn new(m: usize, latency: LatencyModel, seed: u64) -> ThreadedHub {
+        assert_eq!(latency, LatencyModel::Zero, "the hub delays nothing; use a chaos delay plan");
+        let _ = seed;
         let metrics = TrafficMetrics::new(m);
-        let mut inboxes_tx: Vec<Sender<(ProviderId, Bytes)>> = Vec::with_capacity(m);
-        let mut inboxes_rx: Vec<Receiver<(ProviderId, Bytes)>> = Vec::with_capacity(m);
-        for _ in 0..m {
-            let (tx, rx) = unbounded();
-            inboxes_tx.push(tx);
-            inboxes_rx.push(rx);
-        }
-
-        let (delayer_tx, delayer_handle) = if latency.is_zero() {
-            (None, None)
-        } else {
-            let (tx, rx) = bounded::<(ProviderId, ProviderId, Bytes)>(64 * 1024);
-            let outs = inboxes_tx.clone();
-            let delayer_metrics = metrics.clone();
-            let handle = std::thread::Builder::new()
-                .name("dauctioneer-delayer".into())
-                .spawn(move || run_delayer(rx, outs, latency, seed, delayer_metrics))
-                .expect("spawn delayer thread");
-            (Some(tx), Some(handle))
-        };
-        // The in-process transport needs no I/O threads beyond the
-        // optional delayer; the gauge makes that a queryable fact next
-        // to the socket backends' reactor count.
-        metrics.set_io_threads(u64::from(delayer_handle.is_some()));
-
+        let (inboxes_tx, inboxes_rx): (Vec<_>, Vec<_>) = (0..m).map(|_| unbounded()).unzip();
         let endpoints = inboxes_rx
             .into_iter()
             .enumerate()
@@ -207,13 +153,11 @@ impl ThreadedHub {
                 me: ProviderId(i as u32),
                 m,
                 direct: inboxes_tx.clone(),
-                delayer: delayer_tx.clone(),
                 inbox,
                 metrics: metrics.clone(),
             })
             .collect();
-
-        ThreadedHub { endpoints, metrics, delayer_handle }
+        ThreadedHub { endpoints, metrics }
     }
 
     /// Take ownership of the endpoints (one per provider, in id order).
@@ -229,89 +173,6 @@ impl ThreadedHub {
     /// The hub's shared traffic counters.
     pub fn metrics(&self) -> TrafficMetrics {
         self.metrics.clone()
-    }
-}
-
-impl Drop for ThreadedHub {
-    fn drop(&mut self) {
-        // Release our references so the delayer's input disconnects once
-        // the endpoints are gone, then wait for it to finish draining.
-        self.endpoints.clear();
-        if let Some(handle) = self.delayer_handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Delay-stage event loop: hold each message until its sampled delivery
-/// time, then forward it to the destination inbox.
-///
-/// The loop never busy-polls: with nothing in flight it blocks on the
-/// input channel, and with messages in flight it sleeps exactly until the
-/// next heap deadline — including after the input disconnects, so final
-/// deliveries and shutdown happen as soon as the last deadline passes.
-fn run_delayer(
-    input: Receiver<(ProviderId, ProviderId, Bytes)>,
-    outs: Vec<Sender<(ProviderId, Bytes)>>,
-    latency: LatencyModel,
-    seed: u64,
-    metrics: TrafficMetrics,
-) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut heap: BinaryHeap<Delayed> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut input_open = true;
-    loop {
-        // Deliver everything due; undeliverable messages (destination
-        // inbox gone or out of range) are counted, never silent.
-        let now = Instant::now();
-        while heap.peek().is_some_and(|d| d.deliver_at <= now) {
-            let d = heap.pop().unwrap();
-            match outs.get(d.to.index()) {
-                Some(out) => {
-                    let len = d.payload.len();
-                    if out.send((d.from, d.payload)).is_err() {
-                        metrics.record_drop(d.from, len);
-                    }
-                }
-                None => metrics.record_drop(d.from, d.payload.len()),
-            }
-        }
-        fn enqueue(
-            heap: &mut BinaryHeap<Delayed>,
-            seq: &mut u64,
-            rng: &mut StdRng,
-            latency: &LatencyModel,
-            (from, to, payload): (ProviderId, ProviderId, Bytes),
-        ) {
-            let delay = latency.sample(rng);
-            heap.push(Delayed { deliver_at: Instant::now() + delay, seq: *seq, from, to, payload });
-            *seq += 1;
-        }
-        let next_deadline =
-            heap.peek().map(|d| d.deliver_at.saturating_duration_since(Instant::now()));
-        match next_deadline {
-            None if !input_open => return, // drained and no more input: done
-            None => {
-                // Nothing in flight: block until input arrives or closes.
-                match input.recv() {
-                    Ok(msg) => enqueue(&mut heap, &mut seq, &mut rng, &latency, msg),
-                    Err(_) => input_open = false,
-                }
-            }
-            Some(wait) => {
-                // Sleep exactly until the next deadline (or new input).
-                if !input_open {
-                    std::thread::sleep(wait);
-                    continue;
-                }
-                match input.recv_timeout(wait) {
-                    Ok(msg) => enqueue(&mut heap, &mut seq, &mut rng, &latency, msg),
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => input_open = false,
-                }
-            }
-        }
     }
 }
 
@@ -337,31 +198,6 @@ mod tests {
         assert!(eps[0].recv_timeout(Duration::from_secs(1)).is_ok());
         assert!(eps[2].recv_timeout(Duration::from_secs(1)).is_ok());
         assert!(eps[1].try_recv().is_none());
-    }
-
-    #[test]
-    fn latency_delays_delivery() {
-        let mut hub = ThreadedHub::new(2, LatencyModel::ConstantMicros(30_000), 7);
-        let eps = hub.take_endpoints();
-        let start = Instant::now();
-        eps[0].send(ProviderId(1), Bytes::from_static(b"slow"));
-        let got = eps[1].recv_timeout(Duration::from_secs(2)).unwrap();
-        let elapsed = start.elapsed();
-        assert_eq!(&got.1[..], b"slow");
-        assert!(elapsed >= Duration::from_millis(25), "delivered too early: {elapsed:?}");
-    }
-
-    #[test]
-    fn fifo_per_link_with_constant_latency() {
-        let mut hub = ThreadedHub::new(2, LatencyModel::ConstantMicros(5_000), 7);
-        let eps = hub.take_endpoints();
-        for i in 0..10u8 {
-            eps[0].send(ProviderId(1), Bytes::copy_from_slice(&[i]));
-        }
-        for i in 0..10u8 {
-            let (_, payload) = eps[1].recv_timeout(Duration::from_secs(2)).unwrap();
-            assert_eq!(payload[0], i, "out-of-order delivery");
-        }
     }
 
     #[test]
@@ -413,50 +249,14 @@ mod tests {
     }
 
     #[test]
-    fn delayer_counts_drops_to_departed_peers() {
-        let mut hub = ThreadedHub::new(2, LatencyModel::ConstantMicros(2_000), 5);
-        let metrics = hub.metrics();
-        let mut eps = hub.take_endpoints();
-        let survivor = eps.remove(0);
-        drop(eps); // peer 1 departs before the delayed delivery lands
-        survivor.send(ProviderId(1), Bytes::from_static(b"late"));
-        drop(survivor);
-        drop(hub); // joins the delayer: the drop is recorded by now
-        let snap = metrics.snapshot();
-        assert_eq!(snap.per_provider[0].dropped_messages, 1);
-        assert_eq!(snap.per_provider[0].dropped_bytes, 4);
-    }
-
-    #[test]
-    fn hub_shuts_down_cleanly_with_latency_thread() {
-        let mut hub = ThreadedHub::new(2, LatencyModel::ConstantMicros(1_000), 9);
-        let eps = hub.take_endpoints();
-        eps[0].send(ProviderId(1), Bytes::from_static(b"x"));
-        drop(eps);
-        drop(hub); // must not hang
-    }
-
-    #[test]
-    fn delayer_shutdown_is_prompt_after_disconnect() {
-        let mut hub = ThreadedHub::new(2, LatencyModel::ConstantMicros(2_000), 11);
-        let eps = hub.take_endpoints();
-        eps[0].send(ProviderId(1), Bytes::from_static(b"late"));
-        drop(eps); // disconnects the delayer input with one delivery queued
-        let start = Instant::now();
-        drop(hub); // joins the delayer: must wait only the 2 ms deadline
-                   // Bound chosen against the legacy 50 ms fallback poll: generous
-                   // for the 2 ms deadline, but a poll tick would still blow it.
-        assert!(
-            start.elapsed() < Duration::from_millis(48),
-            "delayer lingered after disconnect: {:?}",
-            start.elapsed()
-        );
+    #[should_panic(expected = "the hub delays nothing")]
+    fn a_modelled_latency_is_refused() {
+        ThreadedHub::new(2, LatencyModel::CommunityNet, 1);
     }
 
     #[test]
     fn threads_can_exchange_concurrently() {
-        let mut hub =
-            ThreadedHub::new(4, LatencyModel::UniformMicros { min_micros: 10, max_micros: 500 }, 3);
+        let mut hub = ThreadedHub::new(4, LatencyModel::Zero, 3);
         let eps = hub.take_endpoints();
         let handles: Vec<_> = eps
             .into_iter()

@@ -2,15 +2,23 @@
 //!
 //! The paper's testbed spans community-network nodes in Barcelona and
 //! Taradell — wide-area links with a few milliseconds of latency. The
-//! threaded transport injects delays drawn from a [`LatencyModel`] so that
-//! the benchmark reproduces the paper's communication-dominated regime
-//! (Fig. 4) on a single host; the model is the documented substitution for
-//! the physical testbed (`docs/ARCHITECTURE.md`, "One engine, one
-//! threaded driver, one simulator").
+//! simulator's `LinkModel` draws each message's virtual propagation delay
+//! from a [`LatencyModel`], so the figures reproduce the paper's
+//! communication-dominated regime (Fig. 4) on a single host; the model is
+//! the documented substitution for the physical testbed
+//! (`docs/ARCHITECTURE.md`, "One engine, one threaded driver, one
+//! simulator"). Real-time runs delay messages with a chaos plan instead:
+//! [`FaultPlan::community_net`](crate::FaultPlan::community_net) is the
+//! same profile, read from [`COMMUNITY_NET_MICROS`].
 
 use std::time::Duration;
 
 use rand::Rng;
+
+/// One-way delay bounds of the community-network profile, in
+/// microseconds, inclusive: intra-community RTTs observed between Guifi
+/// nodes (Barcelona ↔ Taradell). The one copy of these numbers.
+pub const COMMUNITY_NET_MICROS: (u64, u64) = (1_500, 6_000);
 
 /// How long a message takes from sender to receiver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -29,7 +37,7 @@ pub enum LatencyModel {
     },
     /// Preset calibrated to intra-community-network RTTs observed between
     /// Guifi nodes (Barcelona ↔ Taradell): one-way delay uniform in
-    /// 1.5–6 ms.
+    /// [`COMMUNITY_NET_MICROS`] (1.5–6 ms).
     CommunityNet,
 }
 
@@ -43,23 +51,10 @@ impl LatencyModel {
                 debug_assert!(min_micros <= max_micros);
                 Duration::from_micros(rng.gen_range(*min_micros..=*max_micros))
             }
-            LatencyModel::CommunityNet => Duration::from_micros(rng.gen_range(1_500..=6_000)),
-        }
-    }
-
-    /// `true` when the model never delays (lets transports take a fast
-    /// path that skips the delay queue entirely).
-    pub fn is_zero(&self) -> bool {
-        matches!(self, LatencyModel::Zero) || matches!(self, LatencyModel::ConstantMicros(0))
-    }
-
-    /// The maximum possible delay, for sizing timeouts.
-    pub fn max_delay(&self) -> Duration {
-        match self {
-            LatencyModel::Zero => Duration::ZERO,
-            LatencyModel::ConstantMicros(us) => Duration::from_micros(*us),
-            LatencyModel::UniformMicros { max_micros, .. } => Duration::from_micros(*max_micros),
-            LatencyModel::CommunityNet => Duration::from_micros(6_000),
+            LatencyModel::CommunityNet => {
+                let (min, max) = COMMUNITY_NET_MICROS;
+                Duration::from_micros(rng.gen_range(min..=max))
+            }
         }
     }
 }
@@ -74,8 +69,6 @@ mod tests {
     fn zero_never_delays() {
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(LatencyModel::Zero.sample(&mut rng), Duration::ZERO);
-        assert!(LatencyModel::Zero.is_zero());
-        assert!(LatencyModel::ConstantMicros(0).is_zero());
     }
 
     #[test]
@@ -85,7 +78,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(m.sample(&mut rng), Duration::from_micros(250));
         }
-        assert!(!m.is_zero());
     }
 
     #[test]
@@ -96,7 +88,6 @@ mod tests {
             let d = m.sample(&mut rng);
             assert!(d >= Duration::from_micros(100) && d <= Duration::from_micros(200));
         }
-        assert_eq!(m.max_delay(), Duration::from_micros(200));
     }
 
     #[test]

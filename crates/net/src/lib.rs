@@ -8,11 +8,9 @@
 //! concern pulled out so the rest of the system is transport-agnostic:
 //!
 //! * [`ThreadedHub`] / [`Endpoint`] — the in-process transport (one
-//!   OS thread per provider, crossbeam channels) with **injectable per-link
-//!   latency** from a [`LatencyModel`]. This is what the wall-clock
-//!   benchmarks run on: computation parallelises across threads (Fig. 5's
-//!   regime) while injected community-network latencies dominate cheap
-//!   computations (Fig. 4's regime).
+//!   OS thread per provider, crossbeam channels). This is what the
+//!   wall-clock benchmarks run on: computation parallelises across
+//!   threads (Fig. 5's regime).
 //! * [`MuxMesh`] / [`MuxEndpoint`] — the real-socket transport: a full
 //!   TCP mesh over loopback or LAN, one connection per provider pair
 //!   shared by any number of lanes, carrying the same session-tagged
@@ -27,7 +25,13 @@
 //! * [`ChaosTransport`] / [`FaultPlan`] — seeded, deterministic fault
 //!   injection (drop / duplicate / reorder / delay / corrupt per link)
 //!   wrapping any [`Transport`], so every test and bench can run under
-//!   adversarial network conditions replayable from a seed.
+//!   adversarial network conditions replayable from a seed. It is also
+//!   the one way to add real-time link latency:
+//!   [`FaultPlan::community_net`] delays every message by the paper's
+//!   community-network profile, where injected latency dominates cheap
+//!   computations (Fig. 4's regime), over either transport.
+//! * [`LatencyModel`] — per-link delay distributions for the simulator's
+//!   virtual clocks.
 //! * [`Transport`] — the minimal blocking point-to-point interface all of
 //!   the above present to the protocol layer.
 //! * [`frame()`] / [`unframe`] — tag-framing used by the protocol layer to

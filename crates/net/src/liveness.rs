@@ -235,7 +235,7 @@ impl LivenessTracker {
     }
 
     /// Peers currently participating (`Up` or `Suspect`).
-    pub fn up_count(&self) -> usize {
+    fn up_count(&self) -> usize {
         self.peers.iter().filter(|s| matches!(s.state, PeerState::Up | PeerState::Suspect)).count()
     }
 

@@ -71,8 +71,8 @@ impl TrafficMetrics {
     }
 
     /// Set the number of OS threads this transport dedicates to I/O
-    /// (reactor threads for the socket backends, delayer threads for the
-    /// in-process hub). A gauge, not a counter: the transport stores its
+    /// (the reactor thread of a socket mesh; the in-process hub has none
+    /// and always reports 0). A gauge, not a counter: the transport stores its
     /// roster size once at spawn so the O(1)-I/O-threads property is a
     /// queryable runtime fact rather than a doc claim.
     pub fn set_io_threads(&self, n: u64) {

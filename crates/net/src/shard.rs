@@ -4,10 +4,9 @@
 //! One [`ThreadedHub`] mesh means one provider thread per provider, no
 //! matter how many concurrent sessions are multiplexed over it — on a
 //! multi-core host that single thread per provider is the ceiling on
-//! batch throughput. A [`ShardedHub`] stands up `N` *independent* meshes
-//! (each with its own channels and, when latency is modelled, its own
-//! delayer thread) and assigns every session to exactly one of them by a
-//! stable hash of its [`SessionId`] ([`shard_for`]). Sessions never cross
+//! batch throughput. A [`ShardedHub`] stands up `N` *independent* meshes,
+//! each with its own channels, and assigns every session to exactly one
+//! of them by a stable hash of its [`SessionId`] ([`shard_for`]). Sessions never cross
 //! shards, so no inter-shard coordination exists at all; the batch layer
 //! simply runs one provider thread per provider *per shard*.
 //!
@@ -19,7 +18,6 @@ use dauctioneer_types::SessionId;
 
 use crate::hub::{Endpoint, ThreadedHub};
 use crate::latency::LatencyModel;
-use crate::metrics::TrafficSnapshot;
 
 /// The shard a session's frames travel through, stable across processes
 /// and runs: a Fibonacci hash of the session tag folded onto `shards`.
@@ -39,20 +37,18 @@ pub struct ShardedHub {
 }
 
 impl ShardedHub {
-    /// Build `shards` independent meshes of `m` providers. Each shard's
-    /// latency sampling is seeded distinctly (`seed + shard`), so jitter
-    /// is reproducible but not lock-stepped across shards.
+    /// Build `shards` independent meshes of `m` providers.
+    ///
+    /// `latency` and `seed` are kept for one release, as in
+    /// [`ThreadedHub::new`]: the hub models no latency and ignores `seed`.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero.
+    /// Panics if `shards` is zero or `latency` is not
+    /// [`LatencyModel::Zero`].
     pub fn new(m: usize, shards: usize, latency: LatencyModel, seed: u64) -> ShardedHub {
         assert!(shards > 0, "a hub has at least one shard");
-        ShardedHub {
-            shards: (0..shards)
-                .map(|s| ThreadedHub::new(m, latency, seed.wrapping_add(s as u64)))
-                .collect(),
-        }
+        ShardedHub { shards: (0..shards).map(|_| ThreadedHub::new(m, latency, seed)).collect() }
     }
 
     /// Number of shards.
@@ -84,20 +80,12 @@ impl ShardedHub {
     pub fn shard_metrics(&self) -> Vec<crate::metrics::TrafficMetrics> {
         self.shards.iter().map(|hub| hub.metrics()).collect()
     }
-
-    /// Traffic counters summed across all shards, per provider.
-    pub fn traffic_snapshot(&self) -> TrafficSnapshot {
-        let mut total = TrafficSnapshot::default();
-        for hub in &self.shards {
-            total.merge(&hub.metrics().snapshot());
-        }
-        total
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::TrafficSnapshot;
     use bytes::Bytes;
     use dauctioneer_types::ProviderId;
     use std::time::Duration;
@@ -140,7 +128,10 @@ mod tests {
         let shards = hub.take_endpoints();
         shards[0][0].send(ProviderId(1), Bytes::from_static(b"abc"));
         shards[2][0].send(ProviderId(1), Bytes::from_static(b"de"));
-        let snap = hub.traffic_snapshot();
+        let mut snap = TrafficSnapshot::default();
+        for metrics in hub.shard_metrics() {
+            snap.merge(&metrics.snapshot());
+        }
         assert_eq!(snap.per_provider[0].sent_bytes, 5);
         assert_eq!(snap.total_messages(), 2);
     }

@@ -24,7 +24,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use dauctioneer_core::engine::{unanimous, SessionEngine};
 use dauctioneer_core::{
-    strategy_for, Adversary, AdversaryKind, AllocatorProgram, Block, FrameworkConfig, OutboxCtx,
+    strategy_for, validate_collected, Adversary, AdversaryKind, AllocatorProgram, BatchConfig,
+    Block, FrameworkConfig, OutboxCtx, RunError,
 };
 use dauctioneer_types::{BidVector, Outcome, ProviderId};
 
@@ -188,6 +189,13 @@ impl SimReport {
 /// the deviating providers, as for the threaded runtimes; the session's
 /// [`SessionEngine`]s come from [`SessionEngine::roster`], so seeding and
 /// session framing are identical to the other runtimes.
+///
+/// # Errors
+///
+/// The run checks of the threaded runtime that apply to a simulated run,
+/// made by the same code ([`BatchConfig::validate`] and
+/// [`validate_collected`]): [`RunError::Framework`],
+/// [`RunError::AdversaryOutOfRange`] and [`RunError::CollectedLength`].
 pub fn run_auction_sim<P: AllocatorProgram + 'static>(
     cfg: &FrameworkConfig,
     program: Arc<P>,
@@ -195,20 +203,22 @@ pub fn run_auction_sim<P: AllocatorProgram + 'static>(
     adversaries: &[Adversary],
     policy: SchedulePolicy,
     seed: u64,
-) -> SimReport {
+) -> Result<SimReport, RunError> {
+    BatchConfig { adversaries: adversaries.to_vec(), ..BatchConfig::default() }.validate(cfg)?;
+    validate_collected(cfg, cfg.session, &collected)?;
     let agents = SessionEngine::roster(cfg, &program, collected, seed);
     // Link draws decorrelated from the providers' local seeds.
     let mut runner = SimRunner::new(agents, adversaries, policy, seed ^ 0x9E37_79B9_7F4A_7C15);
     // Generous budget; protocol rounds are O(m² · blocks).
     let quiesced = runner.run(10_000_000);
     debug_assert!(quiesced, "step budget too small");
-    SimReport {
+    Ok(SimReport {
         outcomes: runner.agents.iter().map(SessionEngine::outcome).collect(),
         span: runner.span(),
         decision_times: runner.decided_at,
         delivered: runner.delivered,
         bytes: runner.bytes,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -235,7 +245,7 @@ mod tests {
 
     fn run(m: usize, k: usize, adversaries: &[Adversary], policy: SchedulePolicy) -> SimReport {
         let program = Arc::new(DoubleAuctionProgram::new());
-        run_auction_sim(&cfg(m, k), program, vec![bids(); m], adversaries, policy, 1)
+        run_auction_sim(&cfg(m, k), program, vec![bids(); m], adversaries, policy, 1).unwrap()
     }
 
     fn one(provider: u32, kind: AdversaryKind) -> [Adversary; 1] {

@@ -35,6 +35,7 @@ fn honest(seed: u64) -> Outcome {
         SchedulePolicy::SeededRandom(seed),
         seed,
     )
+    .unwrap()
     .unanimous()
 }
 
@@ -54,7 +55,8 @@ fn with_coalition(
         &adversaries,
         SchedulePolicy::SeededRandom(seed),
         seed,
-    );
+    )
+    .unwrap();
     report.honest_unanimous(coalition)
 }
 

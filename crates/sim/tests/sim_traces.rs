@@ -127,14 +127,14 @@ fn turn_based(
 ) -> String {
     let (cfg, program, bids) = session(program, m, k);
     let adversaries = adversaries(deviation, m);
-    let report = run_auction_sim(&cfg, program, vec![bids; m], &adversaries, policy, SEED);
+    let report = run_auction_sim(&cfg, program, vec![bids; m], &adversaries, policy, SEED).unwrap();
     format!("d={} | {}", report.delivered, render_outcomes(&report.outcomes))
 }
 
 fn timed(program: Program, m: usize, k: usize) -> String {
     let (cfg, program, bids) = session(program, m, k);
     let timed = SchedulePolicy::Timed(LinkModel::community_net());
-    let report = run_auction_sim(&cfg, program, vec![bids; m], &[], timed, SEED);
+    let report = run_auction_sim(&cfg, program, vec![bids; m], &[], timed, SEED).unwrap();
     render_outcomes(&report.outcomes)
 }
 

@@ -24,7 +24,8 @@ fn timed_standard_auction_agrees_at_p2() {
         &[],
         SchedulePolicy::Timed(LinkModel::community_net()),
         11,
-    );
+    )
+    .unwrap();
     let outcome = report.unanimous();
     let result = outcome.as_result().expect("honest timed run agrees");
     // Correct simulation: the welfare equals the exhaustive optimum.
@@ -51,9 +52,11 @@ fn timed_outcome_equals_untimed_outcome() {
         &[],
         SchedulePolicy::Timed(LinkModel::community_net()),
         21,
-    );
+    )
+    .unwrap();
     let untimed =
-        run_auction_sim(&cfg, program, vec![bids; 3], &[], SchedulePolicy::SeededRandom(5), 21);
+        run_auction_sim(&cfg, program, vec![bids; 3], &[], SchedulePolicy::SeededRandom(5), 21)
+            .unwrap();
     // The virtual clock must not influence what is decided.
     assert_eq!(timed.unanimous(), untimed.unanimous());
 }
@@ -70,7 +73,8 @@ fn traffic_accounting_is_consistent() {
         &[],
         SchedulePolicy::Timed(LinkModel::instant()),
         3,
-    );
+    )
+    .unwrap();
     assert!(!report.unanimous().is_abort());
     assert!(report.delivered > 0);
     assert!(report.bytes > report.delivered, "messages carry payloads");

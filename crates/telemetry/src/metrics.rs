@@ -374,7 +374,7 @@ impl std::fmt::Debug for Registry {
 }
 
 /// `true` iff `name` is a legal Prometheus metric name.
-pub fn valid_metric_name(name: &str) -> bool {
+fn valid_metric_name(name: &str) -> bool {
     let mut chars = name.chars();
     match chars.next() {
         Some(c) if c.is_ascii_alphabetic() || c == '_' || c == ':' => {}

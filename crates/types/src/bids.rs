@@ -24,7 +24,6 @@ use crate::quantity::{Bw, Money};
 /// use dauctioneer_types::{UserBid, Money, Bw};
 /// let bid = UserBid::new(Money::from_f64(1.1), Bw::from_f64(0.4));
 /// assert!(bid.is_valid());
-/// assert_eq!(bid.total_value(), Money::from_f64(0.44));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UserBid {
@@ -46,11 +45,6 @@ impl UserBid {
     /// Requested amount of bandwidth.
     pub const fn demand(&self) -> Bw {
         self.demand
-    }
-
-    /// Total value the user attributes to receiving its full demand.
-    pub fn total_value(&self) -> Money {
-        self.valuation.per_unit(self.demand)
     }
 
     /// A bid is valid when it asks for a positive amount at a positive
@@ -366,11 +360,6 @@ mod tests {
         assert!(!bid(0.0, 0.5).is_valid());
         assert!(!bid(-1.0, 0.5).is_valid());
         assert!(!bid(1.0, 0.0).is_valid());
-    }
-
-    #[test]
-    fn user_bid_total_value() {
-        assert_eq!(bid(2.0, 0.25).total_value(), Money::from_f64(0.5));
     }
 
     #[test]

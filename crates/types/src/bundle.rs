@@ -96,12 +96,6 @@ impl BundleBid {
     pub fn max_units(&self) -> u64 {
         self.options.iter().map(|o| o.units).max().unwrap_or(0)
     }
-
-    /// The highest total price across options (the bidder's declared
-    /// value for its best bundle).
-    pub fn max_price(&self) -> Money {
-        self.options.iter().map(|o| o.price).max().unwrap_or(Money::ZERO)
-    }
 }
 
 impl Encode for BundleBid {
@@ -138,7 +132,6 @@ mod tests {
         let bid = BundleBid::new(UserId(1), vec![opt(4, 4.0), opt(2, 2.4)]);
         assert!(bid.is_valid());
         assert_eq!(bid.max_units(), 4);
-        assert_eq!(bid.max_price(), Money::from_f64(4.0));
         assert!(!BundleBid::new(UserId(1), vec![]).is_valid());
         assert!(!BundleBid::new(UserId(1), vec![opt(0, 1.0)]).is_valid());
     }

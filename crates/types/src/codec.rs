@@ -152,7 +152,7 @@ impl Writer {
     }
 
     /// Append a little-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
+    fn put_u16(&mut self, v: u16) {
         self.buf.put_u16_le(v);
     }
 
@@ -216,7 +216,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a little-endian `u16`.
-    pub fn get_u16(&mut self) -> Result<u16, CodecError> {
+    fn get_u16(&mut self) -> Result<u16, CodecError> {
         let s = self.take(2, "u16")?;
         Ok(u16::from_le_bytes([s[0], s[1]]))
     }

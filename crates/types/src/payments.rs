@@ -91,11 +91,6 @@ impl Payments {
         &self.user_payments
     }
 
-    /// All provider revenues in id order.
-    pub fn provider_revenues(&self) -> &[Money] {
-        &self.provider_revenues
-    }
-
     /// Sum of user payments.
     pub fn total_user_payments(&self) -> Money {
         self.user_payments.iter().copied().sum()

@@ -79,11 +79,6 @@ impl Money {
         Money(v as i64)
     }
 
-    /// Saturating subtraction, clamped at zero.
-    pub fn saturating_sub_at_zero(self, rhs: Money) -> Money {
-        Money((self.0 - rhs.0).max(0))
-    }
-
     /// The smaller of two amounts.
     pub fn min(self, other: Money) -> Money {
         Money(self.0.min(other.0))
@@ -331,14 +326,6 @@ mod tests {
         assert_eq!(Money::from_f64(1.25).to_string(), "1.250000");
         assert_eq!(Money::from_micro(-1).to_string(), "-0.000001");
         assert_eq!(Money::ZERO.to_string(), "0.000000");
-    }
-
-    #[test]
-    fn money_saturating_sub_at_zero() {
-        let a = Money::from_units(1);
-        let b = Money::from_units(2);
-        assert_eq!(a.saturating_sub_at_zero(b), Money::ZERO);
-        assert_eq!(b.saturating_sub_at_zero(a), Money::from_units(1));
     }
 
     #[test]

@@ -174,21 +174,6 @@ impl ArrivalProcess {
         }
         delivered
     }
-
-    /// The mean arrival rate in bids per second implied by the law.
-    pub fn mean_rate_per_sec(&self) -> f64 {
-        match self.inter {
-            InterArrival::Poisson { rate_per_sec } => rate_per_sec,
-            InterArrival::Uniform { min, max } => {
-                let mean = (min.as_secs_f64() + max.as_secs_f64()) / 2.0;
-                if mean == 0.0 {
-                    f64::INFINITY
-                } else {
-                    1.0 / mean
-                }
-            }
-        }
-    }
 }
 
 /// Iterator over an [`ArrivalProcess`] (infinite; pair with `take`).
@@ -277,7 +262,6 @@ mod tests {
         for (i, a) in arrivals.iter().enumerate() {
             assert_eq!(a.at, tick * (i as u32 + 1));
         }
-        assert!((p.mean_rate_per_sec() - 100.0).abs() < 1e-9);
     }
 
     #[test]

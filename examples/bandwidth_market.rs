@@ -39,7 +39,8 @@ fn main() {
         &[],
         SchedulePolicy::Timed(LinkModel::community_net()),
         7,
-    );
+    )
+    .expect("valid run");
 
     let outcome = report.unanimous();
     let Some(result) = outcome.as_result() else {

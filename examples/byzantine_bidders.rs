@@ -47,7 +47,8 @@ fn main() {
         &[],
         SchedulePolicy::SeededRandom(1),
         11,
-    );
+    )
+    .expect("valid run");
     let outcome = report.unanimous();
     println!("  unanimous outcome reached: {}", !outcome.is_abort());
     if let Some(result) = outcome.as_result() {
@@ -68,7 +69,8 @@ fn main() {
         &[],
         SchedulePolicy::SeededRandom(2),
         22,
-    );
+    )
+    .expect("valid run");
     let outcome = report.unanimous();
     println!("  unanimous outcome reached: {}", !outcome.is_abort());
 
@@ -85,7 +87,8 @@ fn main() {
         &[equivocator],
         SchedulePolicy::SeededRandom(3),
         33,
-    );
+    )
+    .expect("valid run");
     println!("  outcome is ⊥ (deviation detected): {}", report.unanimous().is_abort());
     println!("  ⇒ under solution preference, deviating is never profitable.");
 }

@@ -51,7 +51,8 @@ fn main() {
             &[],
             SchedulePolicy::Timed(LinkModel::community_net()),
             42,
-        );
+        )
+        .expect("valid run");
         let outcome = report.unanimous();
         assert!(!outcome.is_abort(), "honest run must not abort");
         let span = report.span.expect("all providers decided");

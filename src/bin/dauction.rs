@@ -61,14 +61,14 @@ use std::time::Duration;
 
 use dauctioneer::cli::Flags;
 use dauctioneer::core::{
-    run_session, DoubleAuctionProgram, DynProgram, FrameworkConfig, RunError, RunOptions,
-    TransportKind,
+    run_batch_with, BatchConfig, BatchSession, DoubleAuctionProgram, DynProgram, FrameworkConfig,
+    RunError, RunOptions, TransportKind,
 };
 use dauctioneer::market::{
     register_market_metrics, verify_log, AbortReason, EpochOutcome, EpochPolicy, FsyncPolicy,
     JournalConfig, MarketConfig, MarketService, MarketStats, MechanismSpec,
 };
-use dauctioneer::net::LatencyModel;
+use dauctioneer::net::FaultPlan;
 use dauctioneer::sim::{run_auction_sim, LinkModel, SchedulePolicy};
 use dauctioneer::telemetry::{FlightDump, MetricsServer, Registry};
 use dauctioneer::types::{Outcome, ProviderId};
@@ -791,20 +791,21 @@ fn run<P: dauctioneer::core::AllocatorProgram + 'static>(
     if des {
         let link = if community { LinkModel::community_net() } else { LinkModel::instant() };
         let timed = SchedulePolicy::Timed(link);
-        let report = run_auction_sim(&cfg, program, collected, &[], timed, seed);
+        let report = run_auction_sim(&cfg, program, collected, &[], timed, seed)?;
         Ok((
             report.unanimous(),
             "virtual span (discrete-event, one CPU per provider)",
             report.span.unwrap_or(Duration::ZERO),
         ))
     } else {
-        let latency = if community { LatencyModel::CommunityNet } else { LatencyModel::Zero };
-        let report = run_session(
+        let chaos = community.then(|| FaultPlan::community_net(seed));
+        let mut report = run_batch_with(
             &cfg,
             program,
-            collected,
-            &RunOptions { deadline: Duration::from_secs(600), latency, seed },
+            vec![BatchSession { session: cfg.session, collected, seed }],
+            &RunOptions { deadline: Duration::from_secs(600), seed },
+            &BatchConfig { chaos, ..BatchConfig::default() },
         )?;
-        Ok((report.unanimous(), "wall-clock (threaded)", report.elapsed))
+        Ok((report.sessions.remove(0).unanimous(), "wall-clock (threaded)", report.elapsed))
     }
 }

@@ -39,6 +39,15 @@ fn one_shot_des_runtime_reports_a_virtual_span() {
 }
 
 #[test]
+fn one_shot_threads_runtime_clears_under_community_latency() {
+    let (out, stderr) = dauction(&["--latency", "community", "--n", "20"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(stdout.contains("wall-clock (threaded)"), "stdout: {stdout}");
+    assert!(stdout.contains("outcome: agreed") && !stdout.contains('⊥'), "stdout: {stdout}");
+}
+
+#[test]
 fn one_shot_rejects_unknown_runtime_and_latency() {
     for args in [["--runtime", "bogus"], ["--latency", "bogus"]] {
         let (out, stderr) = dauction(&args);

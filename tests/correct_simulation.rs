@@ -8,7 +8,10 @@
 
 use std::sync::Arc;
 
-use dauctioneer::core::{DoubleAuctionProgram, FrameworkConfig, StandardAuctionProgram};
+use dauctioneer::core::{
+    Adversary, AdversaryKind, ConfigError, DoubleAuctionProgram, FrameworkConfig, RunError,
+    StandardAuctionProgram,
+};
 use dauctioneer::mechanisms::props::{feasibility_violations, rationality_violations};
 use dauctioneer::mechanisms::solver::{solve_exhaustive, Instance};
 use dauctioneer::mechanisms::{
@@ -16,7 +19,9 @@ use dauctioneer::mechanisms::{
     StandardAuctionConfig,
 };
 use dauctioneer::sim::{run_auction_sim, SchedulePolicy};
-use dauctioneer::types::{BidVector, Bw, Money, Outcome, ProviderAsk, UserBid};
+use dauctioneer::types::{
+    BidVector, Bw, Money, Outcome, ProviderAsk, ProviderId, SessionId, UserBid,
+};
 use dauctioneer::workload::{DoubleAuctionWorkload, StandardAuctionWorkload};
 
 /// The double auction is deterministic, so the distributed outcome must
@@ -34,7 +39,8 @@ fn distributed_double_auction_equals_centralised() {
             &[],
             SchedulePolicy::SeededRandom(seed),
             seed,
-        );
+        )
+        .unwrap();
         let distributed = report.unanimous();
         let centralised = DoubleAuction::new().run(&bids, &SharedRng::from_material(b"anything"));
         assert_eq!(
@@ -62,7 +68,8 @@ fn distributed_standard_auction_is_exact_and_rational() {
             &[],
             SchedulePolicy::Fifo,
             seed * 100,
-        );
+        )
+        .unwrap();
         let outcome = report.unanimous();
         let result = outcome.as_result().expect("honest run agrees");
 
@@ -94,6 +101,7 @@ fn sessions_are_reproducible() {
             SchedulePolicy::SeededRandom(5),
             77,
         )
+        .unwrap()
         .unanimous()
     };
     assert_eq!(run(), run());
@@ -126,7 +134,8 @@ fn consistent_bids_survive_equivocating_bidders() {
         &[],
         SchedulePolicy::SeededRandom(3),
         123,
-    );
+    )
+    .unwrap();
     let outcome = report.unanimous();
     assert!(!outcome.is_abort(), "bidder-level misbehaviour must not abort the auction");
 }
@@ -141,4 +150,34 @@ fn configuration_matches_paper_parameters() {
     assert!(FrameworkConfig::new(2, 1, 1, 0).validate().is_err());
     assert_eq!(FrameworkConfig::new(8, 1, 1, 0).parallelism(), 4);
     assert_eq!(FrameworkConfig::new(8, 3, 1, 0).parallelism(), 2);
+}
+
+/// A simulated run the threaded runtime would refuse is refused with the
+/// same [`RunError`], never a panic: `cfg` with `m` providers, `views`
+/// collected bid vectors and `adversaries`.
+fn refused(cfg: FrameworkConfig, views: usize, adversaries: &[Adversary]) -> RunError {
+    let bids = DoubleAuctionWorkload::new(4, 3, 1).generate();
+    let program = Arc::new(DoubleAuctionProgram::new());
+    let policy = SchedulePolicy::Fifo;
+    run_auction_sim(&cfg, program, vec![bids; views], adversaries, policy, 1).unwrap_err()
+}
+
+#[test]
+fn a_simulated_run_with_m_not_above_2k_is_a_framework_error() {
+    let err = refused(FrameworkConfig::new(2, 1, 4, 3), 2, &[]);
+    assert!(matches!(err, RunError::Framework(ConfigError::TooFewProviders { m: 2, k: 1 })));
+}
+
+#[test]
+fn a_simulated_run_with_the_wrong_collected_length_is_an_error() {
+    let cfg = FrameworkConfig::new(3, 1, 4, 3).with_session(SessionId(9));
+    let err = refused(cfg, 2, &[]);
+    assert!(matches!(err, RunError::CollectedLength(SessionId(9))), "{err}");
+}
+
+#[test]
+fn a_simulated_adversary_outside_the_mesh_is_an_error() {
+    let outside = [Adversary::new(ProviderId(4), AdversaryKind::Replay)];
+    let err = refused(FrameworkConfig::new(3, 1, 4, 3), 3, &outside);
+    assert!(matches!(err, RunError::AdversaryOutOfRange { provider: 4, m: 3 }), "{err}");
 }

@@ -78,7 +78,8 @@ fn honest_outcome(market: Market, seed: u64) -> Outcome {
         &[],
         SchedulePolicy::SeededRandom(seed),
         seed,
-    );
+    )
+    .unwrap();
     report.unanimous()
 }
 
@@ -97,7 +98,8 @@ fn run_with_deviation(
         &[Adversary::new(ProviderId(deviator as u32), kind)],
         policy,
         seed,
-    );
+    )
+    .unwrap();
     // What matters for influence is what the honest providers accept.
     report.honest_unanimous(&[deviator])
 }
@@ -208,7 +210,8 @@ fn lying_about_collected_bids_cannot_dictate_the_agreement() {
             &[],
             SchedulePolicy::SeededRandom(seed),
             seed,
-        );
+        )
+        .unwrap();
         let outcome = report.unanimous();
         assert!(
             !outcome.is_abort(),
@@ -245,7 +248,8 @@ fn outcome_is_invariant_under_starvation_schedules() {
             &[],
             SchedulePolicy::DelayProvider { victim: ProviderId(victim as u32), seed: 9 },
             seed,
-        );
+        )
+        .unwrap();
         assert_eq!(report.unanimous(), baseline, "schedule changed the outcome (victim {victim})");
     }
 }

@@ -53,7 +53,7 @@ proptest! {
             &[],
             SchedulePolicy::SeededRandom(schedule_seed),
             local_seed,
-        );
+        ).unwrap();
         let centralised = DoubleAuction::new().run(&bids, &SharedRng::from_material(b"x"));
         prop_assert_eq!(report.unanimous(), Outcome::Agreed(centralised));
     }
@@ -92,7 +92,7 @@ proptest! {
             &[],
             SchedulePolicy::SeededRandom(schedule_seed),
             schedule_seed,
-        );
+        ).unwrap();
         let outcome = report.unanimous();
         prop_assert!(!outcome.is_abort(), "bidder equivocation must not abort the auction");
         let result = outcome.as_result().unwrap();

@@ -1,5 +1,5 @@
 //! End-to-end sessions on the *threaded* runtime: real threads, real
-//! channels, injected latency — the deployment-shaped path.
+//! channels, community-network link delay — the deployment-shaped path.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,33 +12,37 @@ use dauctioneer::core::{
 use dauctioneer::market::{MarketConfig, MarketError};
 use dauctioneer::mechanisms::props::{feasibility_violations, rationality_violations};
 use dauctioneer::mechanisms::{StandardAuction, StandardAuctionConfig};
-use dauctioneer::net::{FaultPlan, LatencyModel};
+use dauctioneer::net::FaultPlan;
 use dauctioneer::types::{ProviderId, SessionId};
 use dauctioneer::workload::{DoubleAuctionWorkload, StandardAuctionWorkload};
 
+/// The community-network delay plan is one chaos plan over either
+/// transport: each decides the zero-latency outcome with the same
+/// message and byte totals.
 #[test]
-fn double_auction_over_threads_with_latency() {
-    let m = 3;
-    let n = 40;
+fn community_latency_decides_the_zero_latency_outcome_on_both_transports() {
+    let (m, n) = (3, 40);
     let bids = DoubleAuctionWorkload::new(n, m, 5).generate();
     let cfg = FrameworkConfig::new(m, 1, n, m);
-    let report = run_session(
-        &cfg,
-        Arc::new(DoubleAuctionProgram::new()),
-        vec![bids.clone(); m],
-        &RunOptions {
-            deadline: Duration::from_secs(30),
-            latency: LatencyModel::UniformMicros { min_micros: 100, max_micros: 2_000 },
-            seed: 3,
-        },
-    )
-    .unwrap();
-    let outcome = report.unanimous();
+    let run = |batch: BatchConfig| {
+        let session = BatchSession::uniform(SessionId(0), bids.clone(), m, 3);
+        let options = RunOptions { deadline: Duration::from_secs(30), ..RunOptions::default() };
+        let program = Arc::new(DoubleAuctionProgram::new());
+        run_batch_with(&cfg, program, vec![session], &options, &batch).unwrap()
+    };
+    let zero = run(BatchConfig::default());
+    let outcome = zero.sessions[0].unanimous();
     let result = outcome.as_result().expect("threaded session must agree");
     assert!(feasibility_violations(&bids, result, None).is_empty());
     assert!(rationality_violations(&bids, result).is_empty());
     assert!(result.payments.is_budget_balanced());
-    assert!(report.traffic.total_messages() > 0);
+    for transport in [TransportKind::InProc, TransportKind::Tcp] {
+        let chaos = Some(FaultPlan::community_net(3));
+        let delayed = run(BatchConfig { transport, chaos, ..BatchConfig::default() });
+        assert_eq!(delayed.sessions[0].unanimous(), outcome, "{transport:?}");
+        assert_eq!(delayed.traffic.total_messages(), zero.traffic.total_messages());
+        assert_eq!(delayed.traffic.total_bytes(), zero.traffic.total_bytes());
+    }
 }
 
 #[test]
@@ -152,14 +156,6 @@ fn m_not_above_2k_is_a_framework_error() {
 }
 
 #[test]
-fn tcp_with_modelled_latency_is_an_error() {
-    let options =
-        RunOptions { latency: LatencyModel::ConstantMicros(100), ..RunOptions::default() };
-    let err = run_tags(&[0], &options, &BatchConfig::tcp(1)).unwrap_err();
-    assert!(matches!(err, RunError::TcpWithModelledLatency), "{err}");
-}
-
-#[test]
 fn an_impossible_fault_plan_is_an_error() {
     let batch = BatchConfig::default().with_chaos(FaultPlan::seeded(1).with_drop(2.0));
     let err = run_tags(&[0], &RunOptions::default(), &batch).unwrap_err();
@@ -190,13 +186,8 @@ fn a_duplicate_session_tag_is_an_error() {
 
 #[test]
 fn the_market_and_the_pool_refuse_a_mesh_with_the_same_error() {
-    let latent = MarketConfig {
-        latency: LatencyModel::ConstantMicros(100),
-        ..MarketConfig::new(3, 1, 4, 1).with_transport(TransportKind::Tcp, 1)
-    };
     for config in [
         MarketConfig::new(2, 1, 4, 1),
-        latent,
         MarketConfig::new(3, 1, 4, 1).with_chaos(FaultPlan::seeded(1).with_corrupt(-0.5)),
         MarketConfig::new(3, 1, 4, 1).with_adversary(ProviderId(5), AdversaryKind::Replay),
     ] {
@@ -204,15 +195,8 @@ fn the_market_and_the_pool_refuse_a_mesh_with_the_same_error() {
             panic!("{config:?} must be refused as a run error");
         };
         let program = Arc::new(DoubleAuctionProgram::new());
-        let pool = SessionPool::start(
-            &config.framework(),
-            &program,
-            &config.batch(),
-            config.latency,
-            0,
-            None,
-        )
-        .unwrap_err();
+        let pool =
+            SessionPool::start(&config.framework(), &program, &config.batch(), None).unwrap_err();
         assert_eq!(std::mem::discriminant(&market), std::mem::discriminant(&pool));
         assert_eq!(market.to_string(), pool.to_string());
     }
