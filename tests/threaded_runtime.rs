@@ -7,42 +7,60 @@ use std::time::Duration;
 use dauctioneer::core::{
     run_batch_with, run_session, AdversaryKind, BatchConfig, BatchReport, BatchSession,
     ConfigError, DoubleAuctionProgram, FrameworkConfig, RunError, RunOptions, SessionPool,
-    StandardAuctionProgram, TransportKind,
+    StandardAuctionProgram,
 };
 use dauctioneer::market::{MarketConfig, MarketError};
 use dauctioneer::mechanisms::props::{feasibility_violations, rationality_violations};
 use dauctioneer::mechanisms::{StandardAuction, StandardAuctionConfig};
 use dauctioneer::net::FaultPlan;
-use dauctioneer::types::{ProviderId, SessionId};
+use dauctioneer::types::{BidVector, ProviderId, SessionId};
 use dauctioneer::workload::{DoubleAuctionWorkload, StandardAuctionWorkload};
 
-/// The community-network delay plan is one chaos plan over either
-/// transport: each decides the zero-latency outcome with the same
-/// message and byte totals.
+/// Runs one double-auction session of `bids` over `batch`.
+fn run_double_auction(cfg: &FrameworkConfig, bids: &BidVector, batch: &BatchConfig) -> BatchReport {
+    let session = BatchSession::uniform(SessionId(0), bids.clone(), cfg.m, 3);
+    let options = RunOptions { deadline: Duration::from_secs(30), ..RunOptions::default() };
+    let program = Arc::new(DoubleAuctionProgram::new());
+    run_batch_with(cfg, program, vec![session], &options, batch).unwrap()
+}
+
+/// Community-network link delay, run as a chaos delay plan on the
+/// in-process hub, decides the zero-latency outcome with the same message
+/// and byte totals.
 #[test]
-fn community_latency_decides_the_zero_latency_outcome_on_both_transports() {
+fn double_auction_over_threads_with_latency() {
     let (m, n) = (3, 40);
     let bids = DoubleAuctionWorkload::new(n, m, 5).generate();
     let cfg = FrameworkConfig::new(m, 1, n, m);
-    let run = |batch: BatchConfig| {
-        let session = BatchSession::uniform(SessionId(0), bids.clone(), m, 3);
-        let options = RunOptions { deadline: Duration::from_secs(30), ..RunOptions::default() };
-        let program = Arc::new(DoubleAuctionProgram::new());
-        run_batch_with(&cfg, program, vec![session], &options, &batch).unwrap()
-    };
-    let zero = run(BatchConfig::default());
-    let outcome = zero.sessions[0].unanimous();
+    let batch = BatchConfig::default().with_chaos(FaultPlan::community_net(3));
+    let report = run_double_auction(&cfg, &bids, &batch);
+    let outcome = report.sessions[0].unanimous();
     let result = outcome.as_result().expect("threaded session must agree");
     assert!(feasibility_violations(&bids, result, None).is_empty());
     assert!(rationality_violations(&bids, result).is_empty());
     assert!(result.payments.is_budget_balanced());
-    for transport in [TransportKind::InProc, TransportKind::Tcp] {
-        let chaos = Some(FaultPlan::community_net(3));
-        let delayed = run(BatchConfig { transport, chaos, ..BatchConfig::default() });
-        assert_eq!(delayed.sessions[0].unanimous(), outcome, "{transport:?}");
-        assert_eq!(delayed.traffic.total_messages(), zero.traffic.total_messages());
-        assert_eq!(delayed.traffic.total_bytes(), zero.traffic.total_bytes());
-    }
+    assert!(report.traffic.total_messages() > 0);
+    let zero = run_double_auction(&cfg, &bids, &BatchConfig::default());
+    assert_eq!(zero.sessions[0].unanimous(), outcome);
+    assert_eq!(report.traffic.total_messages(), zero.traffic.total_messages());
+    assert_eq!(report.traffic.total_bytes(), zero.traffic.total_bytes());
+}
+
+/// The same delay plan composes with TCP: the session decides the
+/// zero-latency outcome with the same message and byte totals.
+#[test]
+fn tcp_with_community_latency_decides_the_zero_latency_outcome() {
+    let (m, n) = (3, 40);
+    let bids = DoubleAuctionWorkload::new(n, m, 5).generate();
+    let cfg = FrameworkConfig::new(m, 1, n, m);
+    let zero = run_double_auction(&cfg, &bids, &BatchConfig::default());
+    let batch = BatchConfig::tcp(1).with_chaos(FaultPlan::community_net(3));
+    let delayed = run_double_auction(&cfg, &bids, &batch);
+    let outcome = delayed.sessions[0].unanimous();
+    assert!(outcome.as_result().is_some(), "TCP session with delay must agree");
+    assert_eq!(outcome, zero.sessions[0].unanimous());
+    assert_eq!(delayed.traffic.total_messages(), zero.traffic.total_messages());
+    assert_eq!(delayed.traffic.total_bytes(), zero.traffic.total_bytes());
 }
 
 #[test]
